@@ -19,7 +19,7 @@ def show(label, problem):
     print(f"{label}")
     print(f"  nominal {problem.nominal} -> safe {np.round(sol.u_safe, 4)}")
     print(f"  status={sol.status}  |correction|={moved:.4f}  slack={sol.slack:.2e}  "
-          f"active={sol.active_set}  kkt={sol.kkt_residual:.1e}  iters={sol.iterations}")
+          f"active={sol.active_set}  kkt={sol.kkt_residual:.1e}  candidates={sol.iterations}")
     print()
     return sol
 

@@ -48,6 +48,7 @@ METRICS_COLUMNS = (
 TRAJECTORY_COLUMNS = (
     "step,agent_id,px,py,vx,vy,ax_nominal,ay_nominal,ax_safe,ay_safe,reward,min_dist,shield_status"
 )
+SUMMARY_KEYS = ("variant", "runs", "episodes_total", "collision_episodes_total", "collision_ratio")
 
 
 def _g(x) -> str:
@@ -328,18 +329,39 @@ def _read_metrics_csv(path: Path):
         if line.startswith("#") or line == METRICS_COLUMNS or not line.strip():
             continue
         parts = line.split(",")
-        rows.append(
-            {
-                "episode": int(parts[0]),
-                "reward_I": float(parts[1]),
-                "reward_II": float(parts[2]),
-                "collisions_step": int(parts[3]),
-                "collisions_episode": int(parts[4]),
-                "min_dist": float(parts[5]),
-                "slack_events": int(parts[6]),
-            }
-        )
+        try:
+            rows.append(
+                {
+                    "episode": int(parts[0]),
+                    "reward_I": float(parts[1]),
+                    "reward_II": float(parts[2]),
+                    "collisions_step": int(parts[3]),
+                    "collisions_episode": int(parts[4]),
+                    "min_dist": float(parts[5]),
+                    "slack_events": int(parts[6]),
+                }
+            )
+        except (IndexError, ValueError) as exc:
+            raise ArtifactError(f"{path}: malformed metrics row {line!r}") from exc
     return rows
+
+
+def _read_summary(path: Path) -> dict:
+    """A variant's summary.json holding every key the report reads, else ArtifactError."""
+    try:
+        summary = json.loads(path.read_text(encoding="utf-8"))
+        missing = [k for k in SUMMARY_KEYS if k not in summary]
+        missing += [
+            f"runs[{i}].{k}"
+            for i, run in enumerate(summary["runs"])
+            for k in ("run", "seed")
+            if k not in run
+        ]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ArtifactError(f"{path}: malformed summary ({exc!r})") from exc
+    if missing:
+        raise ArtifactError(f"{path}: summary lacks {', '.join(missing)}")
+    return summary
 
 
 def cmd_report(args) -> int:
@@ -353,7 +375,7 @@ def cmd_report(args) -> int:
     curves = {}
     missing = []
     for spath in summaries:
-        summary = json.loads(spath.read_text(encoding="utf-8"))
+        summary = _read_summary(spath)
         variant = summary["variant"]
         variants[variant] = summary
         per_episode = []

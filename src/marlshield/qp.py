@@ -1,27 +1,34 @@
 """Minimal-interference projection of a nominal action onto stacked constraints.
 
 The problem is tiny by construction — two action variables, a per-axis box,
-and a handful of halfplane rows — so the solver is an exact primal
-active-set method rather than a general-purpose QP package.
+and a handful of halfplane rows — so the solver enumerates KKT candidates
+exactly rather than calling a general-purpose QP package. A Euclidean
+projection onto a polyhedron lies on the affine hull of at most `dim`
+independent active rows, so a finite candidate scan finds it without
+iterating.
 
 Two phases:
 
 1. Projection phase. If the unrelaxed feasible set (rows + box) is
    nonempty, return the exact Euclidean projection of the nominal action
-   onto it (status "optimal", slack 0). Feasibility is decided exactly by
-   enumerating candidate vertices of the 2-D polytope, which also yields
-   the feasible starting point the active-set iteration needs.
+   onto it (status "optimal", slack 0). Candidates: the box clip of the
+   nominal, the projection onto each violated row, then each pairwise
+   vertex; the first feasible one with nonnegative multipliers wins. When
+   none qualifies the set is empty.
 2. Slack phase. Only when the rows conflict outright, one shared
    nonnegative slack s relaxes every row (a.u <= b + s) under a quadratic
    penalty, which is always solvable; status "relaxed" reports the
-   safety-margin erosion instead of crashing.
+   safety-margin erosion instead of crashing. The same rule runs in three
+   variables over subsets of at most three rows.
 
-Exceeding the iteration cap returns status "fallback" with the box-clipped
-nominal; the caller substitutes its own recovery action.
+`QpSolution.iterations` counts the candidates evaluated; it is 0 exactly when
+the box clip of the nominal is returned.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,9 +38,7 @@ from .barriers import LinearConstraint
 
 STATUS_OPTIMAL = "optimal"
 STATUS_RELAXED = "relaxed"
-STATUS_FALLBACK = "fallback"
 
-MAX_ITER = 64
 _FEAS_TOL = 1e-9
 _ZERO_TOL = 1e-12
 
@@ -84,56 +89,11 @@ def _expanded_rows(problem: QpProblem) -> list[tuple[float, float, float]]:
     return rows
 
 
-def _feasible_start(rows, box, hx, hy):
-    """A feasible point of the 2-D polytope, or None when it is empty.
-
-    Exact vertex enumeration: box corners, row/box-edge crossings, row/row
-    intersections. A nonempty compact polygon always exposes at least one
-    such point; the one nearest the nominal is returned (first wins ties).
-    """
-    candidates = [(-box, -box), (-box, box), (box, -box), (box, box)]
-    m = len(rows) - 4
-    for i in range(m):
-        ax, ay, b = rows[i]
-        if abs(ay) > _ZERO_TOL:
-            for x in (-box, box):
-                candidates.append((x, (b - ax * x) / ay))
-        if abs(ax) > _ZERO_TOL:
-            for y in (-box, box):
-                candidates.append(((b - ay * y) / ax, y))
-        for j in range(i + 1, m):
-            cx, cy, d = rows[j]
-            det = ax * cy - ay * cx
-            if abs(det) > _ZERO_TOL:
-                candidates.append(((b * cy - ay * d) / det, (ax * d - b * cx) / det))
-    best = None
-    best_dist = math.inf
-    for x, y in candidates:
-        if abs(x) > box + _FEAS_TOL or abs(y) > box + _FEAS_TOL:
-            continue
-        if any(ax * x + ay * y > b + _FEAS_TOL for ax, ay, b in rows):
-            continue
-        d = (x - hx) ** 2 + (y - hy) ** 2
-        if d < best_dist - _ZERO_TOL:
-            best, best_dist = (x, y), d
-    return best
-
-
-def _project_working(hx, hy, rows, working):
-    """Exact minimizer of |u - nominal| with equality on the working rows."""
-    if not working:
-        return hx, hy
-    if len(working) == 1:
-        ax, ay, b = rows[working[0]]
-        t = (ax * hx + ay * hy - b) / (ax * ax + ay * ay)
-        return hx - t * ax, hy - t * ay
-    (a1x, a1y, b1), (a2x, a2y, b2) = rows[working[0]], rows[working[1]]
-    det = a1x * a2y - a1y * a2x
-    return (b1 * a2y - a1y * b2) / det, (a1x * b2 - b1 * a2x) / det
-
-
 def _solve_projection(problem: QpProblem):
-    """Phase 1: exact projection onto rows + box; None when rows conflict."""
+    """Phase 1: exact projection onto rows + box; None when rows conflict.
+
+    Returns ((x, y), active rows, candidates evaluated).
+    """
     hx, hy = float(problem.nominal[0]), float(problem.nominal[1])
     box = float(problem.box)
     rows = _expanded_rows(problem)
@@ -152,98 +112,89 @@ def _solve_projection(problem: QpProblem):
             active.append(m + 2 if hy > 0 else m + 3)
         return (cx, cy), tuple(active), 0
 
-    # Cheap starts first: the single-row projections of the nominal cover
-    # the common one-active-constraint case without vertex enumeration.
-    start = None
-    for ax, ay, b in rows:
+    def feasible(x, y):
+        return all(ax * x + ay * y <= b + _FEAS_TOL for ax, ay, b in rows)
+
+    # A feasible projection onto one violated row is optimal: the polygon
+    # lies inside that row's halfplane.
+    tried = 0
+    for i, (ax, ay, b) in enumerate(rows):
         v = ax * hx + ay * hy - b
         if v <= 0.0:
             continue
+        tried += 1
         t = v / (ax * ax + ay * ay)
         zx, zy = hx - t * ax, hy - t * ay
-        if abs(zx) > box + _FEAS_TOL or abs(zy) > box + _FEAS_TOL:
-            continue
-        if all(cx * zx + cy * zy <= cb + _FEAS_TOL for cx, cy, cb in rows):
-            start = (zx, zy)
-            break
-    if start is None:
-        start = _feasible_start(rows, box, hx, hy)
-    if start is None:
-        return None
-    zx, zy = start
+        if feasible(zx, zy):
+            return (zx, zy), (i,), tried
 
-    working: list[int] = []
-    for i, (ax, ay, b) in enumerate(rows):
-        if abs(ax * zx + ay * zy - b) <= _FEAS_TOL:
-            if not working:
-                working.append(i)
-            elif len(working) == 1:
-                wx, wy, _ = rows[working[0]]
-                if abs(wx * ay - wy * ax) > 1e-12:
-                    working.append(i)
-
-    for it in range(1, MAX_ITER + 1):
-        gx, gy = hx - zx, hy - zy
-        if len(working) == 0:
-            px, py = gx, gy
-        elif len(working) == 1:
-            ax, ay, _ = rows[working[0]]
-            t = (ax * gx + ay * gy) / (ax * ax + ay * ay)
-            px, py = gx - t * ax, gy - t * ay
-        else:
-            px, py = 0.0, 0.0
-
-        if math.hypot(px, py) <= _ZERO_TOL * (1.0 + math.hypot(hx, hy)):
-            if len(working) == 0:
-                return (zx, zy), (), it
-            if len(working) == 1:
-                ax, ay, _ = rows[working[0]]
-                lam = [(ax * gx + ay * gy) / (ax * ax + ay * ay)]
-            else:
-                (a1x, a1y, _), (a2x, a2y, _) = rows[working[0]], rows[working[1]]
-                det = a1x * a2y - a1y * a2x
-                lam = [(gx * a2y - gy * a2x) / det, (a1x * gy - a1y * gx) / det]
-            worst = min(range(len(lam)), key=lambda k: (lam[k], working[k]))
-            if lam[worst] >= -1e-10:
-                # Re-derive the point from the final working set so active
-                # rows hold with equality to machine precision.
-                zx, zy = _project_working(hx, hy, rows, working)
-                return (zx, zy), tuple(sorted(working)), it
-            working.pop(worst)
-            continue
-
-        alpha = 1.0
-        blocking = -1
-        for i, (ax, ay, b) in enumerate(rows):
-            if i in working:
+    # Otherwise two independent rows are active at the projection. A feasible
+    # vertex whose multipliers are nonnegative satisfies KKT; checking the
+    # sign matters because three or more rows often meet at one vertex.
+    for i, (a1x, a1y, b1) in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            a2x, a2y, b2 = rows[j]
+            tried += 1
+            det = a1x * a2y - a1y * a2x
+            if abs(det) <= _ZERO_TOL:
                 continue
-            d = ax * px + ay * py
-            if d <= 1e-14:
-                continue
-            ai = (b - ax * zx - ay * zy) / d
-            if ai < 0.0:
-                ai = 0.0
-            if ai < alpha - 1e-14:  # ascending scan: lowest index enters on ties
-                alpha = ai
-                blocking = i
-        zx += alpha * px
-        zy += alpha * py
-        if blocking >= 0 and alpha < 1.0:
-            if len(working) == 1:
-                wx, wy, _ = rows[working[0]]
-                bx, by, _ = rows[blocking]
-                if abs(wx * by - wy * bx) <= 1e-12:
-                    working.pop(0)  # near-parallel pair: blocking row supersedes
-            working.append(blocking)
-    return "fallback"
+            zx, zy = (b1 * a2y - a1y * b2) / det, (a1x * b2 - b1 * a2x) / det
+            gx, gy = hx - zx, hy - zy
+            if (
+                (gx * a2y - gy * a2x) / det >= -1e-10
+                and (a1x * gy - a1y * gx) / det >= -1e-10
+                and feasible(zx, zy)
+            ):
+                return (zx, zy), (i, j), tried
+    return None
+
+
+@functools.cache
+def _subsets(n: int, k: int) -> np.ndarray:
+    """The k-row subsets of n rows in lexicographic order, as a read-only index array."""
+    out = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp).reshape(-1, k)
+    out.setflags(write=False)
+    return out
+
+
+def _cross(a, b):
+    """Cross products along the last axis; np.cross's axis handling costs more."""
+    return np.stack(
+        [
+            a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
+            a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
+            a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0],
+        ],
+        axis=-1,
+    )
+
+
+def _vertices(M, rhs, c):
+    """Solve M[t] z = rhs[t] for stacked 3x3 systems; multipliers of c - z.
+
+    Cramer's rule, whose adjugate columns are cross products of the rows,
+    keeps the conditioning of M; normal equations would square it, which
+    the tiny slack column cannot afford. Returns (z, lam, det); det ~ 0
+    flags dependent rows.
+    """
+    adj = _cross(M[:, [1, 2, 0]], M[:, [2, 0, 1]])
+    det = np.einsum("ti,ti->t", M[:, 0], adj[:, 0])
+    z = np.einsum("tk,tki->ti", rhs, adj) / det[:, None]
+    lam = np.einsum("tki,ti->tk", adj, c - z) / det[:, None]
+    return z, lam, det
 
 
 def _solve_relaxed(problem: QpProblem):
-    """Phase 2: shared-slack relaxation, always feasible; 3-variable active set.
+    """Phase 2: shared-slack relaxation, always feasible; 3-variable enumeration.
 
     The slack variable is rescaled by sqrt(2w) so the objective becomes a
-    pure Euclidean projection in three variables (identity Hessian); this
-    keeps the iteration well conditioned for arbitrarily large penalties.
+    pure Euclidean projection in three variables (identity Hessian), which
+    stays well conditioned for arbitrarily large penalties. The optimum lies
+    on at most three independent active rows, so the subsets of one, two,
+    then three rows are scanned and the first candidate that is feasible
+    with nonnegative multipliers is the optimum. The s >= 0 row is left out:
+    this phase runs only when the rows conflict, so the optimal s is > 0.
+    Returns ((x, y, s), active rows, candidates evaluated).
     """
     hx, hy = float(problem.nominal[0]), float(problem.nominal[1])
     box = float(problem.box)
@@ -253,85 +204,61 @@ def _solve_relaxed(problem: QpProblem):
 
     ux = min(max(hx, -box), box)
     uy = min(max(hy, -box), box)
-    violations = [ax * ux + ay * uy - b for ax, ay, b in base[:m]]
-    s0 = max(0.0, max(violations))
     if w == 0.0:
         # Penalty-free slack absorbs every row; only the box binds the action.
-        return (ux, uy, s0), (), 0
+        return (ux, uy, max(0.0, max(ax * ux + ay * uy - b for ax, ay, b in base[:m]))), (), 0
 
     scale = math.sqrt(2.0 * w)  # z[2] holds s * scale
-    rows3 = [np.array([ax, ay, -1.0 / scale]) for ax, ay, _ in base[:m]]
-    rows3 += [np.array([ax, ay, 0.0]) for ax, ay, _ in base[m:]]
-    rows3.append(np.array([0.0, 0.0, -1.0]))
-    bounds3 = [b for _, _, b in base] + [0.0]
+    rows3 = np.array(base)
+    bounds3 = rows3[:, 2].copy()
+    rows3[:, 2] = 0.0
+    rows3[:m, 2] = -1.0 / scale
     c = np.array([hx, hy, 0.0])
 
-    z = np.array([ux, uy, s0 * scale])
-    working = [int(np.argmax(violations))] if s0 > 0 else [m + 4]
-
-    def equality_point(A, bw):
-        # projection of c onto {A z = bw}: lstsq returns the minimal-norm
-        # correction, which is exactly the projection step, without the
-        # squared conditioning of normal equations
-        correction, *_ = np.linalg.lstsq(A, bw - A @ c, rcond=None)
-        return c + correction
-
-    for it in range(1, MAX_ITER + 1):
-        g = c - z
-        if working:
-            A = np.stack([rows3[i] for i in working])
-            lam, *_ = np.linalg.lstsq(A.T, g, rcond=None)
-            p = g - A.T @ lam
-        else:
-            lam = np.zeros(0)
-            p = g
-
-        # cancellation noise in p grows with the multiplier magnitude, so the
-        # stationarity threshold must scale with it or the loop spins in place
-        p_tol = 1e-11 * (1.0 + float(np.max(np.abs(c))) + float(np.max(np.abs(z)))) + 1e-12 * (
-            float(np.sum(np.abs(lam))) if len(lam) else 0.0
+    def first_kkt(z, lam, det):
+        """Index of the first feasible candidate with nonnegative multipliers, or -1."""
+        ok = (
+            (np.abs(det) > _ZERO_TOL)
+            & np.all(z @ rows3.T <= bounds3 + _FEAS_TOL, axis=1)
+            & np.all(lam >= -1e-10, axis=1)
         )
-        if float(np.max(np.abs(p))) <= p_tol:
-            if len(working) == 0 or float(np.min(lam)) >= -1e-10:
-                A = np.stack([rows3[i] for i in working]) if working else None
-                if A is not None:
-                    z = equality_point(A, np.array([bounds3[i] for i in working]))
-                return (float(z[0]), float(z[1]), float(z[2]) / scale), tuple(sorted(working)), it
-            worst = min(range(len(working)), key=lambda i: (lam[i], working[i]))
-            working.pop(worst)
-            continue
+        return int(np.argmax(ok)) if ok.any() else -1
 
-        alpha = 1.0
-        blocking = -1
-        for i, row in enumerate(rows3):
-            if i in working:
-                continue
-            d = float(row @ p)
-            if d <= 1e-14:
-                continue
-            ai = (bounds3[i] - float(row @ z)) / d
-            if ai < 0.0:
-                ai = 0.0
-            if ai < alpha - 1e-14:
-                alpha = ai
-                blocking = i
-        z = z + alpha * p
-        if blocking >= 0 and alpha < 1.0:
-            working.append(blocking)
-    return "fallback"
+    n = len(base)
+    tried = n
+    # Dependent subsets divide by a zero determinant; their NaN candidates
+    # fail every comparison in first_kkt.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # one row: the projection of c onto the row's plane
+        rr = np.einsum("ti,ti->t", rows3, rows3)
+        lam = ((rows3 @ c - bounds3) / rr)[:, None]
+        best = first_kkt(c - lam * rows3, lam, rr)
+        active = (best,)
+        if best < 0:
+            # Two and three rows as one batch of 3x3 vertices, pairs first.
+            # A pair's third row is its unit line direction pinned at c, so
+            # its vertex is the projection of c onto the line.
+            pairs, triples = _subsets(n, 2), _subsets(n, 3)
+            ri, rj = rows3[pairs[:, 0]], rows3[pairs[:, 1]]
+            d = _cross(ri, rj)
+            d /= np.sqrt(np.einsum("ti,ti->t", d, d))[:, None]
+            M = np.concatenate([np.stack([ri, rj, d], axis=1), rows3[triples]])
+            pair_rhs = np.stack([bounds3[pairs[:, 0]], bounds3[pairs[:, 1]], d @ c], axis=1)
+            rhs = np.concatenate([pair_rhs, bounds3[triples]])
+            z, lam, det = _vertices(M, rhs, c)
+            lam[: len(pairs), 2] = 0.0  # the pinned direction is not a constraint
+            best = first_kkt(z, lam, det)
+            tried += len(pairs) + len(triples)
+            if best < 0:
+                raise RuntimeError("no KKT point among the relaxed candidates")
+            active = tuple(pairs[best] if best < len(pairs) else triples[best - len(pairs)])
 
-
-def _fallback_solution(problem: QpProblem) -> QpSolution:
-    hx, hy = float(problem.nominal[0]), float(problem.nominal[1])
-    box = float(problem.box)
-    return QpSolution(
-        u_safe=np.array([min(max(hx, -box), box), min(max(hy, -box), box)]),
-        slack=0.0,
-        active_set=(),
-        kkt_residual=math.inf,
-        status=STATUS_FALLBACK,
-        iterations=MAX_ITER,
-    )
+    # re-derive the winner by lstsq so active rows hold with equality to
+    # machine precision
+    A, bw = rows3[list(active)], bounds3[list(active)]
+    correction, *_ = np.linalg.lstsq(A, bw - A @ c, rcond=None)
+    z = c + correction
+    return (float(z[0]), float(z[1]), float(z[2]) / scale), tuple(int(i) for i in active), tried
 
 
 def solve(problem: QpProblem) -> QpSolution:
@@ -339,18 +266,11 @@ def solve(problem: QpProblem) -> QpSolution:
 
     Returns the exact projection (status "optimal", slack 0) whenever the
     rows and box admit any action; otherwise minimizes the quadratic slack
-    penalty (status "relaxed"). Status "fallback" only on iteration-cap
-    exhaustion, with the box-clipped nominal as a placeholder the caller
-    must replace.
+    penalty (status "relaxed").
     """
     result = _solve_projection(problem)
-    if result == "fallback":
-        return _fallback_solution(problem)
     if result is None:
-        relaxed = _solve_relaxed(problem)
-        if relaxed == "fallback":
-            return _fallback_solution(problem)
-        (ux, uy, s), active, iters = relaxed
+        (ux, uy, s), active, iters = _solve_relaxed(problem)
         sol = QpSolution(
             u_safe=np.array([ux, uy]),
             slack=max(s, 0.0),
@@ -387,8 +307,6 @@ def kkt_check(problem: QpProblem, solution: QpSolution) -> float:
     penalty weight, and the meaningful certificate at that scale is the
     constraint residual itself, not its product with the multiplier.
     """
-    if solution.status == STATUS_FALLBACK:
-        return math.inf
     ux, uy = float(solution.u_safe[0]), float(solution.u_safe[1])
     hx, hy = float(problem.nominal[0]), float(problem.nominal[1])
     base = _expanded_rows(problem)

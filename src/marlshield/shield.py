@@ -196,23 +196,12 @@ def filter_action(
     )
     sol = qp.solve(problem)
 
-    if sol.status == qp.STATUS_FALLBACK:
-        # Iteration-cap exhaustion: substitute braking away from the nearest hazard.
-        candidates = [(math.hypot(sx - c[0], sy - c[1]), c) for c in _entity_points(near_agents, near_obstacles, wall_faces)]
-        if candidates:
-            _, (ex, ey) = min(candidates, key=lambda item: item[0])
-            u_safe = _brake_away(sx - ex, sy - ey, params.a_max_self)
-        else:
-            u_safe = sol.u_safe
-        status = STATUS_FALLBACK
-    elif fallback:
-        u_safe = sol.u_safe
+    u_safe = sol.u_safe
+    if fallback:
         status = STATUS_FALLBACK
     elif sol.status == qp.STATUS_RELAXED:
-        u_safe = sol.u_safe
         status = STATUS_RELAXED
     else:
-        u_safe = sol.u_safe
         untouched = float(u_safe[0]) == float(u_hat[0]) and float(u_safe[1]) == float(u_hat[1])
         status = STATUS_PASSTHROUGH if untouched else STATUS_CORRECTED
 
@@ -227,9 +216,3 @@ def filter_action(
     )
     return u_safe, report
 
-
-def _entity_points(near_agents, near_obstacles, wall_faces):
-    points = [(float(st.position[0]), float(st.position[1])) for _, st in near_agents]
-    points += [(float(o.position[0]), float(o.position[1])) for o in near_obstacles]
-    points += [(float(p[0]), float(p[1])) for _, p, _ in wall_faces]
-    return points

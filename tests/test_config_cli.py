@@ -241,6 +241,23 @@ class TestReportCommand:
         target.write_text("\n".join(body) + "\n")
         assert cli.main(["report", "--dir", str(out)]) == 3
 
+    @pytest.mark.parametrize(
+        "pattern, tamper",
+        [
+            ("*/run*/metrics.csv", lambda text: text.rstrip("\n").rsplit(",", 3)[0] + "\n"),
+            ("*/summary.json", lambda text: text[: len(text) // 2]),
+            ("*/summary.json", lambda text: text.replace('"collision_ratio"', '"ratio"')),
+        ],
+        ids=["truncated_metrics_row", "malformed_summary_json", "summary_missing_key"],
+    )
+    def test_corrupt_artifact_refused(self, trained, tmp_path, pattern, tamper):
+        _, cfg, _ = trained
+        out = tmp_path / "tampered"
+        cli.main(["train", "--config", str(cfg), "--out", str(out)])
+        target = next(out.glob(pattern))
+        target.write_text(tamper(target.read_text()))
+        assert cli.main(["report", "--dir", str(out)]) == 3
+
     def test_empty_directory_is_artifact_error(self, tmp_path):
         assert cli.main(["report", "--dir", str(tmp_path / "void")]) == 3
 

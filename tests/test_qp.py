@@ -5,7 +5,6 @@ import pytest
 
 from marlshield.barriers import LinearConstraint
 from marlshield.qp import (
-    STATUS_FALLBACK,
     STATUS_OPTIMAL,
     STATUS_RELAXED,
     QpProblem,
@@ -215,3 +214,109 @@ class TestRelaxation:
         assert sol.status == STATUS_RELAXED
         assert np.array_equal(sol.u_safe, p.nominal)
         assert math.isclose(sol.slack, 2.4, abs_tol=1e-12)
+
+
+def composite_objective(problem, sol):
+    return objective(problem, sol.u_safe) + problem.slack_weight * sol.slack**2
+
+
+def assert_matches_oracles(p, sol):
+    """KKT certificate, plus the grid oracle of whichever phase applies."""
+    assert sol.kkt_residual <= 1e-9
+    oracle = grid_project(p)
+    if oracle is not None:
+        assert sol.status == STATUS_OPTIMAL
+        assert objective(p, sol.u_safe) <= oracle[1] + 1e-6
+    elif sol.status == STATUS_RELAXED:
+        _, oracle_obj = grid_relaxed(p)
+        assert composite_objective(p, sol) <= oracle_obj + 1e-6 * max(1.0, abs(oracle_obj))
+    # optimal with no grid point: a region thinner than the grid, certified by KKT
+
+
+class TestStructuredProblems:
+    def test_training_shaped_rows(self):
+        # 1 peer and 3 obstacles (normal -dp, any direction), then 4 wall faces
+        # (axis-aligned normal scaled by the distance), as the shield stacks them
+        rng = np.random.default_rng(31)
+        statuses = set()
+        for _ in range(150):
+            rows = [row(*rng.uniform(-2, 2, 2), float(rng.uniform(-0.5, 2.0))) for _ in range(4)]
+            for nx, ny in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                d = float(rng.uniform(0.05, 2.0))
+                rows.append(row(nx * d, ny * d, d * float(rng.uniform(-1.2, 2.0))))
+            p = QpProblem(nominal=rng.uniform(-1, 1, 2), constraints=tuple(rows), box=1.0)
+            sol = solve(p)
+            assert len(p.constraints) == 8
+            assert_matches_oracles(p, sol)
+            statuses.add(sol.status)
+        assert statuses == {STATUS_OPTIMAL, STATUS_RELAXED}
+
+    def test_degenerate_rows(self):
+        rng = np.random.default_rng(32)
+        problems = [
+            # duplicated and scaled copies of one violated row
+            QpProblem(
+                nominal=np.array([0.9, 0.4]),
+                constraints=(row(1, 1, 0.5), row(1, 1, 0.5), row(3, 3, 1.5)),
+            ),
+            # rows parallel to a box edge with the bound on that edge
+            QpProblem(nominal=np.array([1.5, 0.2]), constraints=(row(1, 0, 1.0), row(2, 0, 2.0))),
+            QpProblem(nominal=np.array([1.5, -1.5]), constraints=(row(0, -1, 1.0), row(1, 0, 1.0))),
+            # a line through a box corner that leaves only the corner
+            QpProblem(nominal=np.array([0.0, 0.0]), constraints=(row(-1, -1, -2.0),)),
+            # three rows and two box edges meet at the corner (1, 1)
+            QpProblem(
+                nominal=np.array([1.4, 1.3]),
+                constraints=(row(1, 1, 2.0), row(1, 2, 3.0), row(2, 1, 3.0)),
+            ),
+            # three rows through one interior vertex
+            QpProblem(
+                nominal=np.array([0.8, 0.8]),
+                constraints=(row(1, 0, 0.2), row(0, 1, 0.2), row(1, 1, 0.4)),
+            ),
+        ]
+        for _ in range(150):
+            kind = int(rng.integers(0, 4))
+            if kind == 0:  # duplicated and scaled rows
+                n, b = rng.normal(size=2), float(rng.uniform(-1.0, 1.0))
+                rows = [row(*(s * n), s * b) for s in (1.0, 1.0, 2.0, 0.25)]
+            elif kind == 1:  # box-parallel rows with bounds on or inside the edges
+                rows = []
+                for _ in range(3):
+                    n = np.zeros(2)
+                    n[int(rng.integers(0, 2))] = float(rng.choice([-1.0, 1.0]))
+                    rows.append(row(*n, float(rng.choice([1.0, 0.5, 0.0]))))
+                rows.append(row(*rng.normal(size=2), float(rng.uniform(0.0, 1.0))))
+            elif kind == 2:  # lines through box corners
+                rows = []
+                for _ in range(3):
+                    n = rng.normal(size=2)
+                    rows.append(row(*n, float(n @ rng.choice([-1.0, 1.0], 2))))
+            else:  # >= 3 rows through one vertex
+                v = rng.uniform(-0.9, 0.9, 2)
+                rows = []
+                for _ in range(int(rng.integers(3, 6))):
+                    n = rng.normal(size=2)
+                    rows.append(row(*n, float(n @ v)))
+            problems.append(
+                QpProblem(nominal=rng.uniform(-1.5, 1.5, 2), constraints=tuple(rows), box=1.0)
+            )
+        for p in problems:
+            assert_matches_oracles(p, solve(p))
+
+    def test_three_or_more_conflicting_rows_relax(self):
+        # k halfplanes whose outward normals surround the origin exclude the
+        # whole box, so every row conflicts with the others
+        rng = np.random.default_rng(33)
+        for _ in range(60):
+            k = int(rng.integers(3, 6))
+            spread = 2 * np.pi * np.arange(k) / k + rng.normal(0, 0.2, k)
+            angles = rng.uniform(0, 2 * np.pi) + spread
+            rows = [row(math.cos(a), math.sin(a), -float(rng.uniform(0.05, 0.9))) for a in angles]
+            p = QpProblem(
+                nominal=rng.uniform(-1, 1, 2), constraints=tuple(rows), box=1.0, slack_weight=1e6
+            )
+            sol = solve(p)
+            assert sol.status == STATUS_RELAXED
+            assert sol.slack > 0.0
+            assert_matches_oracles(p, sol)
