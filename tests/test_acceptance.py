@@ -2,13 +2,17 @@
 
 Each test prints one PASS line on success (run with -s to see them live).
 The two training fixtures execute the full protocol — 5 runs x 500
-episodes x 200 steps per variant — once per session; expect the whole
-module to take on the order of 20 minutes on one desktop core.
+episodes x 200 steps per variant — once per session. The ten runs are
+independent, so they train on two worker processes; expect the whole
+module to take on the order of 10 minutes on two desktop cores.
 """
 
 import json
 import math
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -45,24 +49,35 @@ ACCEPTANCE_TRAINER = dict(
 )
 
 
-def _train_variant(shield_enabled):
-    runs = []
-    for seed in SEEDS:
-        cfg = TrainerConfig(seed=seed, **ACCEPTANCE_TRAINER)
-        env = PatrolEnv(default_world(), ShieldParams(), episode_len=cfg.episode_len)
-        trainer = MaddpgTrainer(env, cfg, shield_enabled=shield_enabled)
-        runs.append(trainer.train())
-    return runs
+def _train_run(shield_enabled, seed):
+    cfg = TrainerConfig(seed=seed, **ACCEPTANCE_TRAINER)
+    env = PatrolEnv(default_world(), ShieldParams(), episode_len=cfg.episode_len)
+    return MaddpgTrainer(env, cfg, shield_enabled=shield_enabled).train()
 
 
 @pytest.fixture(scope="module")
-def shielded_runs():
-    return _train_variant(True)
+def protocol_runs():
+    """Per-seed metrics of both variants, keyed by shield_enabled.
+
+    A run depends only on its seed and variant, so training the ten runs
+    on two worker processes gives the same metrics as training them in
+    turn. Spawned workers inherit no threads from the test process.
+    """
+    jobs = [(shield, seed) for shield in (True, False) for seed in SEEDS]
+    workers = min(2, len(os.sched_getaffinity(0)))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        runs = list(pool.map(_train_run, *zip(*jobs)))
+    return {True: runs[: len(SEEDS)], False: runs[len(SEEDS) :]}
 
 
 @pytest.fixture(scope="module")
-def unshielded_runs():
-    return _train_variant(False)
+def shielded_runs(protocol_runs):
+    return protocol_runs[True]
+
+
+@pytest.fixture(scope="module")
+def unshielded_runs(protocol_runs):
+    return protocol_runs[False]
 
 
 def _announce(name):
