@@ -79,25 +79,29 @@ class ShieldParams:
             raise ValueError("margin must be >= 0")
 
 
-@dataclass(frozen=True, eq=False)
 class LinearConstraint:
-    """One row normal . u <= bound of the shield QP acting on the focal agent."""
+    """One row normal . u <= bound of the shield QP acting on the focal agent.
 
-    normal: np.ndarray
-    bound: float
-    kind: str  # "cooperative" | "non-cooperative" | "wall"
-    counterpart_id: object = None
+    The row is validated once, on Python floats, when it is built: the
+    normal must be finite and nonzero and the bound finite. `kind` is
+    "cooperative", "non-cooperative" or "wall".
+    """
 
-    def __post_init__(self):
-        n = self.normal
-        if not (type(n) is np.ndarray and n.shape == (2,) and n.dtype == np.float64):
-            n = np.asarray(n, dtype=float).reshape(2)
-            object.__setattr__(self, "normal", n)
-        x, y = float(n[0]), float(n[1])
+    __slots__ = ("normal", "bound", "kind", "counterpart_id")
+
+    def __init__(self, normal, bound, kind, counterpart_id=None):
+        if not (type(normal) is np.ndarray and normal.shape == (2,) and normal.dtype == np.float64):
+            normal = np.asarray(normal, dtype=float).reshape(2)
+        x, y = normal.tolist()
         if not (math.isfinite(x) and math.isfinite(y)) or (x == 0.0 and y == 0.0):
-            raise ValueError(f"constraint normal must be finite and nonzero, got {n!r}")
-        if not math.isfinite(self.bound):
+            raise ValueError(f"constraint normal must be finite and nonzero, got {normal!r}")
+        if not math.isfinite(bound):
             raise ValueError("constraint bound must be finite")
+        self.normal, self.bound, self.kind, self.counterpart_id = normal, bound, kind, counterpart_id
+
+    def __repr__(self):
+        fields = (self.normal, self.bound, self.kind, self.counterpart_id)
+        return f"LinearConstraint{fields!r}"
 
 
 def _pair(v, name: str) -> tuple[float, float]:
@@ -228,11 +232,18 @@ def noncooperative_constraint(
     A positive obstacle radius inflates the safe distance so clearance is
     measured from the disc surface. No bound split: the counterpart
     contributes nothing.
+
+    With kind="wall" the entity is the nearest point of an arena wall face.
+    A face is a line, not a point, so only the velocity component along dp
+    counts and motion along the face earns no curvature credit. The faces
+    are axis-aligned, so one dp component is exactly 0 and the other axis
+    carries that component; the row equals the shield's bit for bit.
     """
     dpx = float(self_state.position[0]) - float(obstacle.position[0])
     dpy = float(self_state.position[1]) - float(obstacle.position[1])
-    vx = float(self_state.velocity[0])
-    vy = float(self_state.velocity[1])
+    vx, vy = self_state.velocity.tolist()
+    if kind == "wall":
+        vx, vy = (vx if dpx else 0.0), (vy if dpy else 0.0)
     full, _ = _row_core(
         dpx, dpy, vx, vy, params.gamma_non, params.a_max_self,
         params.d_s + obstacle.radius, params.margin,

@@ -13,16 +13,19 @@ Two phases:
    nonempty, return the exact Euclidean projection of the nominal action
    onto it (status "optimal", slack 0). Candidates: the box clip of the
    nominal, the projection onto each violated row, then each pairwise
-   vertex; the first feasible one with nonnegative multipliers wins. When
-   none qualifies the set is empty.
+   vertex with at least one row violated at the nominal (no other vertex
+   can be the projection); the first feasible one with nonnegative
+   multipliers wins. When none qualifies the set is empty.
 2. Slack phase. Only when the rows conflict outright, one shared
    nonnegative slack s relaxes every row (a.u <= b + s) under a quadratic
    penalty, which is always solvable; status "relaxed" reports the
    safety-margin erosion instead of crashing. The same rule runs in three
    variables over subsets of at most three rows.
 
-`QpSolution.iterations` counts the candidates evaluated; it is 0 exactly when
-the box clip of the nominal is returned.
+`QpProblem` converts its rows to float triples once, and both phases and
+`kkt_check` read that one list. `QpSolution.iterations` counts the
+candidates evaluated (skipped pairs do not count); it is 0 exactly when the
+box clip of the nominal is returned.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,23 +48,38 @@ _ZERO_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class QpProblem:
-    """Projection instance: nominal action, halfplane rows, box, slack penalty."""
+    """Projection instance: nominal action, halfplane rows, box, slack penalty.
+
+    `rows` holds every row once as an (ax, ay, b) float triple: constraint
+    rows in problem order, then the +x, -x, +y, -y box rows. That index
+    scheme is used everywhere (active sets, KKT checks); the slack
+    nonnegativity row of the relaxed phase sits one past the box rows.
+    """
 
     nominal: np.ndarray
     constraints: tuple[LinearConstraint, ...] = ()
     box: float = 1.0
     slack_weight: float = 1e6
+    rows: tuple[tuple[float, float, float], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        u = np.asarray(self.nominal, dtype=float).reshape(2)
-        if not (math.isfinite(u[0]) and math.isfinite(u[1])):
+        u = self.nominal
+        if not (type(u) is np.ndarray and u.shape == (2,) and u.dtype == np.float64):
+            u = np.asarray(u, dtype=float).reshape(2)
+        hx, hy = u.tolist()
+        if not (math.isfinite(hx) and math.isfinite(hy)):
             raise ValueError(f"nominal action must be finite, got {self.nominal!r}")
         if not (math.isfinite(self.box) and self.box > 0):
             raise ValueError("box must be a positive finite scalar")
         if not (math.isfinite(self.slack_weight) and self.slack_weight >= 0):
             raise ValueError("slack_weight must be >= 0")
+        cons = tuple(self.constraints)
+        box = float(self.box)
+        rows = [(*c.normal.tolist(), float(c.bound)) for c in cons]
+        rows += [(1.0, 0.0, box), (-1.0, 0.0, box), (0.0, 1.0, box), (0.0, -1.0, box)]
         object.__setattr__(self, "nominal", u)
-        object.__setattr__(self, "constraints", tuple(self.constraints))
+        object.__setattr__(self, "constraints", cons)
+        object.__setattr__(self, "rows", tuple(rows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,19 +92,8 @@ class QpSolution:
     iterations: int = 0
 
 
-def _expanded_rows(problem: QpProblem) -> list[tuple[float, float, float]]:
-    """Constraint rows followed by the four box rows, as (ax, ay, b) triples.
-
-    Index scheme used everywhere (active sets, KKT checks): constraint rows
-    come first in problem order, then +x, -x, +y, -y box rows; the slack
-    nonnegativity row of the relaxed phase sits one past the box rows.
-    """
-    rows = [
-        (float(c.normal[0]), float(c.normal[1]), float(c.bound)) for c in problem.constraints
-    ]
-    box = float(problem.box)
-    rows += [(1.0, 0.0, box), (-1.0, 0.0, box), (0.0, 1.0, box), (0.0, -1.0, box)]
-    return rows
+def _feasible(rows, x, y) -> bool:
+    return all(ax * x + ay * y <= b + _FEAS_TOL for ax, ay, b in rows)
 
 
 def _solve_projection(problem: QpProblem):
@@ -94,17 +101,21 @@ def _solve_projection(problem: QpProblem):
 
     Returns ((x, y), active rows, candidates evaluated).
     """
-    hx, hy = float(problem.nominal[0]), float(problem.nominal[1])
+    hx, hy = problem.nominal.tolist()
     box = float(problem.box)
-    rows = _expanded_rows(problem)
-    m = len(rows) - 4
+    rows = problem.rows
+    n = len(rows)
+    m = n - 4
 
     # Fast path: the box clip of the nominal already satisfies every row.
     # An inactive clip returns the nominal bit-exactly; an active clip is
     # the projection onto the box and a fortiori onto the region inside it.
-    cx = min(max(hx, -box), box)
-    cy = min(max(hy, -box), box)
-    if all(ax * cx + ay * cy <= b for ax, ay, b in rows):
+    cx = hx if -box <= hx <= box else (box if hx > 0 else -box)
+    cy = hy if -box <= hy <= box else (box if hy > 0 else -box)
+    for ax, ay, b in rows:
+        if not ax * cx + ay * cy <= b:
+            break
+    else:
         active = []
         if cx != hx:
             active.append(m if hx > 0 else m + 1)
@@ -112,27 +123,32 @@ def _solve_projection(problem: QpProblem):
             active.append(m + 2 if hy > 0 else m + 3)
         return (cx, cy), tuple(active), 0
 
-    def feasible(x, y):
-        return all(ax * x + ay * y <= b + _FEAS_TOL for ax, ay, b in rows)
-
     # A feasible projection onto one violated row is optimal: the polygon
     # lies inside that row's halfplane.
     tried = 0
+    violated = []
     for i, (ax, ay, b) in enumerate(rows):
         v = ax * hx + ay * hy - b
+        violated.append(v > 0.0)
         if v <= 0.0:
             continue
         tried += 1
         t = v / (ax * ax + ay * ay)
         zx, zy = hx - t * ax, hy - t * ay
-        if feasible(zx, zy):
+        if _feasible(rows, zx, zy):
             return (zx, zy), (i,), tried
 
     # Otherwise two independent rows are active at the projection. A feasible
     # vertex whose multipliers are nonnegative satisfies KKT; checking the
     # sign matters because three or more rows often meet at one vertex.
+    # At such a vertex z, h - z = l1*a1 + l2*a2 with l >= 0, so
+    # l1*(a1.h - b1) + l2*(a2.h - b2) = |h - z|^2 > 0: one of the two rows
+    # is violated at the nominal h, and pairs of satisfied rows are skipped.
     for i, (a1x, a1y, b1) in enumerate(rows):
-        for j in range(i + 1, len(rows)):
+        hot = violated[i]
+        for j in range(i + 1, n):
+            if not (hot or violated[j]):
+                continue
             a2x, a2y, b2 = rows[j]
             tried += 1
             det = a1x * a2y - a1y * a2x
@@ -143,7 +159,7 @@ def _solve_projection(problem: QpProblem):
             if (
                 (gx * a2y - gy * a2x) / det >= -1e-10
                 and (a1x * gy - a1y * gx) / det >= -1e-10
-                and feasible(zx, zy)
+                and _feasible(rows, zx, zy)
             ):
                 return (zx, zy), (i, j), tried
     return None
@@ -196,11 +212,11 @@ def _solve_relaxed(problem: QpProblem):
     this phase runs only when the rows conflict, so the optimal s is > 0.
     Returns ((x, y, s), active rows, candidates evaluated).
     """
-    hx, hy = float(problem.nominal[0]), float(problem.nominal[1])
+    hx, hy = problem.nominal.tolist()
     box = float(problem.box)
     w = float(problem.slack_weight)
     m = len(problem.constraints)
-    base = _expanded_rows(problem)
+    base = problem.rows
 
     ux = min(max(hx, -box), box)
     uy = min(max(hy, -box), box)
@@ -266,35 +282,21 @@ def solve(problem: QpProblem) -> QpSolution:
 
     Returns the exact projection (status "optimal", slack 0) whenever the
     rows and box admit any action; otherwise minimizes the quadratic slack
-    penalty (status "relaxed").
+    penalty (status "relaxed"). Every solve except the untouched fast path
+    carries its KKT residual.
     """
     result = _solve_projection(problem)
     if result is None:
         (ux, uy, s), active, iters = _solve_relaxed(problem)
-        sol = QpSolution(
-            u_safe=np.array([ux, uy]),
-            slack=max(s, 0.0),
-            active_set=active,
-            kkt_residual=0.0,
-            status=STATUS_RELAXED,
-            iterations=iters,
-        )
+        status, s = STATUS_RELAXED, max(s, 0.0)
     else:
         (ux, uy), active, iters = result
-        sol = QpSolution(
-            u_safe=np.array([ux, uy]),
-            slack=0.0,
-            active_set=active,
-            kkt_residual=0.0,
-            status=STATUS_OPTIMAL,
-            iterations=iters,
-        )
-    if sol.status == STATUS_OPTIMAL and sol.iterations == 0 and not sol.active_set:
-        # fast path: nominal returned untouched with every row verified; the
-        # gradient is exactly zero, so the certificate is zero by construction
-        return sol
-    object.__setattr__(sol, "kkt_residual", kkt_check(problem, sol))
-    return sol
+        status, s = STATUS_OPTIMAL, 0.0
+    # fast path: nominal returned untouched with every row verified; the
+    # gradient is exactly zero, so the certificate is zero by construction
+    fast = status == STATUS_OPTIMAL and iters == 0 and not active
+    kkt = 0.0 if fast else _kkt_residual(problem, ux, uy, s, active, status)
+    return QpSolution(np.array([ux, uy]), s, active, kkt, status, iters)
 
 
 def kkt_check(problem: QpProblem, solution: QpSolution) -> float:
@@ -308,27 +310,32 @@ def kkt_check(problem: QpProblem, solution: QpSolution) -> float:
     constraint residual itself, not its product with the multiplier.
     """
     ux, uy = float(solution.u_safe[0]), float(solution.u_safe[1])
-    hx, hy = float(problem.nominal[0]), float(problem.nominal[1])
-    base = _expanded_rows(problem)
+    return _kkt_residual(
+        problem, ux, uy, float(solution.slack), solution.active_set, solution.status
+    )
+
+
+def _kkt_residual(problem: QpProblem, ux, uy, s, active, status) -> float:
+    """kkt_check on the solution's fields, before `solve` builds the QpSolution."""
+    hx, hy = problem.nominal.tolist()
+    base = problem.rows
     m = len(problem.constraints)
 
-    if solution.status == STATUS_OPTIMAL:
+    if status == STATUS_OPTIMAL:
         gx, gy = ux - hx, uy - hy
         primal = 0.0
         for ax, ay, b in base:
             v = ax * ux + ay * uy - b
             if v > primal:
                 primal = v
-        act = list(solution.active_set)
-        if not act:
+        if not active:
             return max(abs(gx), abs(gy), primal)
-        normals = [(base[i][0], base[i][1]) for i in act]
-        if len(act) == 1:
-            (ax, ay), = normals
+        if len(active) == 1:
+            ax, ay, _ = base[active[0]]
             lam = [-(ax * gx + ay * gy) / (ax * ax + ay * ay)]
             sx, sy = gx + lam[0] * ax, gy + lam[0] * ay
         else:
-            (a1x, a1y), (a2x, a2y) = normals[0], normals[1]
+            (a1x, a1y, _), (a2x, a2y, _) = base[active[0]], base[active[1]]
             det = a1x * a2y - a1y * a2x
             if abs(det) <= _ZERO_TOL:
                 return math.inf
@@ -338,13 +345,12 @@ def kkt_check(problem: QpProblem, solution: QpSolution) -> float:
         stationarity = max(abs(sx), abs(sy))
         dual = max(0.0, -min(lam))
         comp = max(
-            abs(l * (base[i][2] - base[i][0] * ux - base[i][1] * uy)) for l, i in zip(lam, act)
+            abs(l * (base[i][2] - base[i][0] * ux - base[i][1] * uy)) for l, i in zip(lam, active)
         )
         return max(stationarity, primal, dual, comp)
 
     # Relaxed phase: variables (u, s), gradient (u - nominal, 2*w*s).
     w = float(problem.slack_weight)
-    s = float(solution.slack)
     z = np.array([ux, uy, s])
     grad = np.array([ux - hx, uy - hy, 2.0 * w * s])
     rows3 = [np.array([ax, ay, -1.0]) for ax, ay, _ in base[:m]]
@@ -352,13 +358,12 @@ def kkt_check(problem: QpProblem, solution: QpSolution) -> float:
     rows3.append(np.array([0.0, 0.0, -1.0]))
     bounds3 = [b for _, _, b in base] + [0.0]
     primal = max([0.0] + [float(r @ z) - b for r, b in zip(rows3, bounds3)])
-    act = list(solution.active_set)
-    if not act:
+    if not active:
         return max(float(np.max(np.abs(grad))), primal)
-    A = np.stack([rows3[i] for i in act], axis=1)
+    A = np.stack([rows3[i] for i in active], axis=1)
     lam, *_ = np.linalg.lstsq(A, -grad, rcond=None)
     denom = 1.0 + float(np.max(np.abs(lam)))
     stationarity = float(np.max(np.abs(grad + A @ lam))) / denom
     dual = max(0.0, float(-np.min(lam)))
-    comp = max(abs(float(l) * (bounds3[i] - float(rows3[i] @ z))) for l, i in zip(lam, act)) / denom
+    comp = max(abs(float(l) * (bounds3[i] - float(rows3[i] @ z))) for l, i in zip(lam, active)) / denom
     return max(stationarity, primal, dual, comp)

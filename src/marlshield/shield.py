@@ -13,6 +13,9 @@ the nominal action for maximal braking away from the most imminent threat
 (the entity with the smallest barrier value) and still projects that
 braking through the surviving rows, so an emergency maneuver for one
 entity cannot ram another.
+
+Rows are built inline from `_row_core` and equal, bit for bit, those of
+`cooperative_constraint` and `noncooperative_constraint` (kind="wall").
 """
 
 from __future__ import annotations
@@ -61,17 +64,12 @@ def neighborhood(self_id, all_agents, obstacles, world: WorldConfig, r_sense: fl
             peers.append((aid, state))
     if self_state is None:
         raise ValueError(f"agent {self_id!r} not present in all_agents")
-    px, py = float(self_state.position[0]), float(self_state.position[1])
-
-    neighbors = [
-        (aid, st)
-        for aid, st in sorted(peers, key=lambda item: item[0])
-        if math.hypot(px - st.position[0], py - st.position[1]) <= r_sense
-    ]
+    if len(peers) > 1:
+        peers.sort(key=lambda item: item[0])
+    here = self_state.position.tolist()
+    neighbors = [(aid, st) for aid, st in peers if math.dist(here, st.position.tolist()) <= r_sense]
     obstacles_in_range = [
-        obs
-        for obs in obstacles
-        if math.hypot(px - obs.position[0], py - obs.position[1]) <= r_sense
+        obs for obs in obstacles if math.dist(here, obs.position.tolist()) <= r_sense
     ]
     wall_faces = [
         (face, point, dist)
@@ -104,94 +102,78 @@ def filter_action(
     output provably depends only on local information.
     """
     u_hat = np.asarray(u_nominal, dtype=float).reshape(2)
-    if not (math.isfinite(u_hat[0]) and math.isfinite(u_hat[1])):
+    hx, hy = u_hat.tolist()
+    if not (math.isfinite(hx) and math.isfinite(hy)):
         raise ValueError(f"nominal action must be finite, got {u_nominal!r}")
 
     agents = list(neighbors)
-    if all(aid != agent_id for aid, _ in agents):
+    if agent_id not in [aid for aid, _ in agents]:
         agents.append((agent_id, self_state))
     near_agents, near_obstacles, wall_faces = neighborhood(
         agent_id, agents, obstacles, world, params.r_sense
     )
 
-    sx, sy = float(self_state.position[0]), float(self_state.position[1])
-    vx, vy = float(self_state.velocity[0]), float(self_state.velocity[1])
+    sx, sy = self_state.position.tolist()
+    vx, vy = self_state.velocity.tolist()
+    gamma_non, a_self, d_s, margin = params.gamma_non, params.a_max_self, params.d_s, params.margin
+    dacc_pair = a_self + params.a_max_other
 
-    constraints: list[LinearConstraint] = []
+    # (dpx, dpy, bound or None, h, kind, counterpart id) per in-range entity
+    found = []
+    for aid, other in near_agents:
+        ox, oy = other.position.tolist()
+        ovx, ovy = other.velocity.tolist()
+        dpx, dpy = sx - ox, sy - oy
+        full, h = _row_core(dpx, dpy, vx - ovx, vy - ovy, params.gamma_coo, dacc_pair, d_s, margin)
+        if full is not None:
+            full *= 0.5  # half the pairwise bound: the peer enforces the mirror half
+        found.append((dpx, dpy, full, h, "cooperative", aid))
+    for idx, obs in enumerate(near_obstacles):
+        ox, oy = obs.position.tolist()
+        dpx, dpy = sx - ox, sy - oy
+        full, h = _row_core(dpx, dpy, vx, vy, gamma_non, a_self, d_s + obs.radius, margin)
+        found.append((dpx, dpy, full, h, "non-cooperative", ("obstacle", idx)))
+    for face, (px, py), _ in wall_faces:
+        # A face is a line, not a point: only the normal velocity component
+        # matters, and feeding the full vector would credit motion along the
+        # wall as curvature away from it. Work in the face-normal subspace.
+        dpx, dpy = sx - px, sy - py
+        nvx, nvy = (vx, 0.0) if face in ("+x", "-x") else (0.0, vy)
+        full, h = _row_core(dpx, dpy, nvx, nvy, gamma_non, a_self, d_s, margin)
+        found.append((dpx, dpy, full, h, "wall", ("wall", face)))
+
+    # A violated entity (h <= 0 or inside the safe ball) has no barrier row;
+    # dropping it would let an emergency for one entity ram another, so it
+    # gets a recovery row demanding outward radial acceleration at the full
+    # cap. The slack phase arbitrates when several emergencies conflict.
+    constraints = []
     built = {"cooperative": 0, "non-cooperative": 0, "wall": 0}
     min_h = math.inf
     worst = None  # (threat value, dpx, dpy) of the most imminent violated entity
-    dacc_pair = params.a_max_self + params.a_max_other
-
-    def add_row(dpx, dpy, full, h, kind, cid):
-        """Emit the barrier row, or a full-braking recovery row when violated.
-
-        A violated entity (h <= 0 or inside the safe ball) has no valid
-        barrier row, but dropping it entirely would let an emergency for
-        one entity ram another; the recovery row demands outward radial
-        acceleration at the full cap, and the slack phase arbitrates when
-        several emergencies genuinely conflict.
-        """
-        nonlocal worst
+    for dpx, dpy, full, h, kind, cid in found:
+        min_h = min(min_h, h)
         if full is None:
             if worst is None or h < worst[0]:
                 worst = (h, dpx, dpy)
             r = math.hypot(dpx, dpy)
-            if r > 1e-9:
-                # unit normal so simultaneous emergencies trade off evenly
-                constraints.append(
-                    LinearConstraint(
-                        np.array((-dpx / r, -dpy / r)), -params.a_max_self, kind, cid
-                    )
-                )
-                built[kind] += 1
+            if r <= 1e-9:
+                continue
+            # unit normal so simultaneous emergencies trade off evenly
+            constraints.append(LinearConstraint(np.array((-dpx / r, -dpy / r)), -a_self, kind, cid))
         else:
             constraints.append(LinearConstraint(np.array((-dpx, -dpy)), full, kind, cid))
-            built[kind] += 1
-
-    for aid, other in near_agents:
-        dpx, dpy = sx - float(other.position[0]), sy - float(other.position[1])
-        wx, wy = vx - float(other.velocity[0]), vy - float(other.velocity[1])
-        full, h = _row_core(dpx, dpy, wx, wy, params.gamma_coo, dacc_pair, params.d_s, params.margin)
-        min_h = min(min_h, h)
-        if full is not None:
-            full *= 0.5  # half the pairwise bound: the peer enforces the mirror half
-        add_row(dpx, dpy, full, h, "cooperative", aid)
-
-    for idx, obs in enumerate(near_obstacles):
-        dpx, dpy = sx - float(obs.position[0]), sy - float(obs.position[1])
-        full, h = _row_core(
-            dpx, dpy, vx, vy, params.gamma_non, params.a_max_self,
-            params.d_s + obs.radius, params.margin,
-        )
-        min_h = min(min_h, h)
-        add_row(dpx, dpy, full, h, "non-cooperative", ("obstacle", idx))
-
-    for face, point, dist in wall_faces:
-        # A face is a line, not a point: only the normal velocity component
-        # matters, and feeding the full vector would credit motion along the
-        # wall as curvature away from it. Work in the face-normal subspace.
-        dpx, dpy = sx - float(point[0]), sy - float(point[1])
-        if face in ("+x", "-x"):
-            nvx, nvy = vx, 0.0
-        else:
-            nvx, nvy = 0.0, vy
-        full, h = _row_core(
-            dpx, dpy, nvx, nvy, params.gamma_non, params.a_max_self, params.d_s, params.margin
-        )
-        min_h = min(min_h, h)
-        add_row(dpx, dpy, full, h, "wall", ("wall", face))
+        built[kind] += 1
 
     # Violated-set fallback: swap the nominal for maximal braking away from
     # the most imminent violator; the recovery and surviving rows then shape
     # the executed action through the same projection.
     fallback = worst is not None
-    nominal_used = _brake_away(worst[1], worst[2], params.a_max_self) if fallback else u_hat
+    nominal_used = _brake_away(worst[1], worst[2], a_self) if fallback else u_hat
 
     problem = qp.QpProblem(
         nominal=nominal_used,
         constraints=tuple(constraints),
-        box=params.a_max_self,
+        box=a_self,
         slack_weight=params.slack_weight,
     )
     sol = qp.solve(problem)
@@ -202,8 +184,7 @@ def filter_action(
     elif sol.status == qp.STATUS_RELAXED:
         status = STATUS_RELAXED
     else:
-        untouched = float(u_safe[0]) == float(u_hat[0]) and float(u_safe[1]) == float(u_hat[1])
-        status = STATUS_PASSTHROUGH if untouched else STATUS_CORRECTED
+        status = STATUS_PASSTHROUGH if u_safe.tolist() == [hx, hy] else STATUS_CORRECTED
 
     report = ShieldReport(
         agent_id=agent_id,

@@ -3,6 +3,8 @@
 Independent of the solver: feasibility is a direct row check on grid
 points, the optimum is located by repeatedly shrinking the grid window
 around the best point found. Used by unit and acceptance tests.
+`full_pair_scan` is the unpruned reference for the solver's projection
+phase.
 """
 
 from __future__ import annotations
@@ -79,3 +81,57 @@ def grid_relaxed(problem, levels: int = 12, n: int = 33):
         cx, cy = float(pts[k][0]), float(pts[k][1])
         half /= 2.0
     return best, best_obj
+
+
+def full_pair_scan(problem, feas_tol: float = 1e-9, zero_tol: float = 1e-12):
+    """Reference projection phase that scans every (i<j) vertex pair.
+
+    Same candidates and arithmetic as the solver's projection phase, with
+    no pruning: box clip, then the projection onto each violated row, then
+    each pairwise vertex of constraint and box rows whose multipliers are
+    >= -1e-10. Rows are read from `problem.constraints`, not from the
+    solver's cached row list. Returns ((x, y), active rows, candidates
+    evaluated), or None when the rows conflict.
+    """
+    hx, hy = float(problem.nominal[0]), float(problem.nominal[1])
+    box = float(problem.box)
+    rows = [(float(c.normal[0]), float(c.normal[1]), float(c.bound)) for c in problem.constraints]
+    m = len(rows)
+    rows += [(1.0, 0.0, box), (-1.0, 0.0, box), (0.0, 1.0, box), (0.0, -1.0, box)]
+
+    def feasible(x, y):
+        return all(ax * x + ay * y <= b + feas_tol for ax, ay, b in rows)
+
+    cx, cy = min(max(hx, -box), box), min(max(hy, -box), box)
+    if all(ax * cx + ay * cy <= b for ax, ay, b in rows):
+        active = []
+        if cx != hx:
+            active.append(m if hx > 0 else m + 1)
+        if cy != hy:
+            active.append(m + 2 if hy > 0 else m + 3)
+        return (cx, cy), tuple(active), 0
+    tried = 0
+    for i, (ax, ay, b) in enumerate(rows):
+        v = ax * hx + ay * hy - b
+        if v > 0.0:
+            tried += 1
+            t = v / (ax * ax + ay * ay)
+            zx, zy = hx - t * ax, hy - t * ay
+            if feasible(zx, zy):
+                return (zx, zy), (i,), tried
+    for i, (a1x, a1y, b1) in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            a2x, a2y, b2 = rows[j]
+            tried += 1
+            det = a1x * a2y - a1y * a2x
+            if abs(det) <= zero_tol:
+                continue
+            zx, zy = (b1 * a2y - a1y * b2) / det, (a1x * b2 - b1 * a2x) / det
+            gx, gy = hx - zx, hy - zy
+            if (
+                (gx * a2y - gy * a2x) / det >= -1e-10
+                and (a1x * gy - a1y * gx) / det >= -1e-10
+                and feasible(zx, zy)
+            ):
+                return (zx, zy), (i, j), tried
+    return None

@@ -13,7 +13,7 @@ from marlshield.qp import (
     solve,
 )
 
-from qp_oracle import grid_project, grid_relaxed
+from qp_oracle import full_pair_scan, grid_project, grid_relaxed
 
 
 def row(nx, ny, b):
@@ -233,18 +233,77 @@ def assert_matches_oracles(p, sol):
     # optimal with no grid point: a region thinner than the grid, certified by KKT
 
 
+def training_shaped_problems(rng, count):
+    """8-row problems as the shield stacks them in the 2x2 training arena.
+
+    1 peer and 3 obstacles (normal -dp, any direction), then 4 wall faces
+    (axis-aligned normal scaled by the distance).
+    """
+    for _ in range(count):
+        rows = [row(*rng.uniform(-2, 2, 2), float(rng.uniform(-0.5, 2.0))) for _ in range(4)]
+        for nx, ny in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            d = float(rng.uniform(0.05, 2.0))
+            rows.append(row(nx * d, ny * d, d * float(rng.uniform(-1.2, 2.0))))
+        yield QpProblem(nominal=rng.uniform(-1, 1, 2), constraints=tuple(rows), box=1.0)
+
+
+def degenerate_problems(rng, count):
+    """Fixed degenerate shapes, then `count` random ones of four kinds."""
+    problems = [
+        # duplicated and scaled copies of one violated row
+        QpProblem(
+            nominal=np.array([0.9, 0.4]),
+            constraints=(row(1, 1, 0.5), row(1, 1, 0.5), row(3, 3, 1.5)),
+        ),
+        # rows parallel to a box edge with the bound on that edge
+        QpProblem(nominal=np.array([1.5, 0.2]), constraints=(row(1, 0, 1.0), row(2, 0, 2.0))),
+        QpProblem(nominal=np.array([1.5, -1.5]), constraints=(row(0, -1, 1.0), row(1, 0, 1.0))),
+        # a line through a box corner that leaves only the corner
+        QpProblem(nominal=np.array([0.0, 0.0]), constraints=(row(-1, -1, -2.0),)),
+        # three rows and two box edges meet at the corner (1, 1)
+        QpProblem(
+            nominal=np.array([1.4, 1.3]),
+            constraints=(row(1, 1, 2.0), row(1, 2, 3.0), row(2, 1, 3.0)),
+        ),
+        # three rows through one interior vertex
+        QpProblem(
+            nominal=np.array([0.8, 0.8]),
+            constraints=(row(1, 0, 0.2), row(0, 1, 0.2), row(1, 1, 0.4)),
+        ),
+    ]
+    for _ in range(count):
+        kind = int(rng.integers(0, 4))
+        if kind == 0:  # duplicated and scaled rows
+            n, b = rng.normal(size=2), float(rng.uniform(-1.0, 1.0))
+            rows = [row(*(s * n), s * b) for s in (1.0, 1.0, 2.0, 0.25)]
+        elif kind == 1:  # box-parallel rows with bounds on or inside the edges
+            rows = []
+            for _ in range(3):
+                n = np.zeros(2)
+                n[int(rng.integers(0, 2))] = float(rng.choice([-1.0, 1.0]))
+                rows.append(row(*n, float(rng.choice([1.0, 0.5, 0.0]))))
+            rows.append(row(*rng.normal(size=2), float(rng.uniform(0.0, 1.0))))
+        elif kind == 2:  # lines through box corners
+            rows = []
+            for _ in range(3):
+                n = rng.normal(size=2)
+                rows.append(row(*n, float(n @ rng.choice([-1.0, 1.0], 2))))
+        else:  # >= 3 rows through one vertex
+            v = rng.uniform(-0.9, 0.9, 2)
+            rows = []
+            for _ in range(int(rng.integers(3, 6))):
+                n = rng.normal(size=2)
+                rows.append(row(*n, float(n @ v)))
+        problems.append(
+            QpProblem(nominal=rng.uniform(-1.5, 1.5, 2), constraints=tuple(rows), box=1.0)
+        )
+    return problems
+
+
 class TestStructuredProblems:
     def test_training_shaped_rows(self):
-        # 1 peer and 3 obstacles (normal -dp, any direction), then 4 wall faces
-        # (axis-aligned normal scaled by the distance), as the shield stacks them
-        rng = np.random.default_rng(31)
         statuses = set()
-        for _ in range(150):
-            rows = [row(*rng.uniform(-2, 2, 2), float(rng.uniform(-0.5, 2.0))) for _ in range(4)]
-            for nx, ny in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                d = float(rng.uniform(0.05, 2.0))
-                rows.append(row(nx * d, ny * d, d * float(rng.uniform(-1.2, 2.0))))
-            p = QpProblem(nominal=rng.uniform(-1, 1, 2), constraints=tuple(rows), box=1.0)
+        for p in training_shaped_problems(np.random.default_rng(31), 150):
             sol = solve(p)
             assert len(p.constraints) == 8
             assert_matches_oracles(p, sol)
@@ -252,56 +311,7 @@ class TestStructuredProblems:
         assert statuses == {STATUS_OPTIMAL, STATUS_RELAXED}
 
     def test_degenerate_rows(self):
-        rng = np.random.default_rng(32)
-        problems = [
-            # duplicated and scaled copies of one violated row
-            QpProblem(
-                nominal=np.array([0.9, 0.4]),
-                constraints=(row(1, 1, 0.5), row(1, 1, 0.5), row(3, 3, 1.5)),
-            ),
-            # rows parallel to a box edge with the bound on that edge
-            QpProblem(nominal=np.array([1.5, 0.2]), constraints=(row(1, 0, 1.0), row(2, 0, 2.0))),
-            QpProblem(nominal=np.array([1.5, -1.5]), constraints=(row(0, -1, 1.0), row(1, 0, 1.0))),
-            # a line through a box corner that leaves only the corner
-            QpProblem(nominal=np.array([0.0, 0.0]), constraints=(row(-1, -1, -2.0),)),
-            # three rows and two box edges meet at the corner (1, 1)
-            QpProblem(
-                nominal=np.array([1.4, 1.3]),
-                constraints=(row(1, 1, 2.0), row(1, 2, 3.0), row(2, 1, 3.0)),
-            ),
-            # three rows through one interior vertex
-            QpProblem(
-                nominal=np.array([0.8, 0.8]),
-                constraints=(row(1, 0, 0.2), row(0, 1, 0.2), row(1, 1, 0.4)),
-            ),
-        ]
-        for _ in range(150):
-            kind = int(rng.integers(0, 4))
-            if kind == 0:  # duplicated and scaled rows
-                n, b = rng.normal(size=2), float(rng.uniform(-1.0, 1.0))
-                rows = [row(*(s * n), s * b) for s in (1.0, 1.0, 2.0, 0.25)]
-            elif kind == 1:  # box-parallel rows with bounds on or inside the edges
-                rows = []
-                for _ in range(3):
-                    n = np.zeros(2)
-                    n[int(rng.integers(0, 2))] = float(rng.choice([-1.0, 1.0]))
-                    rows.append(row(*n, float(rng.choice([1.0, 0.5, 0.0]))))
-                rows.append(row(*rng.normal(size=2), float(rng.uniform(0.0, 1.0))))
-            elif kind == 2:  # lines through box corners
-                rows = []
-                for _ in range(3):
-                    n = rng.normal(size=2)
-                    rows.append(row(*n, float(n @ rng.choice([-1.0, 1.0], 2))))
-            else:  # >= 3 rows through one vertex
-                v = rng.uniform(-0.9, 0.9, 2)
-                rows = []
-                for _ in range(int(rng.integers(3, 6))):
-                    n = rng.normal(size=2)
-                    rows.append(row(*n, float(n @ v)))
-            problems.append(
-                QpProblem(nominal=rng.uniform(-1.5, 1.5, 2), constraints=tuple(rows), box=1.0)
-            )
-        for p in problems:
+        for p in degenerate_problems(np.random.default_rng(32), 150):
             assert_matches_oracles(p, solve(p))
 
     def test_three_or_more_conflicting_rows_relax(self):
@@ -320,3 +330,70 @@ class TestStructuredProblems:
             assert sol.status == STATUS_RELAXED
             assert sol.slack > 0.0
             assert_matches_oracles(p, sol)
+
+
+class TestPrunedPairScan:
+    def test_matches_full_pair_scan(self):
+        # the solver skips vertex pairs whose rows both hold at the nominal;
+        # outputs must match the unpruned scan bit-for-bit
+        rng = np.random.default_rng(34)
+        problems = [
+            random_problem(rng, max_rows=8, feasible_bias=bool(rng.integers(0, 2)))
+            for _ in range(400)
+        ]
+        problems += degenerate_problems(np.random.default_rng(35), 300)
+        problems += training_shaped_problems(np.random.default_rng(36), 400)
+        pruned = 0
+        for p in problems:
+            ref = full_pair_scan(p)
+            sol = solve(p)
+            if ref is None:
+                assert sol.status == STATUS_RELAXED
+                continue
+            u, active, tried = ref
+            assert sol.status == STATUS_OPTIMAL
+            assert sol.u_safe.tobytes() == np.array(u).tobytes()
+            assert sol.active_set == active
+            assert sol.iterations <= tried
+            pruned += sol.iterations < tried
+        assert pruned > 100
+
+
+class TestValidation:
+    def test_constraint_rejects_bad_rows(self):
+        for normal, bound in (
+            ((np.nan, 1.0), 1.0),
+            ((0.0, 0.0), 1.0),
+            ((1.0, 0.0), np.nan),
+            ((1.0, 0.0), np.inf),
+            ((1.0, 0.0), -np.inf),
+        ):
+            with pytest.raises(ValueError):
+                LinearConstraint(np.array(normal), bound, "non-cooperative")
+
+    def test_problem_rejects_bad_box_and_weight(self):
+        u = np.array([0.1, 0.2])
+        for kwargs in (
+            {"box": 0.0},
+            {"box": -1.0},
+            {"box": np.inf},
+            {"slack_weight": -1.0},
+            {"slack_weight": np.nan},
+        ):
+            with pytest.raises(ValueError):
+                QpProblem(nominal=u, **kwargs)
+
+    def test_rows_are_constraints_then_box(self):
+        cons = (row(1.0, -2.0, 0.5), row(-0.25, 3.0, -1.5))
+        p = QpProblem(nominal=np.array([0.3, 0.4]), constraints=list(cons), box=0.75)
+        assert isinstance(p.rows, tuple)
+        assert isinstance(p.constraints, tuple)
+        assert p.rows == (
+            (1.0, -2.0, 0.5),
+            (-0.25, 3.0, -1.5),
+            (1.0, 0.0, 0.75),
+            (-1.0, 0.0, 0.75),
+            (0.0, 1.0, 0.75),
+            (0.0, -1.0, 0.75),
+        )
+        assert all(type(v) is float for r in p.rows for v in r)

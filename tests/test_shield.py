@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import marlshield.qp
+import marlshield.shield
 from marlshield.barriers import ShieldParams, cooperative_constraint, noncooperative_constraint
 from marlshield.dynamics import AgentState, ObstacleSpec, WorldConfig, face_clearances, step_agent
+from marlshield.qp import kkt_check
 from marlshield.shield import (
     STATUS_CORRECTED,
     STATUS_FALLBACK,
@@ -188,6 +191,102 @@ class TestFilterAction:
             u = rng.uniform(-1.2, 1.2, 2)
             u_safe, report = filter_action(0, u, s0, [(0, s0), (1, s1)], [], SMALL_WORLD, PARAMS)
             assert (report.status == STATUS_PASSTHROUGH) == np.array_equal(u_safe, u)
+
+
+def random_arena_calls(rng, count):
+    """Seeded filter_action inputs in the 2x2 arena: 1-3 peers, 0-3 obstacles."""
+    calls = []
+    for _ in range(count):
+        agents = [
+            (aid, AgentState(rng.uniform(-0.95, 0.95, 2), rng.uniform(-1, 1, 2)))
+            for aid in rng.permutation(int(rng.integers(2, 5))).tolist()
+        ]
+        obstacles = [
+            ObstacleSpec(rng.uniform(-0.8, 0.8, 2), float(rng.choice([0.0, 0.05])))
+            for _ in range(int(rng.integers(0, 4)))
+        ]
+        focal = int(rng.integers(0, len(agents)))
+        aid, state = agents[focal]
+        calls.append((aid, rng.uniform(-1.2, 1.2, 2), state, agents, obstacles, SMALL_WORLD, PARAMS))
+    return calls
+
+
+def row_bits(c):
+    return (c.normal.tobytes(), np.float64(c.bound).tobytes(), c.kind, c.counterpart_id)
+
+
+class TestBuilderAgreement:
+    def test_public_builders_match_filter_rows(self, monkeypatch):
+        # the rows the filter hands to qp.solve, recovery rows aside, are the
+        # rows the public builders emit for the same in-range entities
+        problems = []
+        solve = marlshield.qp.solve
+
+        def capture(problem):
+            problems.append(problem)
+            return solve(problem)
+
+        monkeypatch.setattr(marlshield.qp, "solve", capture)
+        rng = np.random.default_rng(41)
+        compared = walls = 0
+        for aid, u, state, agents, obstacles, world, params in random_arena_calls(rng, 400):
+            filter_action(aid, u, state, agents, obstacles, world, params)
+            near, near_obs, faces = neighborhood(aid, agents, obstacles, world, params.r_sense)
+            expected = [(oid, cooperative_constraint(state, other, params, oid)) for oid, other in near]
+            expected += [
+                (("obstacle", k), noncooperative_constraint(state, o, params, ("obstacle", k)))
+                for k, o in enumerate(near_obs)
+            ]
+            expected += [
+                (("wall", face), noncooperative_constraint(
+                    state, ObstacleSpec(point), params, ("wall", face), kind="wall"
+                ))
+                for face, point, _ in faces
+            ]
+            expected = [row_bits(c) for _, c in expected if c is not None]
+            ids = {bits[3] for bits in expected}
+            got = [row_bits(c) for c in problems[-1].constraints if c.counterpart_id in ids]
+            assert got == expected
+            compared += len(expected)
+            walls += sum(bits[2] == "wall" for bits in expected)
+        assert walls > 1000 and compared > 2000
+
+
+class TestHookContract:
+    def test_one_solve_per_call_and_one_row_core_per_entity(self, monkeypatch):
+        # the benchmark's tracer wraps qp.solve and shield._row_core by these
+        # names and reads kkt_residual from every solve
+        solutions = []
+        row_calls = []
+        solve, row_core = marlshield.qp.solve, marlshield.shield._row_core
+
+        def counting_solve(problem):
+            sol = solve(problem)
+            solutions.append((problem, sol))
+            return sol
+
+        def counting_row_core(*args):
+            row_calls.append(args)
+            return row_core(*args)
+
+        monkeypatch.setattr(marlshield.qp, "solve", counting_solve)
+        monkeypatch.setattr(marlshield.shield, "_row_core", counting_row_core)
+        rng = np.random.default_rng(42)
+        certified = 0
+        for aid, u, state, agents, obstacles, world, params in random_arena_calls(rng, 400):
+            before_solves, before_rows = len(solutions), len(row_calls)
+            filter_action(aid, u, state, agents, obstacles, world, params)
+            near, near_obs, faces = neighborhood(aid, agents, obstacles, world, params.r_sense)
+            assert len(solutions) == before_solves + 1
+            assert len(row_calls) == before_rows + len(near) + len(near_obs) + len(faces)
+            problem, sol = solutions[-1]
+            if sol.status == marlshield.qp.STATUS_OPTIMAL and sol.iterations == 0 and not sol.active_set:
+                assert sol.kkt_residual == 0.0  # fast path: nominal returned untouched
+                continue
+            assert sol.kkt_residual <= 1e-9
+            assert sol.kkt_residual == kkt_check(problem, sol)
+            certified += 1
+        assert certified > 100
 
 
 class TestForwardInvarianceSmoke:
