@@ -4,7 +4,8 @@ Centralized training, decentralized execution: each agent owns an actor fed
 by its local observation and a critic fed by the joint observation/action
 vector. A shared FIFO replay buffer stores the executed (post-shield)
 actions, so critics always score the behavior that actually happened.
-Target copies of every network trail the online ones through soft updates.
+Target copies of every network trail the online ones through soft updates,
+one vector blend per network over its flat parameter vector.
 
 The safety filter sits between action selection and execution: exploration
 noise is added to the policy output first, the filtered action is what the
@@ -178,15 +179,16 @@ def actor_update(actor: Mlp, critic: Mlp, optimizer: Adam, batch: Batch, agent: 
 
     Peer actions come from the batch; only the focal agent's column is
     replaced by the live policy output, and the chain rule runs through the
-    critic's input gradient into the actor. The safety filter is not part
-    of the differentiated path.
+    critic's input gradient into the actor; the critic's own parameter
+    gradients are never formed. The safety filter is not part of the
+    differentiated path.
     """
     s = batch.obs.shape[0]
     a_i = actor.forward(batch.obs[:, agent])
     actions = batch.actions.copy()
     actions[:, agent] = a_i
     critic.forward(joint_input(batch.obs, actions))
-    _, g_input = critic.backward(np.full((s, 1), 1.0 / s))
+    _, g_input = critic.backward(np.full((s, 1), 1.0 / s), param_grads=False)
     offset = batch.obs.shape[1] * batch.obs.shape[2] + agent * actions.shape[2]
     g_action = g_input[:, offset : offset + actions.shape[2]]
     grads, _ = actor.backward(g_action)

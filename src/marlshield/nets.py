@@ -3,7 +3,13 @@
 No autograd: each Mlp caches its forward activations and exposes backward()
 returning both parameter gradients and the gradient with respect to the
 input. The input gradient is what lets a policy gradient flow through a
-value network into the policy that produced part of its input.
+value network into the policy that produced part of its input; a caller
+that needs only the input gradient can skip the parameter gradients.
+
+All parameters of one Mlp live in a single flat float64 vector, `flat`, in
+declaration order (W0, b0, W1, b1, ...); `weights` and `biases` are views
+into it. Adam and soft_update therefore act on whole vectors, element by
+element, with the same arithmetic a per-tensor loop would do.
 
 Hidden layers are rectified-linear; the output head is either linear (value
 estimates) or a saturating tanh scaled to the action box (policies).
@@ -28,23 +34,32 @@ class Mlp:
         self.head = head
         self.head_scale = float(head_scale)
         rng = rng if rng is not None else np.random.default_rng(0)
+        self.flat = np.zeros(sum(din * dout + dout for din, dout in zip(self.dims[:-1], self.dims[1:])))
+        self._bind()
+        for i, w in enumerate(self.weights):
+            if i == len(self.weights) - 1:
+                w[...] = rng.uniform(-1e-3, 1e-3, size=w.shape)
+            else:
+                w[...] = rng.normal(0.0, math.sqrt(2.0 / w.shape[0]), size=w.shape)
+        self._cache = None
+
+    def _bind(self) -> None:
+        """Point weights and biases at their slices of flat."""
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
-        for i, (din, dout) in enumerate(zip(self.dims[:-1], self.dims[1:])):
-            if i == len(self.dims) - 2:
-                w = rng.uniform(-1e-3, 1e-3, size=(din, dout))
-            else:
-                w = rng.normal(0.0, math.sqrt(2.0 / din), size=(din, dout))
-            self.weights.append(w)
-            self.biases.append(np.zeros(dout))
-        self._cache = None
+        pos = 0
+        for din, dout in zip(self.dims[:-1], self.dims[1:]):
+            self.weights.append(self.flat[pos : pos + din * dout].reshape(din, dout))
+            pos += din * dout
+            self.biases.append(self.flat[pos : pos + dout])
+            pos += dout
 
     @property
     def n_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+        return self.flat.size
 
     def parameters(self):
-        """Flat list of parameter arrays in declaration order (W0, b0, W1, b1, ...)."""
+        """Parameter arrays in declaration order (W0, b0, W1, b1, ...), views into flat."""
         out = []
         for w, b in zip(self.weights, self.biases):
             out.append(w)
@@ -56,8 +71,8 @@ class Mlp:
         clone.dims = self.dims
         clone.head = self.head
         clone.head_scale = self.head_scale
-        clone.weights = [w.copy() for w in self.weights]
-        clone.biases = [b.copy() for b in self.biases]
+        clone.flat = self.flat.copy()
+        clone._bind()
         clone._cache = None
         return clone
 
@@ -71,22 +86,26 @@ class Mlp:
         activations = [a]
         n_layers = len(self.weights)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w + b
+            # z is a fresh product, so the bias add and activation can run in place
+            z = a @ w
+            z += b
             if i < n_layers - 1:
-                a = np.maximum(z, 0.0)
+                np.maximum(z, 0.0, out=z)
             elif self.head == "tanh":
-                a = self.head_scale * np.tanh(z)
-            else:
-                a = z
+                np.tanh(z, out=z)
+                z *= self.head_scale
+            a = z
             activations.append(a)
         self._cache = (activations, squeeze)
         return a[0] if squeeze else a
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, param_grads: bool = True):
         """Gradients of sum(grad_out * output) from the latest forward().
 
         Returns (param_grads, grad_input): param_grads pairs up with
-        parameters(); grad_input has the shape of the forward input.
+        parameters(), or is None when called with param_grads=False, which
+        skips the weight and bias gradients; grad_input has the shape of the
+        forward input and is the same either way. grad_out is never written.
         """
         if self._cache is None:
             raise RuntimeError("backward() requires a preceding forward()")
@@ -97,19 +116,19 @@ class Mlp:
         if self.head == "tanh":
             y = activations[-1]
             g = g * (self.head_scale - y * y / self.head_scale)
-        grads = [None] * (2 * len(self.weights))
+        grads = [None] * (2 * len(self.weights)) if param_grads else None
         for i in range(len(self.weights) - 1, -1, -1):
-            a_prev = activations[i]
-            grads[2 * i] = a_prev.T @ g
-            grads[2 * i + 1] = g.sum(axis=0)
+            if param_grads:
+                grads[2 * i] = activations[i].T @ g
+                grads[2 * i + 1] = g.sum(axis=0)
             g = g @ self.weights[i].T
             if i > 0:
-                g = g * (activations[i] > 0.0)
+                g *= activations[i] > 0.0
         return grads, (g[0] if squeeze else g)
 
 
 class Adam:
-    """Adaptive moment optimizer over one net's parameters, default coefficients."""
+    """Adaptive moment optimizer over one net's flat parameter vector, default coefficients."""
 
     def __init__(self, net: Mlp, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.net = net
@@ -118,37 +137,41 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        params = net.parameters()
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(net.flat)
+        self.v = np.zeros_like(net.flat)
 
     def step(self, grads) -> None:
-        """Descend along grads (pass negated gradients to ascend)."""
+        """Descend along grads (pass negated gradients to ascend).
+
+        grads pairs up with net.parameters(). Every shape and value is
+        checked before anything moves: a bad gradient leaves the
+        parameters, both moments and t as they were.
+        """
         params = self.net.parameters()
         if len(grads) != len(params):
             raise ValueError("gradient list does not match parameter list")
+        for p, g in zip(params, grads):
+            if np.shape(g) != p.shape:
+                raise ValueError(f"gradient shape {np.shape(g)} does not match parameter shape {p.shape}")
+        g = np.concatenate([np.ravel(x) for x in grads], dtype=float)
+        if not np.isfinite(g).all():
+            raise FloatingPointError("non-finite gradient")
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            if not np.all(np.isfinite(g)):
-                raise FloatingPointError("non-finite gradient")
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * np.square(g)
+        self.net.flat -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 
 def soft_update(target: Mlp, online: Mlp, xi: float) -> Mlp:
     """Blend target parameters toward online ones: theta' <- xi*theta + (1-xi)*theta'."""
-    t_params = target.parameters()
-    o_params = online.parameters()
-    if len(t_params) != len(o_params):
-        raise ValueError("network architectures differ")
-    for tp, op in zip(t_params, o_params):
-        if tp.shape != op.shape:
-            raise ValueError(f"parameter shape mismatch: {tp.shape} vs {op.shape}")
-        tp *= 1.0 - xi
-        tp += xi * op
+    if target.dims != online.dims:
+        raise ValueError(f"network architectures differ: {target.dims} vs {online.dims}")
+    t = target.flat
+    t *= 1.0 - xi
+    t += xi * online.flat
     return target

@@ -18,6 +18,8 @@ from marlshield.maddpg import (
 from marlshield.nets import Adam, Mlp
 from marlshield.patrol import PatrolEnv, default_world
 
+import learner_oracle
+
 
 def tiny_config(**kwargs):
     base = dict(
@@ -186,7 +188,7 @@ class QuadraticCritic:
         self._x_shape = x.shape
         return q
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, param_grads=True):
         g = np.zeros(self._x_shape)
         start = self.n_agents * self.obs_dim + self.agent * 2
         g[:, start : start + 2] = grad_out * (-2.0) * (self._u - self.u_star)
@@ -292,3 +294,63 @@ class TestTrainerLoop:
             for p, b in zip(trainer.actors[0].parameters(), before)
         )
         assert changed
+
+
+class TestLearnerOracle:
+    ROUNDS = 25
+
+    def seeded_trainer(self):
+        trainer = make_trainer(
+            shield=False, batch_size=32, warmup_transitions=32, episode_len=60,
+            actor_hidden=(16, 12), critic_hidden=(16, 12),
+        )
+        trainer.run_episode(reset_seed=5, sigma=0.3, learn=False)
+        return trainer
+
+    def test_rounds_match_per_tensor_reference(self):
+        trainer = self.seeded_trainer()
+        reference = self.seeded_trainer()
+        lr_a, lr_c = reference.config.lr_actor, reference.config.lr_critic
+        actor_opts = [learner_oracle.TensorAdam(a, lr_a) for a in reference.actors]
+        critic_opts = [learner_oracle.TensorAdam(c, lr_c) for c in reference.critics]
+        start = [net.flat.copy() for net in trainer.actors + trainer.critics]
+        for _ in range(self.ROUNDS):
+            trainer._update_all()
+            learner_oracle.update_all(reference, actor_opts, critic_opts)
+
+        def nets(t):
+            return t.actors + t.critics + t.target_actors + t.target_critics
+
+        def joined(arrays):
+            return b"".join(a.tobytes() for a in arrays)
+
+        for net, ref in zip(nets(trainer), nets(reference)):
+            assert net.flat.tobytes() == joined(ref.parameters())
+        for opt, ref in zip(trainer.actor_opts + trainer.critic_opts, actor_opts + critic_opts):
+            assert opt.t == ref.t == self.ROUNDS
+            assert opt.m.tobytes() == joined(ref.m)
+            assert opt.v.tobytes() == joined(ref.v)
+        for net, before in zip(trainer.actors + trainer.critics, start):
+            assert not np.array_equal(net.flat, before)
+
+    @pytest.mark.parametrize("head", ["linear", "tanh"])
+    @pytest.mark.parametrize("single", [False, True])
+    def test_backward_input_gradient_without_param_grads(self, head, single):
+        rng = np.random.default_rng(48)
+        net = Mlp((6, 9, 7, 2), head=head, head_scale=0.8, rng=rng)
+        x = rng.normal(size=6 if single else (5, 6))
+        out = net.forward(x)
+        ref_out, acts = learner_oracle.forward(net, np.atleast_2d(x))
+        grad_out = rng.normal(size=out.shape)
+        kept = grad_out.copy()
+        grads, g_full = net.backward(grad_out)
+        skipped, g_input = net.backward(grad_out, param_grads=False)
+        ref_grads, ref_g = learner_oracle.backward(net, acts, np.atleast_2d(grad_out))
+        if single:
+            ref_out, ref_g = ref_out[0], ref_g[0]
+        assert skipped is None
+        assert out.tobytes() == ref_out.tobytes()
+        assert g_input.tobytes() == g_full.tobytes() == ref_g.tobytes()
+        for g, r in zip(grads, ref_grads):
+            assert g.tobytes() == r.tobytes()
+        assert grad_out.tobytes() == kept.tobytes()

@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from marlshield.barriers import ShieldParams
+from marlshield.checkpoint import attach_networks, load_checkpoint, save_checkpoint
+from marlshield.maddpg import MaddpgTrainer, TrainerConfig
 from marlshield.nets import Adam, Mlp, soft_update
+from marlshield.patrol import PatrolEnv, default_world
 
 
 def numeric_grads(net, loss_fn, eps=1e-5):
@@ -181,3 +185,103 @@ class TestAdam:
         bad[0][0, 0] = np.nan
         with pytest.raises(FloatingPointError):
             opt.step(bad)
+
+    @pytest.mark.parametrize(
+        "last,error",
+        [
+            (np.array([np.nan]), FloatingPointError),
+            (np.array([-np.inf]), FloatingPointError),
+            (np.zeros(2), ValueError),
+        ],
+    )
+    def test_rejected_step_moves_nothing(self, last, error):
+        net = Mlp((2, 3, 1), rng=np.random.default_rng(32))
+        opt = Adam(net, lr=1e-2)
+        opt.step([np.full_like(p, 0.5) for p in net.parameters()])
+        params = [p.copy() for p in net.parameters()]
+        m, v, t = opt.m.copy(), opt.v.copy(), opt.t
+        bad = [np.full_like(p, 0.25) for p in net.parameters()]
+        bad[-1] = last
+        with pytest.raises(error):
+            opt.step(bad)
+        for p, b in zip(net.parameters(), params):
+            assert np.array_equal(p, b)
+        assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v) and opt.t == t
+
+
+class TestFlatStorage:
+    def test_parameters_are_views_in_declaration_order(self):
+        net = Mlp((5, 7, 3, 2), head="tanh", rng=np.random.default_rng(50))
+        base = net.flat.__array_interface__["data"][0]
+        pos = 0
+        for p in net.parameters():
+            assert p.base is net.flat
+            assert p.__array_interface__["data"][0] == base + 8 * pos
+            pos += p.size
+        assert pos == net.flat.size == net.n_params
+        assert net.flat.dtype == np.float64
+
+    def test_draw_order_unchanged(self):
+        rng = np.random.default_rng(51)
+        expected = [
+            rng.normal(0.0, math.sqrt(2.0 / 4), size=(4, 6)),
+            np.zeros(6),
+            rng.normal(0.0, math.sqrt(2.0 / 6), size=(6, 5)),
+            np.zeros(5),
+            rng.uniform(-1e-3, 1e-3, size=(5, 2)),
+            np.zeros(2),
+        ]
+        net = Mlp((4, 6, 5, 2), rng=np.random.default_rng(51))
+        assert net.flat.tobytes() == b"".join(e.tobytes() for e in expected)
+
+    def test_copy_shares_no_memory(self):
+        net = Mlp((3, 4, 2), rng=np.random.default_rng(52))
+        clone = net.copy()
+        assert clone.flat.tobytes() == net.flat.tobytes()
+        for a in [clone.flat, *clone.parameters()]:
+            for b in [net.flat, *net.parameters()]:
+                assert not np.shares_memory(a, b)
+        for p in clone.parameters():
+            assert p.base is clone.flat
+        clone.flat += 1.0
+        assert not np.array_equal(clone.weights[0], net.weights[0])
+
+    def trained(self):
+        env = PatrolEnv(default_world(), ShieldParams(), episode_len=12)
+        config = TrainerConfig(
+            episodes=1, episode_len=12, batch_size=4, warmup_transitions=4, update_every=2,
+            buffer_capacity=50, actor_hidden=(5,), critic_hidden=(6,), seed=53,
+        )
+        trainer = MaddpgTrainer(env, config, shield_enabled=False)
+        trainer.train()
+        return trainer, MaddpgTrainer(env, config, shield_enabled=False)
+
+    def test_checkpoint_round_trip_is_byte_identical(self, tmp_path):
+        trainer, fresh = self.trained()
+        first, second = tmp_path / "a.bin", tmp_path / "b.bin"
+        save_checkpoint(first, trainer, "{}")
+        _, agents = load_checkpoint(first)
+        attach_networks(fresh, agents)
+        save_checkpoint(second, fresh, "{}")
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_loaded_values_live_in_flat(self, tmp_path):
+        trainer, _ = self.trained()
+        path = tmp_path / "a.bin"
+        save_checkpoint(path, trainer, "{}")
+        _, agents = load_checkpoint(path)
+        online, target = agents[0]["actor"], agents[0]["target_actor"]
+        assert online.flat.tobytes() == trainer.actors[0].flat.tobytes()
+        assert not np.array_equal(online.flat, target.flat)
+        for net in (online, target):
+            for p in net.parameters():
+                assert p.base is net.flat
+        before = [p.copy() for p in online.parameters()]
+        Adam(online, lr=1e-2).step([np.ones_like(p) for p in online.parameters()])
+        for p, b in zip(online.parameters(), before):
+            assert np.all(p < b)
+        differs = [t != o for t, o in zip(target.parameters(), online.parameters())]
+        before = [p.copy() for p in target.parameters()]
+        soft_update(target, online, 0.5)
+        for p, b, d in zip(target.parameters(), before, differs):
+            assert np.array_equal(p != b, d)
