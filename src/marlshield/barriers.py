@@ -80,24 +80,31 @@ class ShieldParams:
 
 
 class LinearConstraint:
-    """One row normal . u <= bound of the shield QP acting on the focal agent.
+    """One row ax*ux + ay*uy <= bound of the shield QP acting on the focal agent.
 
-    The row is validated once, on Python floats, when it is built: the
-    normal must be finite and nonzero and the bound finite. `kind` is
-    "cooperative", "non-cooperative" or "wall".
+    The normal is a 2-tuple of floats (taken as is) or any array-like
+    (converted), stored as floats `ax`, `ay` and validated once: finite and
+    nonzero, with a finite bound, or ValueError. `normal` reads as a fresh
+    array, so writing into it changes no row. `kind` is "cooperative",
+    "non-cooperative" or "wall".
     """
 
-    __slots__ = ("normal", "bound", "kind", "counterpart_id")
+    __slots__ = ("ax", "ay", "bound", "kind", "counterpart_id")
 
     def __init__(self, normal, bound, kind, counterpart_id=None):
-        if not (type(normal) is np.ndarray and normal.shape == (2,) and normal.dtype == np.float64):
-            normal = np.asarray(normal, dtype=float).reshape(2)
-        x, y = normal.tolist()
-        if not (math.isfinite(x) and math.isfinite(y)) or (x == 0.0 and y == 0.0):
+        if type(normal) is tuple and len(normal) == 2 and type(normal[0]) is type(normal[1]) is float:
+            ax, ay = normal
+        else:
+            ax, ay = np.asarray(normal, dtype=float).reshape(2).tolist()
+        if not (math.isfinite(ax) and math.isfinite(ay)) or (ax == 0.0 and ay == 0.0):
             raise ValueError(f"constraint normal must be finite and nonzero, got {normal!r}")
         if not math.isfinite(bound):
             raise ValueError("constraint bound must be finite")
-        self.normal, self.bound, self.kind, self.counterpart_id = normal, bound, kind, counterpart_id
+        self.ax, self.ay, self.bound, self.kind, self.counterpart_id = ax, ay, bound, kind, counterpart_id
+
+    @property
+    def normal(self) -> np.ndarray:
+        return np.array((self.ax, self.ay))
 
     def __repr__(self):
         fields = (self.normal, self.bound, self.kind, self.counterpart_id)
@@ -212,12 +219,7 @@ def cooperative_constraint(
     )
     if full is None:
         return None
-    return LinearConstraint(
-        normal=np.array([-dpx, -dpy]),
-        bound=0.5 * full,
-        kind="cooperative",
-        counterpart_id=counterpart_id,
-    )
+    return LinearConstraint((-dpx, -dpy), 0.5 * full, "cooperative", counterpart_id)
 
 
 def noncooperative_constraint(
@@ -250,12 +252,7 @@ def noncooperative_constraint(
     )
     if full is None:
         return None
-    return LinearConstraint(
-        normal=np.array([-dpx, -dpy]),
-        bound=full,
-        kind=kind,
-        counterpart_id=counterpart_id,
-    )
+    return LinearConstraint((-dpx, -dpy), full, kind, counterpart_id)
 
 
 def cbf_condition_residual(h_value: float, h_dot: float, gamma: float) -> float:

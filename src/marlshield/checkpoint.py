@@ -127,25 +127,31 @@ def load_checkpoint(path):
 
 
 def attach_networks(trainer, agents) -> None:
-    """Install loaded networks into a trainer, validating architecture dims."""
+    """Copy loaded networks into a trainer's own nets, validating architecture dims.
+
+    Every dim is checked before any value moves. Values land in the
+    trainer's existing `flat` vectors, so its optimizers keep acting on the
+    nets that hold them; the head settings come with the values, as the
+    checkpoint's policy was trained with them.
+    """
     if len(agents) != len(trainer.actors):
         raise CheckpointMismatchError(
             f"expected {len(trainer.actors)} agents, found {len(agents)}"
         )
+    pairs = []
     for i, nets in enumerate(agents):
-        expected = trainer.actors[i].dims
-        found = nets["actor"].dims
-        if expected != found:
-            raise CheckpointMismatchError(
-                f"agent {i} actor dims: expected {expected}, found {found}"
-            )
-        expected = trainer.critics[i].dims
-        found = nets["critic"].dims
-        if expected != found:
-            raise CheckpointMismatchError(
-                f"agent {i} critic dims: expected {expected}, found {found}"
-            )
-        trainer.actors[i] = nets["actor"]
-        trainer.critics[i] = nets["critic"]
-        trainer.target_actors[i] = nets["target_actor"]
-        trainer.target_critics[i] = nets["target_critic"]
+        for role, own in (
+            ("actor", trainer.actors[i]),
+            ("critic", trainer.critics[i]),
+            ("target_actor", trainer.target_actors[i]),
+            ("target_critic", trainer.target_critics[i]),
+        ):
+            loaded = nets[role]
+            if own.dims != loaded.dims:
+                raise CheckpointMismatchError(
+                    f"agent {i} {role} dims: expected {own.dims}, found {loaded.dims}"
+                )
+            pairs.append((own, loaded))
+    for own, loaded in pairs:
+        np.copyto(own.flat, loaded.flat)
+        own.head, own.head_scale = loaded.head, loaded.head_scale

@@ -169,7 +169,7 @@ def critic_update(critic: Mlp, optimizer: Adam, batch: Batch, targets: np.ndarra
     loss = float(np.mean(err * err))
     if not math.isfinite(loss):
         raise FloatingPointError(f"critic loss is {loss}")
-    grads, _ = critic.backward((2.0 / s) * err.reshape(-1, 1))
+    grads, _ = critic.backward((2.0 / s) * err.reshape(-1, 1), input_grad=False)
     optimizer.step(grads)
     return loss
 
@@ -191,7 +191,7 @@ def actor_update(actor: Mlp, critic: Mlp, optimizer: Adam, batch: Batch, agent: 
     _, g_input = critic.backward(np.full((s, 1), 1.0 / s), param_grads=False)
     offset = batch.obs.shape[1] * batch.obs.shape[2] + agent * actions.shape[2]
     g_action = g_input[:, offset : offset + actions.shape[2]]
-    grads, _ = actor.backward(g_action)
+    grads, _ = actor.backward(g_action, input_grad=False)
     norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
     if not math.isfinite(norm):
         raise FloatingPointError(f"actor gradient norm is {norm}")

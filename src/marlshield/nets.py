@@ -4,7 +4,7 @@ No autograd: each Mlp caches its forward activations and exposes backward()
 returning both parameter gradients and the gradient with respect to the
 input. The input gradient is what lets a policy gradient flow through a
 value network into the policy that produced part of its input; a caller
-that needs only the input gradient can skip the parameter gradients.
+that needs only one of the two can skip the other.
 
 All parameters of one Mlp live in a single flat float64 vector, `flat`, in
 declaration order (W0, b0, W1, b1, ...); `weights` and `biases` are views
@@ -99,13 +99,15 @@ class Mlp:
         self._cache = (activations, squeeze)
         return a[0] if squeeze else a
 
-    def backward(self, grad_out, param_grads: bool = True):
+    def backward(self, grad_out, param_grads: bool = True, input_grad: bool = True):
         """Gradients of sum(grad_out * output) from the latest forward().
 
         Returns (param_grads, grad_input): param_grads pairs up with
         parameters(), or is None when called with param_grads=False, which
         skips the weight and bias gradients; grad_input has the shape of the
-        forward input and is the same either way. grad_out is never written.
+        forward input, or is None when called with input_grad=False, which
+        skips the first layer's g @ W0.T. Each flag leaves the other result
+        bit for bit unchanged. grad_out is never written.
         """
         if self._cache is None:
             raise RuntimeError("backward() requires a preceding forward()")
@@ -121,6 +123,8 @@ class Mlp:
             if param_grads:
                 grads[2 * i] = activations[i].T @ g
                 grads[2 * i + 1] = g.sum(axis=0)
+            if i == 0 and not input_grad:
+                return grads, None
             g = g @ self.weights[i].T
             if i > 0:
                 g *= activations[i] > 0.0

@@ -33,11 +33,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
-
-from .barriers import LinearConstraint
 
 STATUS_OPTIMAL = "optimal"
 STATUS_RELAXED = "relaxed"
@@ -46,7 +43,11 @@ _FEAS_TOL = 1e-9
 _ZERO_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
+def _fields_repr(obj) -> str:
+    fields = ", ".join(f"{name}={getattr(obj, name)!r}" for name in obj._fields)
+    return f"{type(obj).__name__}({fields})"
+
+
 class QpProblem:
     """Projection instance: nominal action, halfplane rows, box, slack penalty.
 
@@ -54,42 +55,50 @@ class QpProblem:
     rows in problem order, then the +x, -x, +y, -y box rows. That index
     scheme is used everywhere (active sets, KKT checks); the slack
     nonnegativity row of the relaxed phase sits one past the box rows.
+    Fields are read-only, so `rows` cannot drift from `constraints`.
     """
 
-    nominal: np.ndarray
-    constraints: tuple[LinearConstraint, ...] = ()
-    box: float = 1.0
-    slack_weight: float = 1e6
-    rows: tuple[tuple[float, float, float], ...] = field(init=False, repr=False)
+    __slots__ = ("nominal", "constraints", "box", "slack_weight", "rows")
+    _fields = __slots__[:4]
 
-    def __post_init__(self):
-        u = self.nominal
+    def __init__(self, nominal, constraints=(), box=1.0, slack_weight=1e6):
+        u = nominal
         if not (type(u) is np.ndarray and u.shape == (2,) and u.dtype == np.float64):
             u = np.asarray(u, dtype=float).reshape(2)
         hx, hy = u.tolist()
         if not (math.isfinite(hx) and math.isfinite(hy)):
-            raise ValueError(f"nominal action must be finite, got {self.nominal!r}")
-        if not (math.isfinite(self.box) and self.box > 0):
+            raise ValueError(f"nominal action must be finite, got {nominal!r}")
+        if not (math.isfinite(box) and box > 0):
             raise ValueError("box must be a positive finite scalar")
-        if not (math.isfinite(self.slack_weight) and self.slack_weight >= 0):
+        if not (math.isfinite(slack_weight) and slack_weight >= 0):
             raise ValueError("slack_weight must be >= 0")
-        cons = tuple(self.constraints)
-        box = float(self.box)
-        rows = [(*c.normal.tolist(), float(c.bound)) for c in cons]
-        rows += [(1.0, 0.0, box), (-1.0, 0.0, box), (0.0, 1.0, box), (0.0, -1.0, box)]
-        object.__setattr__(self, "nominal", u)
-        object.__setattr__(self, "constraints", cons)
-        object.__setattr__(self, "rows", tuple(rows))
+        cons = tuple(constraints)
+        b = float(box)
+        rows = [(c.ax, c.ay, float(c.bound)) for c in cons]
+        rows += [(1.0, 0.0, b), (-1.0, 0.0, b), (0.0, 1.0, b), (0.0, -1.0, b)]
+        init = object.__setattr__
+        init(self, "nominal", u)
+        init(self, "constraints", cons)
+        init(self, "box", box)
+        init(self, "slack_weight", slack_weight)
+        init(self, "rows", tuple(rows))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"QpProblem.{name} is read-only")
+
+    __repr__ = _fields_repr
 
 
-@dataclass(frozen=True, eq=False)
 class QpSolution:
-    u_safe: np.ndarray
-    slack: float
-    active_set: tuple[int, ...]
-    kkt_residual: float
-    status: str
-    iterations: int = 0
+    """Solver output: the action, shared slack, active rows, KKT residual, status, candidates."""
+
+    __slots__ = _fields = ("u_safe", "slack", "active_set", "kkt_residual", "status", "iterations")
+
+    def __init__(self, u_safe, slack, active_set, kkt_residual, status, iterations=0):
+        self.u_safe, self.slack, self.active_set = u_safe, slack, active_set
+        self.kkt_residual, self.status, self.iterations = kkt_residual, status, iterations
+
+    __repr__ = _fields_repr
 
 
 def _feasible(rows, x, y) -> bool:

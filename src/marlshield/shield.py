@@ -21,7 +21,6 @@ Rows are built inline from `_row_core` and equal, bit for bit, those of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,17 +34,20 @@ STATUS_RELAXED = "relaxed"
 STATUS_FALLBACK = "fallback"
 
 
-@dataclass(frozen=True, eq=False)
 class ShieldReport:
-    """What the filter did to one action, for per-step diagnostics streams."""
+    """What the filter did to one action, for per-step diagnostics streams (a slotted record)."""
 
-    agent_id: object
-    u_nominal: np.ndarray
-    u_safe: np.ndarray
-    constraints_built: dict = field(default_factory=dict)
-    status: str = STATUS_PASSTHROUGH
-    min_h: float = math.inf
-    slack: float = 0.0
+    __slots__ = _fields = (
+        "agent_id", "u_nominal", "u_safe", "constraints_built", "status", "min_h", "slack"
+    )
+
+    def __init__(self, agent_id, u_nominal, u_safe, constraints_built=None,
+                 status=STATUS_PASSTHROUGH, min_h=math.inf, slack=0.0):
+        self.agent_id, self.u_nominal, self.u_safe = agent_id, u_nominal, u_safe
+        self.constraints_built = {} if constraints_built is None else constraints_built
+        self.status, self.min_h, self.slack = status, min_h, slack
+
+    __repr__ = qp._fields_repr
 
 
 def neighborhood(self_id, all_agents, obstacles, world: WorldConfig, r_sense: float):
@@ -54,6 +56,8 @@ def neighborhood(self_id, all_agents, obstacles, world: WorldConfig, r_sense: fl
     Returns (neighbors, obstacles_in_range, wall_faces_in_range); neighbors
     ascend by id, obstacles keep list order, wall faces keep the fixed face
     order. Distances are center-to-center and the comparison is inclusive.
+    Faces are built only when half_extent - max(|x|, |y|) <= r_sense; outside
+    or non-finite positions still reach face_clearances and raise.
     """
     self_state = None
     peers = []
@@ -71,11 +75,10 @@ def neighborhood(self_id, all_agents, obstacles, world: WorldConfig, r_sense: fl
     obstacles_in_range = [
         obs for obs in obstacles if math.dist(here, obs.position.tolist()) <= r_sense
     ]
-    wall_faces = [
-        (face, point, dist)
-        for face, point, dist in face_clearances(self_state.position, world.wall_half_extent)
-        if dist <= r_sense
-    ]
+    e = world.wall_half_extent  # no face is nearer than e - max(|x|, |y|)
+    wall_faces = []
+    if not (e - abs(here[0]) > r_sense and e - abs(here[1]) > r_sense):
+        wall_faces = [f for f in face_clearances(here, e) if f[2] <= r_sense]
     return neighbors, obstacles_in_range, wall_faces
 
 
@@ -159,9 +162,9 @@ def filter_action(
             if r <= 1e-9:
                 continue
             # unit normal so simultaneous emergencies trade off evenly
-            constraints.append(LinearConstraint(np.array((-dpx / r, -dpy / r)), -a_self, kind, cid))
+            constraints.append(LinearConstraint((-dpx / r, -dpy / r), -a_self, kind, cid))
         else:
-            constraints.append(LinearConstraint(np.array((-dpx, -dpy)), full, kind, cid))
+            constraints.append(LinearConstraint((-dpx, -dpy), full, kind, cid))
         built[kind] += 1
 
     # Violated-set fallback: swap the nominal for maximal braking away from
@@ -170,13 +173,7 @@ def filter_action(
     fallback = worst is not None
     nominal_used = _brake_away(worst[1], worst[2], a_self) if fallback else u_hat
 
-    problem = qp.QpProblem(
-        nominal=nominal_used,
-        constraints=tuple(constraints),
-        box=a_self,
-        slack_weight=params.slack_weight,
-    )
-    sol = qp.solve(problem)
+    sol = qp.solve(qp.QpProblem(nominal_used, constraints, a_self, params.slack_weight))
 
     u_safe = sol.u_safe
     if fallback:
@@ -186,14 +183,5 @@ def filter_action(
     else:
         status = STATUS_PASSTHROUGH if u_safe.tolist() == [hx, hy] else STATUS_CORRECTED
 
-    report = ShieldReport(
-        agent_id=agent_id,
-        u_nominal=u_hat,
-        u_safe=u_safe,
-        constraints_built=built,
-        status=status,
-        min_h=min_h,
-        slack=sol.slack,
-    )
-    return u_safe, report
+    return u_safe, ShieldReport(agent_id, u_hat, u_safe, built, status, min_h, sol.slack)
 

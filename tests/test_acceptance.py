@@ -35,6 +35,8 @@ from marlshield.shield import filter_action
 from qp_oracle import grid_project
 from test_qp import random_problem, objective
 
+pytestmark = pytest.mark.slow
+
 D_S = 0.075
 TOL = 1e-3
 SEEDS = (11, 12, 13, 14, 15)

@@ -354,3 +354,20 @@ class TestLearnerOracle:
         for g, r in zip(grads, ref_grads):
             assert g.tobytes() == r.tobytes()
         assert grad_out.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("head", ["linear", "tanh"])
+    @pytest.mark.parametrize("single", [False, True])
+    def test_backward_param_grads_without_input_grad(self, head, single):
+        rng = np.random.default_rng(49)
+        net = Mlp((6, 9, 7, 2), head=head, head_scale=0.8, rng=rng)
+        x = rng.normal(size=6 if single else (5, 6))
+        out = net.forward(x)
+        grad_out = rng.normal(size=out.shape)
+        kept = grad_out.copy()
+        grads, g_full = net.backward(grad_out)
+        trimmed, g_input = net.backward(grad_out, input_grad=False)
+        assert g_input is None and g_full.shape == np.shape(x)
+        assert len(trimmed) == len(grads) == len(net.parameters())
+        for g, t in zip(grads, trimmed):
+            assert g.tobytes() == t.tobytes()
+        assert grad_out.tobytes() == kept.tobytes()

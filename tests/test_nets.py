@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from marlshield.barriers import ShieldParams
-from marlshield.checkpoint import attach_networks, load_checkpoint, save_checkpoint
+from marlshield.checkpoint import (
+    CheckpointMismatchError,
+    attach_networks,
+    load_checkpoint,
+    save_checkpoint,
+)
 from marlshield.maddpg import MaddpgTrainer, TrainerConfig
 from marlshield.nets import Adam, Mlp, soft_update
 from marlshield.patrol import PatrolEnv, default_world
@@ -264,6 +269,38 @@ class TestFlatStorage:
         attach_networks(fresh, agents)
         save_checkpoint(second, fresh, "{}")
         assert first.read_bytes() == second.read_bytes()
+
+    def loaded(self, tmp_path):
+        trainer, fresh = self.trained()
+        path = tmp_path / "a.bin"
+        save_checkpoint(path, trainer, "{}")
+        _, agents = load_checkpoint(path)
+        return trainer, fresh, agents
+
+    @staticmethod
+    def all_nets(trainer):
+        return trainer.actors + trainer.critics + trainer.target_actors + trainer.target_critics
+
+    def test_training_after_attach_moves_the_attached_nets(self, tmp_path):
+        trainer, fresh, agents = self.loaded(tmp_path)
+        attach_networks(fresh, agents)
+        for net, source in zip(self.all_nets(fresh), self.all_nets(trainer)):
+            assert net.flat.tobytes() == source.flat.tobytes()
+        for opt, net in zip(fresh.actor_opts + fresh.critic_opts, fresh.actors + fresh.critics):
+            assert opt.net is net
+        attached = [net.flat.copy() for net in self.all_nets(fresh)]
+        fresh.train()
+        for net, before in zip(self.all_nets(fresh), attached):
+            assert not np.array_equal(net.flat, before)
+
+    def test_target_dims_checked_before_anything_moves(self, tmp_path):
+        _, fresh, agents = self.loaded(tmp_path)
+        agents[-1]["target_critic"] = Mlp((3, 2))
+        before = [net.flat.copy() for net in self.all_nets(fresh)]
+        with pytest.raises(CheckpointMismatchError, match=r"target_critic dims: expected .* found \(3, 2\)"):
+            attach_networks(fresh, agents)
+        for net, b in zip(self.all_nets(fresh), before):
+            assert net.flat.tobytes() == b.tobytes()
 
     def test_loaded_values_live_in_flat(self, tmp_path):
         trainer, _ = self.trained()

@@ -397,3 +397,53 @@ class TestValidation:
             (0.0, -1.0, 0.75),
         )
         assert all(type(v) is float for r in p.rows for v in r)
+
+
+class TestContainers:
+    BAD_NORMALS = ((np.nan, 1.0), (1.0, np.nan), (np.inf, 0.0), (0.0, -np.inf), (0.0, 0.0), (-0.0, 0.0))
+
+    @pytest.mark.parametrize("form", [tuple, list, np.array], ids=["tuple", "list", "array"])
+    def test_constraint_rejects_bad_normals_in_every_form(self, form):
+        for normal in self.BAD_NORMALS:
+            with pytest.raises(ValueError):
+                LinearConstraint(form(normal), 1.0, "wall")
+        for bound in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                LinearConstraint(form((1.0, 0.0)), bound, "wall")
+
+    def test_normal_reads_as_a_fresh_copy_of_the_floats(self):
+        expected = np.array([0.3, -1.7]).tobytes()
+        for form in (tuple, list, np.array):
+            source = form((0.3, -1.7))
+            c = LinearConstraint(source, 0.5, "wall")
+            p = QpProblem(np.zeros(2), (c,))
+            assert type(c.ax) is float and type(c.ay) is float
+            assert c.normal.tobytes() == expected
+            c.normal[0] = 9.0
+            if form is not tuple:
+                source[0] = 9.0  # nor is the caller's list or array aliased
+            assert (c.ax, c.ay) == (0.3, -1.7) and p.rows[0] == (0.3, -1.7, 0.5)
+            assert c.normal.tobytes() == expected
+
+    def test_integer_normals_become_floats(self):
+        for normal in ((1, 0), np.array([1, 0]), (np.float64(1.0), 0.0)):
+            c = LinearConstraint(normal, 2, "non-cooperative")
+            assert type(c.ax) is float and type(c.ay) is float
+            assert c.normal.dtype == np.float64
+
+    def test_problem_fields_are_read_only(self):
+        p = QpProblem(np.array([0.1, 0.2]), (row(1.0, 0.0, 0.5),))
+        for name in ("nominal", "constraints", "box", "slack_weight", "rows", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, None)
+        assert p.box == 1.0 and len(p.rows) == 5
+
+    def test_solution_order_defaults_and_repr(self):
+        sol = QpSolution(np.array([0.5, 0.0]), 0.0, (0,), 1e-16, STATUS_OPTIMAL)
+        assert sol.iterations == 0
+        assert repr(sol) == (
+            "QpSolution(u_safe=array([0.5, 0. ]), slack=0.0, active_set=(0,), "
+            "kkt_residual=1e-16, status='optimal', iterations=0)"
+        )
+        p = QpProblem(np.array([1.0, 0.0]), box=2.0)
+        assert repr(p) == "QpProblem(nominal=array([1., 0.]), constraints=(), box=2.0, slack_weight=1000000.0)"

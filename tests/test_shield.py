@@ -12,9 +12,12 @@ from marlshield.shield import (
     STATUS_CORRECTED,
     STATUS_FALLBACK,
     STATUS_PASSTHROUGH,
+    ShieldReport,
     filter_action,
     neighborhood,
 )
+
+import shield_oracle
 
 PARAMS = ShieldParams()
 BIG_WORLD = WorldConfig(wall_half_extent=50.0)
@@ -354,3 +357,125 @@ def _run_adversarial(states, obstacles, world, params, steps=200):
             for s in states:
                 min_d = min(min_d, math.hypot(*(s.position - o.position)))
     return min_d
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+def check_against_oracle(args, counts):
+    """Run one call through the package and the reference; tally what the call exercised."""
+    u, report = filter_action(*args)
+    u_ref, ref = shield_oracle.filter_action(*args)
+    assert u.tobytes() == u_ref.tobytes()
+    assert report.status == ref.status
+    assert bits(report.min_h) == bits(ref.min_h)
+    assert bits(report.slack) == bits(ref.slack)
+    assert report.constraints_built == ref.constraints_built
+    counts[report.status] = counts.get(report.status, 0) + 1
+    for kind, n in report.constraints_built.items():
+        counts[kind] = counts.get(kind, 0) + n
+    return u
+
+
+def near_wall_position(rng):
+    """A point of the 2x2 arena with each coordinate within 0.15 of a wall half the time."""
+    p = rng.uniform(-0.95, 0.95, 2)
+    for k in range(2):
+        if rng.random() < 0.5:
+            p[k] = rng.choice([-1.0, 1.0]) * (1.0 - rng.uniform(0.0, 0.15))
+    return p
+
+
+class TestShieldOracle:
+    """The float-native filter against the array-and-dataclass reference, call by call."""
+
+    def test_adversarial_rollouts_in_wide_arena(self):
+        # the benchmark's forward-invariance protocol: worst-case nominal at
+        # the nearest entity, two agents and one obstacle, walls out of range
+        rng = np.random.default_rng(61)
+        world = WorldConfig(wall_half_extent=100.0)
+        obstacles = [ObstacleSpec([0.0, 0.0])]
+        counts = {}
+        calls = 0
+        while calls < 2000:
+            states = _random_safe_scenario(rng, obstacles)
+            if states is None:
+                continue
+            for _ in range(100):
+                all_agents = list(enumerate(states))
+                new = []
+                for i, s in enumerate(states):
+                    targets = [states[1 - i].position, obstacles[0].position]
+                    t = min(targets, key=lambda p: math.hypot(*(p - s.position)))
+                    d = t - s.position
+                    n = math.hypot(*d)
+                    nominal = d / n if n > 1e-9 else np.array([1.0, 0.0])
+                    u = check_against_oracle((i, nominal, s, all_agents, obstacles, world, PARAMS), counts)
+                    new.append(step_agent(s, u, world.dt, world.v_max))
+                    calls += 1
+                states = new
+        assert counts["wall"] == 0
+        assert counts[STATUS_CORRECTED] > 200 and counts[STATUS_PASSTHROUGH] > 200
+
+    def test_wall_and_corner_states_in_small_arena(self):
+        rng = np.random.default_rng(62)
+        counts = {}
+        for _ in range(2000):
+            focal = near_wall_position(rng)
+            agents = [(0, AgentState(focal, rng.uniform(-1, 1, 2)))]
+            for aid in range(1, int(rng.integers(1, 4))):
+                p = np.clip(focal + rng.normal(0.0, 0.4, 2), -0.999, 0.999)
+                agents.append((aid, AgentState(p, rng.uniform(-1, 1, 2))))
+            obstacles = [
+                ObstacleSpec(np.clip(focal + rng.normal(0.0, 0.5, 2), -1, 1), float(rng.choice([0.0, 0.05])))
+                for _ in range(int(rng.integers(0, 3)))
+            ]
+            order = rng.permutation(len(agents)).tolist()
+            shuffled = [agents[k] for k in order]
+            u = rng.uniform(-1.2, 1.2, 2)
+            check_against_oracle((0, u, agents[0][1], shuffled, obstacles, SMALL_WORLD, PARAMS), counts)
+        # recovery rows (fallback), plain corrections and shared-slack solves all occur
+        assert counts[STATUS_FALLBACK] > 700 and counts[STATUS_CORRECTED] > 150 and counts["relaxed"] > 10
+        assert counts["wall"] > 4000 and counts["cooperative"] > 1000 and counts["non-cooperative"] > 1000
+
+    def test_report_fields_and_defaults(self):
+        u = np.array([0.1, -0.2])
+        first, second = ShieldReport(0, u, u), ShieldReport(1, u, u)
+        assert first.constraints_built == {} and first.constraints_built is not second.constraints_built
+        assert (first.status, first.min_h, first.slack) == (STATUS_PASSTHROUGH, math.inf, 0.0)
+        report = ShieldReport(2, u, u, {"wall": 1}, STATUS_CORRECTED, 0.5, 0.25)
+        assert repr(report) == (
+            "ShieldReport(agent_id=2, u_nominal=array([ 0.1, -0.2]), u_safe=array([ 0.1, -0.2]), "
+            "constraints_built={'wall': 1}, status='corrected', min_h=0.5, slack=0.25)"
+        )
+
+
+class TestWallFaceSkip:
+    E, R = 50.0, 2.5
+
+    def unpruned(self, position):
+        return [f for f in face_clearances(np.array(position), self.E) if f[2] <= self.R]
+
+    def faces(self, position):
+        world = WorldConfig(wall_half_extent=self.E)
+        return neighborhood(0, [(0, AgentState(position, [0.0, 0.0]))], [], world, self.R)[2]
+
+    def test_same_faces_around_the_threshold(self):
+        edge = self.E - self.R  # e - max(|x|, |y|) == r_sense exactly
+        seen = 0
+        for c in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, self.E)):
+            for position in ((c, 0.0), (-c, 1.0), (3.0, c), (-2.0, -c), (c, -c), (-c, c), (c, 0.5 * c)):
+                expected = self.unpruned(position)
+                assert self.faces(position) == expected
+                seen += len(expected)
+        assert seen >= 14  # the faces at exactly r_sense are kept (inclusive range)
+        assert self.faces((0.0, 0.0)) == [] == self.unpruned((0.0, 0.0))
+
+    def test_outside_and_non_finite_positions_still_raise(self):
+        world = WorldConfig(wall_half_extent=self.E)
+        for position in ((50.5, 0.0), (0.0, -51.0), (0.0, np.nan), (np.nan, 0.0), (np.inf, 0.0), (0.0, -np.inf)):
+            state = AgentState([0.0, 0.0], [0.0, 0.0])
+            state.position[:] = position  # AgentState itself refuses such values
+            with pytest.raises(ValueError):
+                neighborhood(0, [(0, state)], [], world, self.R)
