@@ -9,10 +9,9 @@ from pathlib import Path
 import numpy as np
 
 from marlshield.barriers import ShieldParams
-from marlshield.patrol import PatrolEnv, collision_audit, default_world
+from marlshield.patrol import EpisodeLedger, PatrolEnv, default_world
 from marlshield.shield import filter_action
 from marlshield.svgplot import render_arena
-from marlshield.patrol import TrajectoryRow
 
 OUT = Path("demo_out")
 OUT.mkdir(exist_ok=True)
@@ -22,7 +21,8 @@ env = PatrolEnv(default_world(), params, episode_len=200)
 rng = np.random.default_rng(7)
 
 state, obs = env.reset(seed=42)
-rows = []
+ledger = EpisodeLedger(params.d_s)
+positions = [[], []]
 done = False
 t = 0
 while not done:
@@ -37,28 +37,20 @@ while not done:
         actions[i] = u
         reports.append(rep)
     state, obs, rewards, done = env.step(state, actions)
+    ledger.record(state, rewards, reports)
     for i in range(2):
-        rows.append(TrajectoryRow(
-            step=t, agent_id=i,
-            position=state.agents[i].position, velocity=state.agents[i].velocity,
-            u_nominal=nominal[i], u_safe=actions[i], reward=float(rewards[i]),
-            min_entity_distance=env.min_entity_distance(state, i),
-            shield_status=reports[i].status, checkins_reached=state.checkins_reached,
-        ))
+        positions[i].append(state.agents[i].position)
     t += 1
 
-metrics = collision_audit(rows, d_s=params.d_s)
+metrics = ledger.metrics()
 print(f"episode length: {t} steps")
-print(f"total rewards: patrolman I {metrics.total_reward[0]:.0f}, II {metrics.total_reward[1]:.0f}")
-print(f"collision steps: {metrics.collision_count}")
-print(f"closest approach to any entity: {metrics.min_pairwise_distance:.4f} (d_s={params.d_s})")
-print(f"check-ins reached by the random policy: {metrics.checkins_reached}")
-print(f"filter interventions: {metrics.shield_correction_count} of {2 * t} actions")
+print(f"total rewards: patrolman I {metrics['reward_I']:.0f}, II {metrics['reward_II']:.0f}")
+print(f"collision steps: {metrics['collisions_step']}")
+print(f"closest approach to any entity: {metrics['min_dist']:.4f} (d_s={params.d_s})")
+print(f"check-ins reached by the random policy: {metrics['checkins']}")
+print(f"filter interventions: {metrics['corrections']} of {2 * t} actions")
 
-paths = {
-    f"patrolman {i + 1}": np.array([r.position for r in rows if r.agent_id == i])
-    for i in range(2)
-}
+paths = {f"patrolman {i + 1}": np.array(positions[i]) for i in range(2)}
 svg = render_arena(env.world, paths, d_s=params.d_s, title="random policy under the filter")
 (OUT / "patrol.svg").write_text(svg)
 print(f"wrote {OUT / 'patrol.svg'}")

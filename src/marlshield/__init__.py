@@ -25,7 +25,7 @@ from .dynamics import (
     wall_clearance,
 )
 from .maddpg import MaddpgTrainer, ReplayBuffer, TrainerConfig, Transition
-from .patrol import EnvState, EpisodeMetrics, PatrolEnv, collision_audit, default_world
+from .patrol import EnvState, EpisodeLedger, PatrolEnv, default_world
 from .qp import QpProblem, QpSolution, kkt_check, solve
 from .shield import ShieldReport, filter_action, neighborhood
 

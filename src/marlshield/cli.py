@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -31,7 +30,7 @@ from .checkpoint import (
 )
 from .config import ConfigError, default_run_config, load_run_config, resolved_json, run_config_from_dict
 from .maddpg import MaddpgTrainer, TrainingDivergenceError
-from .patrol import PatrolEnv, collision_audit
+from .patrol import PatrolEnv
 from .svgplot import render_arena, render_curves
 
 EXIT_OK = 0
@@ -49,6 +48,7 @@ TRAJECTORY_COLUMNS = (
     "step,agent_id,px,py,vx,vy,ax_nominal,ay_nominal,ax_safe,ay_safe,reward,min_dist,shield_status"
 )
 SUMMARY_KEYS = ("variant", "runs", "episodes_total", "collision_episodes_total", "collision_ratio")
+EVAL_KEYS = ("reward_I", "reward_II", "collisions_step", "min_dist", "checkins")
 
 
 def _g(x) -> str:
@@ -72,7 +72,11 @@ def _apply_overrides(config, args):
     if getattr(args, "runs", None) is not None:
         config = replace(config, runs=args.runs, seeds=())
     if getattr(args, "episodes", None) is not None:
-        config = replace(config, trainer=replace(config.trainer, episodes=args.episodes))
+        try:
+            trainer = replace(config.trainer, episodes=args.episodes)
+        except ValueError as exc:
+            raise ConfigError(f"--episodes: {exc}") from exc
+        config = replace(config, trainer=trainer)
     if getattr(args, "seed", None) is not None:
         config = replace(
             config,
@@ -227,6 +231,9 @@ def _zoom_views(rows, world, pad=0.12):
 
 
 def cmd_eval(args) -> int:
+    episodes = args.episodes if args.episodes is not None else 1
+    if episodes < 0:
+        raise ConfigError(f"--episodes must be >= 0, got {episodes}")
     ckpt_config_json, agents = load_checkpoint(args.checkpoint)
     if args.config:
         config = load_run_config(args.config)
@@ -245,23 +252,12 @@ def cmd_eval(args) -> int:
     trainer = MaddpgTrainer(env, replace(config.trainer, seed=seed), shield_enabled=True)
     attach_networks(trainer, agents)
 
-    episodes = args.episodes if args.episodes is not None else 1
     totals = []
     all_metrics = []
     for ep in range(episodes):
         metrics, rows = trainer.run_episode(seed + ep, sigma=0.0, learn=False, record=True)
         _write_trajectory_csv(out_dir / f"trajectory_ep{ep:03d}.csv", rows, config_json, seed + ep)
-        audited = collision_audit(rows, d_s=config.shield.d_s)
-        all_metrics.append(
-            {
-                "episode": ep,
-                "reward_I": metrics["reward_I"],
-                "reward_II": metrics["reward_II"],
-                "collisions_step": audited.collision_count,
-                "min_dist": audited.min_pairwise_distance,
-                "checkins": audited.checkins_reached,
-            }
-        )
+        all_metrics.append({"episode": ep, **{k: metrics[k] for k in EVAL_KEYS}})
         totals.append(metrics["reward_I"] + metrics["reward_II"])
         paths = {
             f"patrolman {i + 1}": np.array(

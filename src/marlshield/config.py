@@ -41,6 +41,10 @@ class RunConfig:
             seeds = tuple(self.trainer.seed + i for i in range(self.runs))
         if len(seeds) != self.runs:
             raise ConfigError(f"seed list length {len(seeds)} != run count {self.runs}")
+        if min((self.trainer.seed, *seeds)) < 0:
+            raise ConfigError(
+                f"seeds must be >= 0, got trainer seed {self.trainer.seed} and seeds {list(seeds)}"
+            )
         object.__setattr__(self, "seeds", seeds)
         if self.shield.a_max_self != self.world.a_max:
             raise ConfigError(

@@ -9,7 +9,7 @@ which keeps braking commands effective within the same step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -9,19 +9,20 @@ one vector blend per network over its flat parameter vector.
 
 The safety filter sits between action selection and execution: exploration
 noise is added to the policy output first, the filtered action is what the
-environment executes and what the buffer stores.
+environment executes and what the buffer stores. Episode metrics come from
+one `patrol.EpisodeLedger` fed once per step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import shield as shield_mod
 from .nets import Adam, Mlp, soft_update
-from .patrol import PatrolEnv, TrajectoryRow
+from .patrol import EpisodeLedger, PatrolEnv, TrajectoryRow
 
 __all__ = [
     "TrainerConfig",
@@ -225,7 +226,6 @@ class MaddpgTrainer:
         self.critic_opts = [Adam(c, config.lr_critic) for c in self.critics]
         self.buffer = ReplayBuffer(config.buffer_capacity, n, d)
         self.global_step = 0
-        self.slack_events = 0
 
     def nominal_actions(self, obs, sigma: float) -> np.ndarray:
         """Policy outputs plus exploration noise, clipped to the action box."""
@@ -255,15 +255,14 @@ class MaddpgTrainer:
         return actions, reports
 
     def run_episode(self, reset_seed: int, sigma: float, learn: bool, record: bool = False):
-        """One episode; returns (metrics dict, trajectory rows or None)."""
+        """One episode; returns (EpisodeLedger metrics, trajectory rows or None).
+
+        Row clearances come from the states env.step returns: recording scans nothing.
+        """
         env = self.env
         cfg = self.config
         state, obs = env.reset(reset_seed)
-        totals = np.zeros(env.n_agents)
-        min_dist = math.inf
-        collision_steps = 0
-        corrections = 0
-        slack_before = self.slack_events
+        ledger = EpisodeLedger(env.params.d_s)
         rows: list[TrajectoryRow] | None = [] if record else None
 
         for t in range(env.episode_len):
@@ -274,19 +273,7 @@ class MaddpgTrainer:
                 actions, reports = nominal, None
             next_state, next_obs, rewards, done = env.step(state, actions)
             self.buffer.add(np.stack(obs), actions, rewards, np.stack(next_obs), done)
-            totals += rewards
-            step_min = min(
-                env.min_entity_distance(next_state, i) for i in range(env.n_agents)
-            )
-            min_dist = min(min_dist, step_min)
-            if step_min <= env.params.d_s:
-                collision_steps += 1
-            if reports is not None:
-                for rep in reports:
-                    if rep.status != shield_mod.STATUS_PASSTHROUGH:
-                        corrections += 1
-                    if rep.status == shield_mod.STATUS_RELAXED:
-                        self.slack_events += 1
+            ledger.record(next_state, rewards, reports)
             if rows is not None:
                 for i in range(env.n_agents):
                     rows.append(
@@ -298,9 +285,8 @@ class MaddpgTrainer:
                             u_nominal=nominal[i],
                             u_safe=actions[i],
                             reward=float(rewards[i]),
-                            min_entity_distance=env.min_entity_distance(next_state, i),
+                            min_entity_distance=next_state.min_clearance[i],
                             shield_status=reports[i].status if reports else "off",
-                            checkins_reached=next_state.checkins_reached,
                         )
                     )
             self.global_step += 1
@@ -309,18 +295,7 @@ class MaddpgTrainer:
             state, obs = next_state, next_obs
             if done:
                 break
-
-        metrics = {
-            "reward_I": float(totals[0]),
-            "reward_II": float(totals[1]),
-            "collisions_step": collision_steps,
-            "collisions_episode": int(collision_steps > 0),
-            "min_dist": min_dist,
-            "checkins": state.checkins_reached,
-            "corrections": corrections,
-            "slack_events": self.slack_events - slack_before,
-        }
-        return metrics, rows
+        return ledger.metrics(), rows
 
     def _update_all(self) -> None:
         cfg = self.config

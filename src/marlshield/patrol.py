@@ -5,8 +5,9 @@ check-in points. Rewards count nearby entities (the other agent and the
 obstacles, never the walls): each one contributes -50 while at or below
 the safe distance and +50 otherwise, upgraded to +100 for the check-in
 patrolman while it sits within the critical distance of its current
-target. Collisions are accounted per step as any entity separation at or
-below the safe distance.
+target. Each step scans every agent's clearances once, for the rewards
+and for the per-agent minimum kept on the returned state; `EpisodeLedger`
+folds those states into an episode's metrics, step by step.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barriers import ShieldParams
-from .dynamics import AgentState, WorldConfig, face_clearances, step_agent
+from .dynamics import AgentState, WorldConfig, step_agent
+from .shield import STATUS_PASSTHROUGH, STATUS_RELAXED
 
 PATROLMAN_I = 0  # random patrol, no target term
 PATROLMAN_II = 1  # check-in circuit
@@ -37,6 +39,7 @@ class EnvState:
     checkin_index: int = 0
     checkins_reached: int = 0
     step_count: int = 0
+    min_clearance: tuple[float, ...] = ()  # per agent (inf: none in range); set by step only
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,16 +55,6 @@ class TrajectoryRow:
     reward: float
     min_entity_distance: float
     shield_status: str
-    checkins_reached: int = 0
-
-
-@dataclass(frozen=True)
-class EpisodeMetrics:
-    total_reward: tuple[float, float]
-    collision_count: int
-    min_pairwise_distance: float
-    checkins_reached: int
-    shield_correction_count: int
 
 
 class CrowdedWorldError(RuntimeError):
@@ -102,8 +95,8 @@ class PatrolEnv:
         """Spawn both agents at rest, uniformly in the wall, clear of everything.
 
         Placements keep every agent/agent, agent/obstacle, and agent/wall
-        separation above d_s + reset_margin; 1000 consecutive rejections
-        raise CrowdedWorldError.
+        separation above d_s + reset_margin; CrowdedWorldError is raised
+        once 1000 draws in total have not placed every agent.
         """
         rng = np.random.default_rng(seed)
         e = self.world.wall_half_extent
@@ -161,8 +154,7 @@ class PatrolEnv:
         return out
 
     def min_entity_distance(self, state: EnvState, agent_idx: int) -> float:
-        dists = self.entity_distances(state, agent_idx)
-        return min(dists) if dists else math.inf
+        return min(self.entity_distances(state, agent_idx), default=math.inf)
 
     def step(self, state: EnvState, actions) -> tuple[EnvState, list[np.ndarray], np.ndarray, bool]:
         """Integrate both agents, score rewards, advance the check-in circuit."""
@@ -177,40 +169,37 @@ class PatrolEnv:
             step_agent(agent, acts[i], self.world.dt, self.world.v_max)
             for i, agent in enumerate(state.agents)
         )
-        moved = EnvState(
-            agents=agents,
-            checkin_index=state.checkin_index,
-            checkins_reached=state.checkins_reached,
-            step_count=state.step_count + 1,
-        )
-
         target = self.world.checkin_points[state.checkin_index]
         p2 = agents[PATROLMAN_II].position
-        target_dist = math.hypot(p2[0] - target[0], p2[1] - target[1])
-        at_target = target_dist <= self.d_c
-
-        rewards = np.zeros(N_AGENTS)
-        for i in range(N_AGENTS):
-            for d in self.entity_distances(moved, i):
-                if d <= self.params.d_s:
-                    rewards[i] += REWARD_COLLISION
-                elif i == PATROLMAN_II and at_target:
-                    rewards[i] += REWARD_CHECKIN
-                else:
-                    rewards[i] += REWARD_CLEAR
+        at_target = math.hypot(p2[0] - target[0], p2[1] - target[1]) <= self.d_c
 
         checkin_index = state.checkin_index
         checkins_reached = state.checkins_reached
         if at_target:
             checkin_index = (checkin_index + 1) % len(self.world.checkin_points)
             checkins_reached += 1
-
         new_state = EnvState(
             agents=agents,
             checkin_index=checkin_index,
             checkins_reached=checkins_reached,
-            step_count=moved.step_count,
+            step_count=state.step_count + 1,
         )
+
+        rewards = np.zeros(N_AGENTS)
+        min_clearance = []
+        for i in range(N_AGENTS):
+            dists = self.entity_distances(new_state, i)
+            for d in dists:
+                if d <= self.params.d_s:
+                    rewards[i] += REWARD_COLLISION
+                elif i == PATROLMAN_II and at_target:
+                    rewards[i] += REWARD_CHECKIN
+                else:
+                    rewards[i] += REWARD_CLEAR
+            min_clearance.append(min(dists, default=math.inf))
+        # filled in before the state leaves step, so it reads as immutable
+        object.__setattr__(new_state, "min_clearance", tuple(min_clearance))
+
         done = (
             new_state.step_count >= self.episode_len
             or checkins_reached >= len(self.world.checkin_points)
@@ -218,33 +207,48 @@ class PatrolEnv:
         return new_state, self.observe(new_state), rewards, done
 
 
-def collision_audit(trajectory, d_s: float = 0.075) -> EpisodeMetrics:
-    """Aggregate one episode's rows into its metrics.
+class EpisodeLedger:
+    """One episode's metrics, fed once per step; no steps give zero counts.
 
-    A collision step is any step whose minimum entity separation is at or
-    below d_s; an empty trajectory yields zeroed counts.
+    A collision step has some clearance at or below d_s. Any filter status
+    but passthrough is an intervention, a relaxed one also a slack event;
+    unshielded steps pass no reports.
     """
-    rows = list(trajectory)
-    totals = {PATROLMAN_I: 0.0, PATROLMAN_II: 0.0}
-    collision_steps = set()
-    min_dist = math.inf
-    checkins = 0
-    corrections = 0
-    for row in rows:
-        totals[row.agent_id] = totals.get(row.agent_id, 0.0) + row.reward
-        if row.min_entity_distance <= d_s:
-            collision_steps.add(row.step)
-        min_dist = min(min_dist, row.min_entity_distance)
-        checkins = max(checkins, row.checkins_reached)
-        if row.shield_status in ("corrected", "relaxed", "fallback"):
-            corrections += 1
-    return EpisodeMetrics(
-        total_reward=(totals[PATROLMAN_I], totals[PATROLMAN_II]),
-        collision_count=len(collision_steps),
-        min_pairwise_distance=min_dist,
-        checkins_reached=checkins,
-        shield_correction_count=corrections,
-    )
+
+    def __init__(self, d_s: float):
+        self.d_s = d_s
+        self.totals = np.zeros(N_AGENTS)
+        self.collision_steps = 0
+        self.min_dist = math.inf
+        self.checkins = 0
+        self.corrections = 0
+        self.slack_events = 0
+
+    def record(self, state: EnvState, rewards, reports=None) -> None:
+        """Add one step: the state PatrolEnv.step returned, its rewards, the filter reports."""
+        self.totals += rewards
+        step_min = min(state.min_clearance)
+        self.min_dist = min(self.min_dist, step_min)
+        if step_min <= self.d_s:
+            self.collision_steps += 1
+        self.checkins = max(self.checkins, state.checkins_reached)
+        for rep in reports or ():
+            if rep.status != STATUS_PASSTHROUGH:
+                self.corrections += 1
+            if rep.status == STATUS_RELAXED:
+                self.slack_events += 1
+
+    def metrics(self) -> dict:
+        return {
+            "reward_I": float(self.totals[PATROLMAN_I]),
+            "reward_II": float(self.totals[PATROLMAN_II]),
+            "collisions_step": self.collision_steps,
+            "collisions_episode": int(self.collision_steps > 0),
+            "min_dist": self.min_dist,
+            "checkins": self.checkins,
+            "corrections": self.corrections,
+            "slack_events": self.slack_events,
+        }
 
 
 def default_world() -> WorldConfig:

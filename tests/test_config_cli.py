@@ -115,6 +115,22 @@ class TestTrainCommand:
         missing = tmp_path / "nope.json"
         assert cli.main(["train", "--config", str(missing)]) == 1
 
+    @pytest.mark.parametrize(
+        "extra_config, argv",
+        [
+            ({}, ["--seed", "-5"]),
+            ({"trainer": dict(TINY_TRAINER, seed=-3)}, []),
+            ({"runs": 2, "seeds": [4, -1]}, []),
+            ({}, ["--episodes", "-1"]),
+        ],
+        ids=["cli_seed", "json_trainer_seed", "json_seed_list", "cli_episodes"],
+    )
+    def test_bad_override_is_config_error(self, tmp_path, capsys, extra_config, argv):
+        cfg = tiny_config_file(tmp_path, **extra_config)
+        assert cli.main(["train", "--config", str(cfg), *argv]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "out").exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tiny_config_file(tmp_path)
         cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "a")])
@@ -170,6 +186,14 @@ class TestEvalCommand:
         assert rc == 0
         lines = (out / "trajectory_ep000.csv").read_text().splitlines()
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("argv", [["--episodes", "-1"], ["--seed", "-1"]], ids=["episodes", "seed"])
+    def test_negative_argument_is_config_error(self, trained, tmp_path, capsys, argv):
+        _, cfg, ckpt = trained
+        out = tmp_path / "eval_bad"
+        assert cli.main(["eval", "--checkpoint", str(ckpt), "--out", str(out), *argv]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
 
     def test_eval_deterministic_bytes(self, trained, tmp_path):
         _, cfg, ckpt = trained

@@ -15,8 +15,9 @@ from marlshield.maddpg import (
     joint_input,
     td_target,
 )
+from marlshield.dynamics import AgentState
 from marlshield.nets import Adam, Mlp
-from marlshield.patrol import PatrolEnv, default_world
+from marlshield.patrol import EnvState, PatrolEnv, default_world
 
 import learner_oracle
 
@@ -270,6 +271,50 @@ class TestTrainerLoop:
         for r in rows:
             assert r.shield_status == "off"
             assert np.array_equal(r.u_nominal, r.u_safe)
+
+    @pytest.mark.parametrize("shield", [True, False], ids=["shielded", "unshielded"])
+    def test_recording_matches_unrecorded_metrics(self, shield):
+        plain, _ = make_trainer(shield=shield).run_episode(reset_seed=3, sigma=0.2, learn=False)
+        trainer = make_trainer(shield=shield)
+        metrics, rows = trainer.run_episode(reset_seed=3, sigma=0.2, learn=False, record=True)
+        assert metrics == plain
+        env = trainer.env
+        by_step = {}
+        for r in rows:
+            by_step.setdefault(r.step, []).append(r)
+        for pair in by_step.values():
+            state = EnvState(agents=tuple(AgentState(r.position, r.velocity) for r in pair))
+            for r in pair:
+                assert r.min_entity_distance == env.min_entity_distance(state, r.agent_id)
+        assert metrics["min_dist"] == min(r.min_entity_distance for r in rows)
+        assert metrics["reward_I"] + metrics["reward_II"] == sum(r.reward for r in rows)
+
+    @pytest.mark.parametrize("record", [False, True], ids=["plain", "recorded"])
+    @pytest.mark.parametrize("shield", [True, False], ids=["shielded", "unshielded"])
+    def test_one_clearance_scan_per_agent_step(self, monkeypatch, shield, record):
+        scan, step = PatrolEnv.entity_distances, PatrolEnv.step
+        counts = {"steps": 0, "in_step": 0, "elsewhere": 0}
+        inside = []
+
+        def counted_scan(env, state, agent_idx):
+            counts["in_step" if inside else "elsewhere"] += 1
+            return scan(env, state, agent_idx)
+
+        def counted_step(env, state, actions):
+            counts["steps"] += 1
+            inside.append(True)
+            try:
+                return step(env, state, actions)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(PatrolEnv, "entity_distances", counted_scan)
+        monkeypatch.setattr(PatrolEnv, "step", counted_step)
+        trainer = make_trainer(shield=shield)
+        trainer.run_episode(reset_seed=3, sigma=0.2, learn=False, record=record)
+        n = trainer.env.n_agents
+        assert counts["steps"] > 0
+        assert counts == {"steps": counts["steps"], "in_step": n * counts["steps"], "elsewhere": 0}
 
     def test_actions_respect_box(self):
         trainer = make_trainer()

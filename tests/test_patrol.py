@@ -10,12 +10,11 @@ from marlshield.patrol import (
     PATROLMAN_II,
     CrowdedWorldError,
     EnvState,
+    EpisodeLedger,
     PatrolEnv,
-    TrajectoryRow,
-    collision_audit,
     default_world,
 )
-from marlshield.shield import neighborhood
+from marlshield.shield import ShieldReport, neighborhood
 
 PARAMS = ShieldParams()
 
@@ -114,6 +113,9 @@ class TestRewards:
             state, _ = env.reset(int(rng.integers(1 << 31)))
             new_state, _, rewards, _ = env.step(state, np.zeros((2, 2)))
             target = env.world.checkin_points[state.checkin_index]
+            assert new_state.min_clearance == tuple(
+                env.min_entity_distance(new_state, i) for i in range(2)
+            )
             for i in range(2):
                 expected = 0.0
                 at_target = (
@@ -199,47 +201,53 @@ class TestStepValidation:
             env.step(state, np.array([[np.nan, 0.0], [0.0, 0.0]]))
 
 
-def row(step, agent, reward=0.0, min_dist=1.0, status="passthrough", checkins=0):
-    return TrajectoryRow(
-        step=step,
-        agent_id=agent,
-        position=np.zeros(2),
-        velocity=np.zeros(2),
-        u_nominal=np.zeros(2),
-        u_safe=np.zeros(2),
-        reward=reward,
-        min_entity_distance=min_dist,
-        shield_status=status,
-        checkins_reached=checkins,
-    )
+def ledger_step(clearance=(1.0, 1.0), rewards=(0.0, 0.0), statuses=None, checkins=0):
+    """One recorded step: the stepped state's clearances, its rewards, the filter reports."""
+    state = EnvState(agents=(), checkins_reached=checkins, min_clearance=clearance)
+    reports = None
+    if statuses is not None:
+        reports = [ShieldReport(i, None, None, status=s) for i, s in enumerate(statuses)]
+    return state, np.array(rewards), reports
 
 
-class TestCollisionAudit:
-    def test_empty_trajectory_zero_metrics(self):
-        m = collision_audit([])
-        assert m.collision_count == 0
-        assert m.total_reward == (0.0, 0.0)
-        assert m.checkins_reached == 0
-        assert m.shield_correction_count == 0
+LEDGER_CASES = {
+    "empty_episode": (
+        [],
+        dict(reward_I=0.0, reward_II=0.0, collisions_step=0, collisions_episode=0,
+             min_dist=math.inf, checkins=0, corrections=0, slack_events=0),
+    ),
+    "threshold_is_inclusive": (
+        [ledger_step((1.0, 0.075))],
+        dict(collisions_step=1, collisions_episode=1, min_dist=0.075),
+    ),
+    "just_above_threshold": (
+        [ledger_step((0.0751, 1.0))],
+        dict(collisions_step=0, collisions_episode=0, min_dist=0.0751),
+    ),
+    "both_agents_graze_once": (
+        [ledger_step((0.074, 0.074)), ledger_step()],
+        dict(collisions_step=1, collisions_episode=1, min_dist=0.074),
+    ),
+    "totals_interventions_checkins": (
+        [
+            ledger_step(rewards=(50.0, 100.0), statuses=("passthrough", "corrected")),
+            ledger_step(rewards=(-50.0, 50.0), statuses=("fallback", "relaxed"), checkins=2),
+            ledger_step(statuses=("passthrough", "passthrough"), checkins=1),
+        ],
+        dict(reward_I=0.0, reward_II=150.0, corrections=3, slack_events=1, checkins=2),
+    ),
+    "unshielded_steps_never_intervene": (
+        [ledger_step(rewards=(50.0, 50.0)), ledger_step(checkins=1)],
+        dict(reward_I=50.0, reward_II=50.0, corrections=0, slack_events=0, checkins=1),
+    ),
+}
 
-    def test_grazing_step_counts_once(self):
-        rows = [row(0, 0, min_dist=0.074), row(0, 1, min_dist=0.074), row(1, 0), row(1, 1)]
-        m = collision_audit(rows, d_s=0.075)
-        assert m.collision_count == 1
-        assert m.min_pairwise_distance == pytest.approx(0.074)
 
-    def test_threshold_is_inclusive(self):
-        assert collision_audit([row(0, 0, min_dist=0.075)], d_s=0.075).collision_count == 1
-        assert collision_audit([row(0, 0, min_dist=0.0751)], d_s=0.075).collision_count == 0
-
-    def test_totals_and_corrections(self):
-        rows = [
-            row(0, 0, reward=50.0),
-            row(0, 1, reward=100.0, status="corrected"),
-            row(1, 0, reward=-50.0, status="fallback"),
-            row(1, 1, reward=50.0, checkins=2),
-        ]
-        m = collision_audit(rows)
-        assert m.total_reward == (0.0, 150.0)
-        assert m.shield_correction_count == 2
-        assert m.checkins_reached == 2
+class TestEpisodeLedger:
+    @pytest.mark.parametrize("steps, expected", LEDGER_CASES.values(), ids=LEDGER_CASES.keys())
+    def test_metrics(self, steps, expected):
+        ledger = EpisodeLedger(d_s=0.075)
+        for state, rewards, reports in steps:
+            ledger.record(state, rewards, reports)
+        metrics = ledger.metrics()
+        assert {k: metrics[k] for k in expected} == expected
