@@ -209,10 +209,8 @@ def cooperative_constraint(
     shield enforces the mirrored half, and the sum implies the joint
     condition on the relative acceleration.
     """
-    dpx = float(self_state.position[0]) - float(other_state.position[0])
-    dpy = float(self_state.position[1]) - float(other_state.position[1])
-    dvx = float(self_state.velocity[0]) - float(other_state.velocity[0])
-    dvy = float(self_state.velocity[1]) - float(other_state.velocity[1])
+    dpx, dpy = self_state.px - other_state.px, self_state.py - other_state.py
+    dvx, dvy = self_state.vx - other_state.vx, self_state.vy - other_state.vy
     dacc = params.a_max_self + params.a_max_other
     full, _ = _row_core(
         dpx, dpy, dvx, dvy, params.gamma_coo, dacc, params.d_s, params.margin
@@ -241,9 +239,8 @@ def noncooperative_constraint(
     are axis-aligned, so one dp component is exactly 0 and the other axis
     carries that component; the row equals the shield's bit for bit.
     """
-    dpx = float(self_state.position[0]) - float(obstacle.position[0])
-    dpy = float(self_state.position[1]) - float(obstacle.position[1])
-    vx, vy = self_state.velocity.tolist()
+    dpx, dpy = self_state.px - obstacle.px, self_state.py - obstacle.py
+    vx, vy = self_state.vx, self_state.vy
     if kind == "wall":
         vx, vy = (vx if dpx else 0.0), (vy if dpy else 0.0)
     full, _ = _row_core(

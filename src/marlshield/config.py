@@ -34,6 +34,9 @@ class RunConfig:
     shield_enabled: bool = True
 
     def __post_init__(self):
+        if type(self.runs) is not int or type(self.shield_enabled) is not bool:
+            raise ConfigError(f"runs must be an integer, shield_enabled a boolean: {self.runs!r}, "
+                              f"{self.shield_enabled!r}")
         if self.runs < 0:
             raise ConfigError("runs must be >= 0")
         seeds = tuple(int(s) for s in self.seeds)
@@ -169,10 +172,10 @@ def run_config_from_dict(data: dict) -> RunConfig:
             world=world,
             shield=shield,
             trainer=trainer,
-            runs=int(data.get("runs", 5)),
+            runs=data.get("runs", 5),
             seeds=tuple(data.get("seeds", ())),
             out_dir=str(data.get("out_dir", "out")),
-            shield_enabled=bool(data.get("shield_enabled", True)),
+            shield_enabled=data.get("shield_enabled", True),
         )
     except ConfigError:
         raise

@@ -21,40 +21,72 @@ DEFAULT_A_MAX = 1.0
 WALL_FACES = ("+x", "-x", "+y", "-y")
 
 
-def _as_vec2(value, name: str) -> np.ndarray:
-    v = np.asarray(value, dtype=float).reshape(2)
+def _as_vec2(value, name: str) -> list[float]:
+    v = np.asarray(value, dtype=float).reshape(2).tolist()
     if not math.isfinite(v[0]) or not math.isfinite(v[1]):
         raise ValueError(f"{name} must be a finite 2-vector, got {value!r}")
     return v
 
 
-@dataclass(frozen=True, eq=False)
+def _read_only(self, name, value):
+    raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+
 class AgentState:
-    """Planar point-mass state: position and velocity in world units."""
+    """Planar point-mass state in world units: a slotted, read-only record of floats.
 
-    position: np.ndarray
-    velocity: np.ndarray
+    Built from two finite 2-vectors (ValueError otherwise) and stored as
+    `px`, `py`, `vx`, `vy`. `position` and `velocity` read as fresh
+    arrays, so writing into them changes no state.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "position", _as_vec2(self.position, "position"))
-        object.__setattr__(self, "velocity", _as_vec2(self.velocity, "velocity"))
+    __slots__ = ("px", "py", "vx", "vy")
+    __setattr__ = _read_only
+    position = property(lambda self: np.array((self.px, self.py)))
+    velocity = property(lambda self: np.array((self.vx, self.vy)))
+    speed = property(lambda self: math.hypot(self.vx, self.vy))
 
-    @property
-    def speed(self) -> float:
-        return float(math.hypot(self.velocity[0], self.velocity[1]))
+    def __new__(cls, position, velocity):
+        return _state_unchecked(*_as_vec2(position, "position"), *_as_vec2(velocity, "velocity"))
+
+    def __reduce__(self):
+        return _state_unchecked, (self.px, self.py, self.vx, self.vy)
+
+    def __repr__(self):
+        return f"AgentState(position={self.position!r}, velocity={self.velocity!r})"
 
 
-@dataclass(frozen=True, eq=False)
+_SET_PX, _SET_PY, _SET_VX, _SET_VY = (getattr(AgentState, n).__set__ for n in AgentState.__slots__)
+
+
+def _state_unchecked(px, py, vx, vy) -> AgentState:
+    # an AgentState of four floats, without the constructor's checks
+    s = object.__new__(AgentState)
+    _SET_PX(s, px)
+    _SET_PY(s, py)
+    _SET_VX(s, vx)
+    _SET_VY(s, vy)
+    return s
+
+
 class ObstacleSpec:
-    """Static disc entity; radius 0 means a point with the safe-distance halo."""
+    """Static disc entity, a read-only record like AgentState: floats `px`, `py`, `radius` (0: a point)."""
 
-    position: np.ndarray
-    radius: float = 0.0
+    __slots__ = ("px", "py", "radius")
+    __setattr__ = _read_only
+    position = property(lambda self: np.array((self.px, self.py)))
 
-    def __post_init__(self):
-        object.__setattr__(self, "position", _as_vec2(self.position, "position"))
-        if not (math.isfinite(self.radius) and self.radius >= 0.0):
-            raise ValueError(f"obstacle radius must be >= 0, got {self.radius!r}")
+    def __init__(self, position, radius: float = 0.0):
+        for name, value in zip(self.__slots__, (*_as_vec2(position, "position"), radius)):
+            object.__setattr__(self, name, value)
+        if not (math.isfinite(radius) and radius >= 0.0):
+            raise ValueError(f"obstacle radius must be >= 0, got {radius!r}")
+
+    def __reduce__(self):
+        return ObstacleSpec, ((self.px, self.py), self.radius)
+
+    def __repr__(self):
+        return f"ObstacleSpec(position={self.position!r}, radius={self.radius!r})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +111,7 @@ class WorldConfig:
             raise ValueError("v_max must be > 0")
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         object.__setattr__(
-            self, "checkin_points", tuple(_as_vec2(c, "checkin point") for c in self.checkin_points)
+            self, "checkin_points", tuple(np.array(_as_vec2(c, "checkin point")) for c in self.checkin_points)
         )
         e = self.wall_half_extent
         for obs in self.obstacles:
@@ -93,14 +125,6 @@ class WorldConfig:
                     raise ValueError(f"check-in point {c} lies inside obstacle at {obs.position}")
 
 
-def _state_unchecked(px, py, vx, vy) -> AgentState:
-    # bypasses __post_init__ for values already validated by the caller
-    s = AgentState.__new__(AgentState)
-    object.__setattr__(s, "position", np.array((px, py)))
-    object.__setattr__(s, "velocity", np.array((vx, vy)))
-    return s
-
-
 def step_agent(state: AgentState, accel, dt: float, v_max: float = DEFAULT_V_MAX) -> AgentState:
     """Advance one agent by dt seconds under constant acceleration.
 
@@ -112,11 +136,9 @@ def step_agent(state: AgentState, accel, dt: float, v_max: float = DEFAULT_V_MAX
         raise ValueError(f"accel must be a finite 2-vector, got {accel!r}")
     if not (isinstance(dt, (int, float)) and math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be a positive finite number, got {dt!r}")
-    vx = min(max(float(state.velocity[0]) + ax * dt, -v_max), v_max)
-    vy = min(max(float(state.velocity[1]) + ay * dt, -v_max), v_max)
-    px = float(state.position[0]) + vx * dt
-    py = float(state.position[1]) + vy * dt
-    return _state_unchecked(px, py, vx, vy)
+    vx = min(max(state.vx + ax * dt, -v_max), v_max)
+    vy = min(max(state.vy + ay * dt, -v_max), v_max)
+    return _state_unchecked(state.px + vx * dt, state.py + vy * dt, vx, vy)
 
 
 def _position_of(entity) -> np.ndarray:

@@ -66,6 +66,8 @@ class TrainerConfig:
             raise ValueError("discount must lie in (0, 1)")
         if not 0.0 < self.soft_update_coef <= 1.0:
             raise ValueError("soft_update_coef must lie in (0, 1]")
+        if self.batch_size < 1 or self.buffer_capacity < 1:
+            raise ValueError("batch_size and buffer_capacity must be >= 1")
         if self.batch_size > self.buffer_capacity:
             raise ValueError("batch_size cannot exceed buffer_capacity")
         if self.episodes < 0 or self.episode_len < 0:
@@ -272,7 +274,7 @@ class MaddpgTrainer:
             else:
                 actions, reports = nominal, None
             next_state, next_obs, rewards, done = env.step(state, actions)
-            self.buffer.add(np.stack(obs), actions, rewards, np.stack(next_obs), done)
+            self.buffer.add(obs, actions, rewards, next_obs, done)
             ledger.record(next_state, rewards, reports)
             if rows is not None:
                 for i in range(env.n_agents):

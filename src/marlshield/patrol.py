@@ -91,7 +91,7 @@ class PatrolEnv:
         # self pos + self vel + other rel + obstacles rel + target rel
         return 8 + 2 * len(self.world.obstacles)
 
-    def reset(self, seed) -> tuple[EnvState, list[np.ndarray]]:
+    def reset(self, seed) -> tuple[EnvState, np.ndarray]:
         """Spawn both agents at rest, uniformly in the wall, clear of everything.
 
         Placements keep every agent/agent, agent/obstacle, and agent/wall
@@ -113,7 +113,7 @@ class PatrolEnv:
             if e - abs(pos[0]) <= clearance or e - abs(pos[1]) <= clearance:
                 continue
             if any(
-                math.hypot(pos[0] - o.position[0], pos[1] - o.position[1]) - o.radius <= clearance
+                math.hypot(pos[0] - o.px, pos[1] - o.py) - o.radius <= clearance
                 for o in self.world.obstacles
             ):
                 continue
@@ -124,31 +124,33 @@ class PatrolEnv:
         state = EnvState(agents=agents)
         return state, self.observe(state)
 
-    def observe(self, state: EnvState) -> list[np.ndarray]:
-        obs = []
-        target = self.world.checkin_points[state.checkin_index]
+    def observe(self, state: EnvState) -> np.ndarray:
+        """Observations as one (n_agents, obs_dim) float array: own position and velocity,
+        then the offsets of the peer, each obstacle and the target (zeros for patrolman I).
+        """
+        tx, ty = self.world.checkin_points[state.checkin_index].tolist()
+        rows = []
         for i, agent in enumerate(state.agents):
+            x, y = agent.px, agent.py
             other = state.agents[1 - i]
-            parts = [agent.position, agent.velocity, other.position - agent.position]
-            parts += [o.position - agent.position for o in self.world.obstacles]
-            if i == PATROLMAN_II:
-                parts.append(target - agent.position)
-            else:
-                parts.append(np.zeros(2))
-            obs.append(np.concatenate(parts))
-        return obs
+            row = [x, y, agent.vx, agent.vy, other.px - x, other.py - y]
+            for o in self.world.obstacles:
+                row += (o.px - x, o.py - y)
+            row += (tx - x, ty - y) if i == PATROLMAN_II else (0.0, 0.0)
+            rows.append(row)
+        return np.array(rows)
 
     def entity_distances(self, state: EnvState, agent_idx: int) -> list[float]:
         """Clearances to every entity within sensing range (same range the shield uses)."""
         agent = state.agents[agent_idx]
-        px, py = float(agent.position[0]), float(agent.position[1])
+        px, py = agent.px, agent.py
         out = []
         other = state.agents[1 - agent_idx]
-        d = math.hypot(px - other.position[0], py - other.position[1])
+        d = math.hypot(px - other.px, py - other.py)
         if d <= self.params.r_sense:
             out.append(d)
         for o in self.world.obstacles:
-            d = math.hypot(px - o.position[0], py - o.position[1])
+            d = math.hypot(px - o.px, py - o.py)
             if d <= self.params.r_sense:
                 out.append(d - o.radius)
         return out
@@ -156,22 +158,25 @@ class PatrolEnv:
     def min_entity_distance(self, state: EnvState, agent_idx: int) -> float:
         return min(self.entity_distances(state, agent_idx), default=math.inf)
 
-    def step(self, state: EnvState, actions) -> tuple[EnvState, list[np.ndarray], np.ndarray, bool]:
-        """Integrate both agents, score rewards, advance the check-in circuit."""
-        acts = np.asarray(actions, dtype=float).reshape(N_AGENTS, 2)
-        if not np.all(np.isfinite(acts)):
+    def step(self, state: EnvState, actions) -> tuple[EnvState, np.ndarray, np.ndarray, bool]:
+        """Integrate both agents, score rewards, advance the check-in circuit.
+
+        Actions: (n_agents, 2), finite, within +-a_max. Returns (state, `observe` rows, rewards, done).
+        """
+        rows = np.asarray(actions, dtype=float).reshape(N_AGENTS, 2).tolist()
+        if not all(map(math.isfinite, rows[0] + rows[1])):
             raise ValueError("actions must be finite")
-        if np.max(np.abs(acts)) > self.world.a_max + 1e-9:
+        if max(map(abs, rows[0] + rows[1])) > self.world.a_max + 1e-9:
             raise ValueError(
-                f"action components must lie within +-{self.world.a_max}, got {acts!r}"
+                f"action components must lie within +-{self.world.a_max}, got {rows!r}"
             )
         agents = tuple(
-            step_agent(agent, acts[i], self.world.dt, self.world.v_max)
+            step_agent(agent, rows[i], self.world.dt, self.world.v_max)
             for i, agent in enumerate(state.agents)
         )
-        target = self.world.checkin_points[state.checkin_index]
-        p2 = agents[PATROLMAN_II].position
-        at_target = math.hypot(p2[0] - target[0], p2[1] - target[1]) <= self.d_c
+        tx, ty = self.world.checkin_points[state.checkin_index].tolist()
+        p2 = agents[PATROLMAN_II]
+        at_target = math.hypot(p2.px - tx, p2.py - ty) <= self.d_c
 
         checkin_index = state.checkin_index
         checkins_reached = state.checkins_reached

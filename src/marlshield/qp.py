@@ -170,8 +170,25 @@ def _solve_projection(problem: QpProblem):
                 and (a1x * gy - a1y * gx) / det >= -1e-10
                 and _feasible(rows, zx, zy)
             ):
-                return (zx, zy), (i, j), tried
+                return (zx, zy), _best_pair(rows, zx, zy, gx, gy, (i, j)), tried
     return None
+
+
+def _best_pair(rows, zx, zy, gx, gy, found):
+    """The best-conditioned pair of rows tight at vertex z whose multipliers for g are >= 0.
+
+    Where 3+ rows meet at z, the scan's first pair can be nearly parallel, and
+    its large multipliers would spoil the certificate of a correct vertex.
+    """
+    tight = [k for k, (ax, ay, b) in enumerate(rows) if abs(ax * zx + ay * zy - b) <= _FEAS_TOL]
+    best, best_sin = found, 0.0
+    for i, j in itertools.combinations(tight, 2) if len(tight) > 2 else ():
+        (a1x, a1y, _), (a2x, a2y, _) = rows[i], rows[j]
+        det = a1x * a2y - a1y * a2x
+        sin = abs(det) / (math.hypot(a1x, a1y) * math.hypot(a2x, a2y))
+        if sin > best_sin and min((gx * a2y - gy * a2x) / det, (a1x * gy - a1y * gx) / det) >= -1e-10:
+            best, best_sin = (i, j), sin
+    return best
 
 
 @functools.cache

@@ -70,15 +70,13 @@ def neighborhood(self_id, all_agents, obstacles, world: WorldConfig, r_sense: fl
         raise ValueError(f"agent {self_id!r} not present in all_agents")
     if len(peers) > 1:
         peers.sort(key=lambda item: item[0])
-    here = self_state.position.tolist()
-    neighbors = [(aid, st) for aid, st in peers if math.dist(here, st.position.tolist()) <= r_sense]
-    obstacles_in_range = [
-        obs for obs in obstacles if math.dist(here, obs.position.tolist()) <= r_sense
-    ]
+    x, y = self_state.px, self_state.py
+    neighbors = [(aid, st) for aid, st in peers if math.hypot(x - st.px, y - st.py) <= r_sense]
+    obstacles_in_range = [obs for obs in obstacles if math.hypot(x - obs.px, y - obs.py) <= r_sense]
     e = world.wall_half_extent  # no face is nearer than e - max(|x|, |y|)
     wall_faces = []
-    if not (e - abs(here[0]) > r_sense and e - abs(here[1]) > r_sense):
-        wall_faces = [f for f in face_clearances(here, e) if f[2] <= r_sense]
+    if not (e - abs(x) > r_sense and e - abs(y) > r_sense):
+        wall_faces = [f for f in face_clearances((x, y), e) if f[2] <= r_sense]
     return neighbors, obstacles_in_range, wall_faces
 
 
@@ -116,24 +114,20 @@ def filter_action(
         agent_id, agents, obstacles, world, params.r_sense
     )
 
-    sx, sy = self_state.position.tolist()
-    vx, vy = self_state.velocity.tolist()
+    sx, sy, vx, vy = self_state.px, self_state.py, self_state.vx, self_state.vy
     gamma_non, a_self, d_s, margin = params.gamma_non, params.a_max_self, params.d_s, params.margin
     dacc_pair = a_self + params.a_max_other
 
     # (dpx, dpy, bound or None, h, kind, counterpart id) per in-range entity
     found = []
     for aid, other in near_agents:
-        ox, oy = other.position.tolist()
-        ovx, ovy = other.velocity.tolist()
-        dpx, dpy = sx - ox, sy - oy
-        full, h = _row_core(dpx, dpy, vx - ovx, vy - ovy, params.gamma_coo, dacc_pair, d_s, margin)
+        dpx, dpy = sx - other.px, sy - other.py
+        full, h = _row_core(dpx, dpy, vx - other.vx, vy - other.vy, params.gamma_coo, dacc_pair, d_s, margin)
         if full is not None:
             full *= 0.5  # half the pairwise bound: the peer enforces the mirror half
         found.append((dpx, dpy, full, h, "cooperative", aid))
     for idx, obs in enumerate(near_obstacles):
-        ox, oy = obs.position.tolist()
-        dpx, dpy = sx - ox, sy - oy
+        dpx, dpy = sx - obs.px, sy - obs.py
         full, h = _row_core(dpx, dpy, vx, vy, gamma_non, a_self, d_s + obs.radius, margin)
         found.append((dpx, dpy, full, h, "non-cooperative", ("obstacle", idx)))
     for face, (px, py), _ in wall_faces:

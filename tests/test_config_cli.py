@@ -122,8 +122,18 @@ class TestTrainCommand:
             ({"trainer": dict(TINY_TRAINER, seed=-3)}, []),
             ({"runs": 2, "seeds": [4, -1]}, []),
             ({}, ["--episodes", "-1"]),
+            ({"shield_enabled": "false"}, []),
+            ({"runs": 1.7}, []),
+            ({"runs": True}, []),
+            ({"trainer": dict(TINY_TRAINER, batch_size=0)}, []),
+            ({"trainer": dict(TINY_TRAINER, batch_size=-3, warmup_transitions=1000)}, []),
+            ({"trainer": dict(TINY_TRAINER, batch_size=0, buffer_capacity=0)}, []),
         ],
-        ids=["cli_seed", "json_trainer_seed", "json_seed_list", "cli_episodes"],
+        ids=[
+            "cli_seed", "json_trainer_seed", "json_seed_list", "cli_episodes",
+            "json_shield_enabled_string", "json_runs_float", "json_runs_bool",
+            "json_batch_size_zero", "json_batch_size_negative_no_update", "json_buffer_capacity_zero",
+        ],
     )
     def test_bad_override_is_config_error(self, tmp_path, capsys, extra_config, argv):
         cfg = tiny_config_file(tmp_path, **extra_config)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -166,3 +168,63 @@ class TestWorldConfig:
                 obstacles=(ObstacleSpec([0.0, 0.0], radius=0.2),),
                 checkin_points=([0.1, 0.0],),
             )
+
+
+class TestFloatRecords:
+    def test_agent_state_is_read_only(self):
+        s = AgentState([0.1, -0.2], [0.3, 0.4])
+        for name in ("px", "py", "vx", "vy", "position", "velocity", "other"):
+            with pytest.raises(AttributeError):
+                setattr(s, name, 1.0)
+        s.position[:] = (9.0, 9.0)
+        s.velocity[0] = 9.0
+        assert (s.px, s.py, s.vx, s.vy) == (0.1, -0.2, 0.3, 0.4)
+        assert s.position.tobytes() == np.array([0.1, -0.2]).tobytes()
+        assert s.position is not s.position
+
+    def test_obstacle_is_read_only(self):
+        source = np.array([0.3, 0.25])
+        o = ObstacleSpec(source, radius=0.1)
+        source[0] = 9.0
+        for name in ("px", "py", "radius", "position"):
+            with pytest.raises(AttributeError):
+                setattr(o, name, 1.0)
+        o.position[:] = (9.0, 9.0)
+        assert (o.px, o.py, o.radius) == (0.3, 0.25, 0.1)
+        assert o.position.tobytes() == np.array([0.3, 0.25]).tobytes()
+
+    def test_fields_are_floats_as_the_arrays_were(self):
+        s = AgentState([1, 2], np.array([3, 4], dtype=np.int64))
+        assert all(type(v) is float for v in (s.px, s.py, s.vx, s.vy))
+        assert s.position.dtype == s.velocity.dtype == np.float64
+        assert s.speed == 5.0
+        assert repr(s) == "AgentState(position=array([1., 2.]), velocity=array([3., 4.]))"
+        assert type(ObstacleSpec((1, 0)).px) is float
+
+    def test_records_survive_pickle_and_copies(self):
+        world = WorldConfig(obstacles=(ObstacleSpec([0.3, 0.25], radius=0.1),))
+        state = AgentState([0.1, -0.2], [0.3, 0.4])
+        for copied in (pickle.loads(pickle.dumps((state, world))), copy.deepcopy((state, world))):
+            s, w = copied
+            assert (s.px, s.py, s.vx, s.vy) == (0.1, -0.2, 0.3, 0.4)
+            (o,) = w.obstacles
+            assert (o.px, o.py, o.radius) == (0.3, 0.25, 0.1)
+            with pytest.raises(AttributeError):
+                s.px = 1.0
+        assert copy.copy(state).vy == 0.4
+
+    @pytest.mark.parametrize(
+        "bad", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, 0.0], [0.0], [0.0, 1.0, 2.0], [[0.0, 1.0]] * 2]
+    )
+    def test_constructors_still_reject_bad_vectors(self, bad):
+        with pytest.raises(ValueError):
+            AgentState(bad, [0.0, 0.0])
+        with pytest.raises(ValueError):
+            AgentState([0.0, 0.0], bad)
+        with pytest.raises(ValueError):
+            ObstacleSpec(bad)
+
+    @pytest.mark.parametrize("radius", [-0.1, np.nan, np.inf])
+    def test_obstacle_rejects_bad_radius(self, radius):
+        with pytest.raises(ValueError):
+            ObstacleSpec([0.0, 0.0], radius)

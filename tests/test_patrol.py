@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,9 @@ from marlshield.patrol import (
     PatrolEnv,
     default_world,
 )
-from marlshield.shield import ShieldReport, neighborhood
+from marlshield.shield import ShieldReport, filter_action, neighborhood
+
+import env_oracle
 
 PARAMS = ShieldParams()
 
@@ -251,3 +254,69 @@ class TestEpisodeLedger:
             ledger.record(state, rewards, reports)
         metrics = ledger.metrics()
         assert {k: metrics[k] for k in expected} == expected
+
+
+def oracle_replay(shielded, world, seeds):
+    """Step the package env and the array reference side by side from each reset.
+
+    Patrolman I holds a random corner action for 5-14 steps (so speeds clamp
+    at v_max), patrolman II steers for its current check-in point. Yields
+    (package step, reference step) per step; the reference runs on its own
+    states, so a difference compounds instead of resetting.
+    """
+    env = PatrolEnv(world, PARAMS)
+    rng = np.random.default_rng(5)
+    for seed in seeds:
+        state, obs = env.reset(seed)
+        ref = env_oracle.from_package(state)
+        assert obs.tobytes() == np.stack(env_oracle.observe(env, ref)).tobytes()
+        hold, corner = 0, None
+        done = False
+        while not done:
+            if hold == 0:
+                hold, corner = int(rng.integers(5, 15)), rng.choice([-1.0, 1.0], 2)
+            hold -= 1
+            target = env.world.checkin_points[state.checkin_index]
+            steer = 4.0 * (target - state.agents[1].position) - 3.0 * state.agents[1].velocity
+            nominal = np.clip(np.stack([corner, steer]), -1.0, 1.0)
+            actions = nominal
+            if shielded:
+                actions = np.stack([
+                    filter_action(i, nominal[i], state.agents[i], list(enumerate(state.agents)),
+                                  env.world.obstacles, env.world, env.params)[0]
+                    for i in range(2)
+                ])
+            out = env.step(state, actions)
+            ref_out = env_oracle.step(env, ref, actions)
+            yield out, ref_out
+            state, ref, done = out[0], ref_out[0], out[3]
+
+
+class TestEnvOracle:
+    @pytest.mark.parametrize("shielded", [False, True], ids=["unshielded", "shielded"])
+    def test_float_step_matches_array_reference(self, shielded):
+        # the stock arena, and one with room to reach top speed under the shield
+        stock = default_world()
+        wide = WorldConfig(
+            wall_half_extent=4.0, obstacles=stock.obstacles, checkin_points=stock.checkin_points
+        )
+        replays = [oracle_replay(shielded, world, range(12)) for world in (stock, wide)]
+        steps = clamps = advances = 0
+        for out, ref_out in itertools.chain(*replays):
+            (state, obs, rewards, done), (ref, ref_obs, ref_rewards, ref_min, ref_done) = out, ref_out
+            for a, b in zip(state.agents, ref.agents):
+                assert a.position.tobytes() == b.position.tobytes()
+                assert a.velocity.tobytes() == b.velocity.tobytes()
+                clamps += sum(abs(v) == stock.v_max for v in (a.vx, a.vy))
+            assert (state.checkin_index, state.checkins_reached, state.step_count) == (
+                ref.checkin_index, ref.checkins_reached, ref.step_count
+            )
+            assert obs.dtype == np.float64 and obs.shape == (2, len(ref_obs[0]))
+            assert obs.tobytes() == np.stack(ref_obs).tobytes()
+            assert rewards.dtype == np.float64 and rewards.tobytes() == ref_rewards.tobytes()
+            assert state.min_clearance == ref_min
+            assert done == ref_done
+            steps += 1
+            if done:
+                advances += state.checkins_reached
+        assert steps >= 2000 and clamps >= 500 and advances >= 10, (steps, clamps, advances)

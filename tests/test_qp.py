@@ -13,7 +13,7 @@ from marlshield.qp import (
     solve,
 )
 
-from qp_oracle import full_pair_scan, grid_project, grid_relaxed
+from qp_oracle import full_pair_scan, grid_project, grid_relaxed, reported_pair
 
 
 def row(nx, ny, b):
@@ -330,6 +330,42 @@ class TestStructuredProblems:
             assert sol.status == STATUS_RELAXED
             assert sol.slack > 0.0
             assert_matches_oracles(p, sol)
+
+
+def common_vertex_problems(seed, count=20_000):
+    """3-4 random rows through one common vertex, the nominal uniform in [-1.5, 1.5]^2."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        v = rng.uniform(-0.9, 0.9, 2)
+        rows = []
+        for _ in range(int(rng.integers(3, 5))):
+            n = rng.normal(size=2)
+            rows.append(row(n[0], n[1], float(n @ v)))
+        yield QpProblem(nominal=rng.uniform(-1.5, 1.5, 2), constraints=tuple(rows), box=1.0)
+
+
+def sin_between(problem, pair):
+    (a1x, a1y, _), (a2x, a2y, _) = (problem.rows[k] for k in pair)
+    return abs(a1x * a2y - a1y * a2x) / (math.hypot(a1x, a1y) * math.hypot(a2x, a2y))
+
+
+class TestCommonVertexCertificates:
+    def test_vertex_certified_from_best_conditioned_pair(self):
+        # Where 3+ rows meet at the projection, the first qualifying pair of
+        # the scan can be nearly parallel; a correct vertex must then still
+        # certify at 1e-9 through a well-conditioned tight pair. Left over:
+        # vertices where every certifying pair is nearly parallel.
+        failures = []
+        for seed in (0, 1):
+            for k, p in enumerate(common_vertex_problems(seed)):
+                sol = solve(p)
+                if sol.kkt_residual <= 1e-9:
+                    continue
+                (zx, zy), (hx, hy) = sol.u_safe.tolist(), p.nominal.tolist()
+                best = reported_pair(list(p.rows), zx, zy, hx - zx, hy - zy, sol.active_set)
+                failures.append((seed, k, sol.kkt_residual, sol.active_set, best, sin_between(p, best)))
+        assert all(f[3] == f[4] and f[5] < 1e-3 for f in failures), failures
+        assert len(failures) <= 1, failures
 
 
 class TestPrunedPairScan:

@@ -6,7 +6,14 @@ import pytest
 import marlshield.qp
 import marlshield.shield
 from marlshield.barriers import ShieldParams, cooperative_constraint, noncooperative_constraint
-from marlshield.dynamics import AgentState, ObstacleSpec, WorldConfig, face_clearances, step_agent
+from marlshield.dynamics import (
+    AgentState,
+    ObstacleSpec,
+    WorldConfig,
+    _state_unchecked,
+    face_clearances,
+    step_agent,
+)
 from marlshield.qp import kkt_check
 from marlshield.shield import (
     STATUS_CORRECTED,
@@ -475,7 +482,6 @@ class TestWallFaceSkip:
     def test_outside_and_non_finite_positions_still_raise(self):
         world = WorldConfig(wall_half_extent=self.E)
         for position in ((50.5, 0.0), (0.0, -51.0), (0.0, np.nan), (np.nan, 0.0), (np.inf, 0.0), (0.0, -np.inf)):
-            state = AgentState([0.0, 0.0], [0.0, 0.0])
-            state.position[:] = position  # AgentState itself refuses such values
+            state = _state_unchecked(*position, 0.0, 0.0)  # AgentState itself refuses such values
             with pytest.raises(ValueError):
                 neighborhood(0, [(0, state)], [], world, self.R)
