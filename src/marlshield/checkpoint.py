@@ -8,6 +8,7 @@ Layout, all integers little-endian uint32 unless noted:
         head_scale (float64), n_dims, dims...
     tensors: float64 little-endian, declaration order, per agent:
         actor W0 b0 W1 b1 ..., critic ..., target actor ..., target critic ...
+        (each net's `flat` vector)
 
 Loading validates architecture dims against the requesting trainer and
 reports expected/found on mismatch.
@@ -36,31 +37,26 @@ class CheckpointMismatchError(CheckpointError):
     pass
 
 
-def _pack_net_header(net: Mlp) -> bytes:
-    parts = [struct.pack("<I", _HEADS[net.head]), struct.pack("<d", net.head_scale)]
-    parts.append(struct.pack("<I", len(net.dims)))
-    parts += [struct.pack("<I", d) for d in net.dims]
-    return b"".join(parts)
+# The four networks of each agent, in file order. A trainer holds role r's
+# nets in its list attribute r + "s"; a target net shares its online net's header.
+ROLES = ("actor", "critic", "target_actor", "target_critic")
 
 
-def _net_tensors(net: Mlp) -> bytes:
-    return b"".join(p.astype("<f8").tobytes() for p in net.parameters())
+def _nets(trainer, i: int) -> list[Mlp]:
+    return [getattr(trainer, role + "s")[i] for role in ROLES]
 
 
 def save_checkpoint(path, trainer, config_json: str) -> None:
     """Write online and target networks of every agent."""
     blob = config_json.encode("utf-8")
-    out = [MAGIC, struct.pack("<I", VERSION), struct.pack("<I", len(trainer.actors))]
-    out.append(struct.pack("<I", len(blob)))
-    out.append(blob)
-    for actor, critic in zip(trainer.actors, trainer.critics):
-        out.append(_pack_net_header(actor))
-        out.append(_pack_net_header(critic))
-    for i in range(len(trainer.actors)):
-        out.append(_net_tensors(trainer.actors[i]))
-        out.append(_net_tensors(trainer.critics[i]))
-        out.append(_net_tensors(trainer.target_actors[i]))
-        out.append(_net_tensors(trainer.target_critics[i]))
+    n_agents = len(trainer.actors)
+    out = [MAGIC, struct.pack("<3I", VERSION, n_agents, len(blob)), blob]
+    for i in range(n_agents):
+        for net in _nets(trainer, i)[:2]:
+            out.append(struct.pack(f"<Id{len(net.dims) + 1}I", _HEADS[net.head], net.head_scale,
+                                   len(net.dims), *net.dims))
+    for i in range(n_agents):
+        out += [net.flat.astype("<f8").tobytes() for net in _nets(trainer, i)]
     with open(path, "wb") as fh:
         fh.write(b"".join(out))
 
@@ -80,49 +76,39 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def f64(self) -> float:
-        return struct.unpack("<d", self.take(8))[0]
 
-
-def _read_net_header(r: _Reader):
+def _read_net_header(r: _Reader) -> dict:
     head = _HEADS_BACK.get(r.u32())
     if head is None:
         raise CheckpointError("unknown head code")
-    scale = r.f64()
-    dims = tuple(r.u32() for _ in range(r.u32()))
-    return head, scale, dims
-
-
-def _read_net(r: _Reader, head, scale, dims) -> Mlp:
-    net = Mlp(dims, head=head, head_scale=scale)
-    for p in net.parameters():
-        raw = r.take(p.size * 8)
-        p[...] = np.frombuffer(raw, dtype="<f8").reshape(p.shape)
-    return net
+    scale = struct.unpack("<d", r.take(8))[0]
+    return {"head": head, "head_scale": scale, "dims": tuple(r.u32() for _ in range(r.u32()))}
 
 
 def load_checkpoint(path):
     """Returns (config_json, per-agent dicts of actor/critic/target networks)."""
-    with open(path, "rb") as fh:
-        r = _Reader(fh.read())
+    try:
+        with open(path, "rb") as fh:
+            r = _Reader(fh.read())
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc.strerror}") from exc
     if r.take(8) != MAGIC:
         raise CheckpointError(f"{path} is not a network checkpoint (bad magic)")
     version = r.u32()
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}, expected {VERSION}")
     n_agents = r.u32()
-    config_json = r.take(r.u32()).decode("utf-8")
-    headers = [(_read_net_header(r), _read_net_header(r)) for _ in range(n_agents)]
+    try:
+        config_json = r.take(r.u32()).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{path}: embedded config is not UTF-8 ({exc.reason})") from exc
+    headers = [{role: _read_net_header(r) for role in ROLES[:2]} for _ in range(n_agents)]
     agents = []
-    for (a_head, a_scale, a_dims), (c_head, c_scale, c_dims) in headers:
-        agents.append(
-            {
-                "actor": _read_net(r, a_head, a_scale, a_dims),
-                "critic": _read_net(r, c_head, c_scale, c_dims),
-                "target_actor": _read_net(r, a_head, a_scale, a_dims),
-                "target_critic": _read_net(r, c_head, c_scale, c_dims),
-            }
-        )
+    for header in headers:
+        nets = {role: Mlp(**header[role.removeprefix("target_")]) for role in ROLES}
+        for net in nets.values():
+            net.flat[:] = np.frombuffer(r.take(net.flat.size * 8), dtype="<f8")
+        agents.append(nets)
     return config_json, agents
 
 
@@ -140,12 +126,7 @@ def attach_networks(trainer, agents) -> None:
         )
     pairs = []
     for i, nets in enumerate(agents):
-        for role, own in (
-            ("actor", trainer.actors[i]),
-            ("critic", trainer.critics[i]),
-            ("target_actor", trainer.target_actors[i]),
-            ("target_critic", trainer.target_critics[i]),
-        ):
+        for role, own in zip(ROLES, _nets(trainer, i)):
             loaded = nets[role]
             if own.dims != loaded.dims:
                 raise CheckpointMismatchError(

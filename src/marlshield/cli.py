@@ -41,18 +41,38 @@ EXIT_ARTIFACT = 3
 METRICS_SCHEMA = "# marlshield metrics v1"
 TRAJECTORY_SCHEMA = "# marlshield trajectory v1"
 
-METRICS_COLUMNS = (
-    "episode,reward_I,reward_II,collisions_step,collisions_episode,min_dist,slack_events"
-)
-TRAJECTORY_COLUMNS = (
-    "step,agent_id,px,py,vx,vy,ax_nominal,ay_nominal,ax_safe,ay_safe,reward,min_dist,shield_status"
-)
-SUMMARY_KEYS = ("variant", "runs", "episodes_total", "collision_episodes_total", "collision_ratio")
+# summary.json: the keys report reads, with their JSON types
+SUMMARY_TYPES = {"variant": str, "runs": list, "episodes_total": int, "collision_episodes_total": int,
+                 "collision_ratio": (int, float)}
 EVAL_KEYS = ("reward_I", "reward_II", "collisions_step", "min_dist", "checkins")
 
 
 def _g(x) -> str:
     return f"{float(x):.10g}"
+
+
+# metrics.csv: (column, format, parse), in file order
+METRICS_FORMAT = (
+    ("episode", str, int),
+    ("reward_I", _g, float),
+    ("reward_II", _g, float),
+    ("collisions_step", str, int),
+    ("collisions_episode", str, int),
+    ("min_dist", _g, float),
+    ("slack_events", str, int),
+)
+# trajectory CSV: (column, format), in file order; _trajectory_values gives the values
+TRAJECTORY_FORMAT = (
+    ("step", str), ("agent_id", str), ("px", _g), ("py", _g), ("vx", _g), ("vy", _g),
+    ("ax_nominal", _g), ("ay_nominal", _g), ("ax_safe", _g), ("ay_safe", _g),
+    ("reward", _g), ("min_dist", _g), ("shield_status", str),
+)
+METRICS_COLUMNS = ",".join(c for c, *_ in METRICS_FORMAT)
+
+
+def _trajectory_values(r) -> tuple:
+    return (r.step, r.agent_id, *r.position, *r.velocity, *r.u_nominal, *r.u_safe, r.reward,
+            r.min_entity_distance, r.shield_status)
 
 
 class ArtifactError(RuntimeError):
@@ -88,47 +108,10 @@ def _apply_overrides(config, args):
     return config
 
 
-def _write_metrics_csv(path: Path, rows, config_json: str, seed: int) -> None:
-    lines = [METRICS_SCHEMA, f"# seed={seed} config={config_json}", METRICS_COLUMNS]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(r["episode"]),
-                    _g(r["reward_I"]),
-                    _g(r["reward_II"]),
-                    str(r["collisions_step"]),
-                    str(r["collisions_episode"]),
-                    _g(r["min_dist"]),
-                    str(r["slack_events"]),
-                ]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _write_trajectory_csv(path: Path, rows, config_json: str, seed: int) -> None:
-    lines = [TRAJECTORY_SCHEMA, f"# seed={seed} config={config_json}", TRAJECTORY_COLUMNS]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(r.step),
-                    str(r.agent_id),
-                    _g(r.position[0]),
-                    _g(r.position[1]),
-                    _g(r.velocity[0]),
-                    _g(r.velocity[1]),
-                    _g(r.u_nominal[0]),
-                    _g(r.u_nominal[1]),
-                    _g(r.u_safe[0]),
-                    _g(r.u_safe[1]),
-                    _g(r.reward),
-                    _g(r.min_entity_distance),
-                    r.shield_status,
-                ]
-            )
-        )
+def _write_csv(path: Path, schema: str, table, rows, config_json: str, seed: int) -> None:
+    """One CSV artifact: schema line, seed and config line, header, then one line per row of values."""
+    lines = [schema, f"# seed={seed} config={config_json}", ",".join(c for c, *_ in table)]
+    lines += [",".join(fmt(v) for (_, fmt, *_), v in zip(table, values, strict=True)) for values in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -142,9 +125,6 @@ def cmd_train(args) -> int:
     config_json = resolved_json(config)
 
     run_rows = []
-    total_steps_collisions = 0
-    total_episode_collisions = 0
-    total_episodes = 0
     for i, seed in enumerate(config.seeds):
         trainer_cfg = replace(config.trainer, seed=seed)
         env = PatrolEnv(
@@ -154,34 +134,31 @@ def cmd_train(args) -> int:
         rows = trainer.train()
         run_dir = variant_dir / f"run{i:02d}_seed{seed}"
         run_dir.mkdir(parents=True, exist_ok=True)
-        _write_metrics_csv(run_dir / "metrics.csv", rows, config_json, seed)
+        _write_csv(run_dir / "metrics.csv", METRICS_SCHEMA, METRICS_FORMAT,
+                   ([r[c] for c, *_ in METRICS_FORMAT] for r in rows), config_json, seed)
         save_checkpoint(run_dir / "checkpoint.bin", trainer, config_json)
-        steps_c = sum(r["collisions_step"] for r in rows)
-        eps_c = sum(r["collisions_episode"] for r in rows)
-        run_rows.append(
-            {
-                "run": i,
-                "seed": seed,
-                "episodes": len(rows),
-                "collisions_step": steps_c,
-                "collision_episodes": eps_c,
-            }
-        )
-        total_steps_collisions += steps_c
-        total_episode_collisions += eps_c
-        total_episodes += len(rows)
+        run = {
+            "run": i,
+            "seed": seed,
+            "episodes": len(rows),
+            "collisions_step": sum(r["collisions_step"] for r in rows),
+            "collision_episodes": sum(r["collisions_episode"] for r in rows),
+        }
+        run_rows.append(run)
         print(
-            f"[{variant}] run {i} seed {seed}: episodes={len(rows)} "
-            f"collision_episodes={eps_c} collision_steps={steps_c}"
+            f"[{variant}] run {i} seed {seed}: episodes={run['episodes']} "
+            f"collision_episodes={run['collision_episodes']} collision_steps={run['collisions_step']}"
         )
 
-    ratio = total_episode_collisions / total_episodes if total_episodes else 0.0
+    episodes = sum(r["episodes"] for r in run_rows)
+    collision_episodes = sum(r["collision_episodes"] for r in run_rows)
+    ratio = collision_episodes / episodes if episodes else 0.0
     summary = {
         "variant": variant,
         "runs": run_rows,
-        "episodes_total": total_episodes,
-        "collision_episodes_total": total_episode_collisions,
-        "collision_steps_total": total_steps_collisions,
+        "episodes_total": episodes,
+        "collision_episodes_total": collision_episodes,
+        "collision_steps_total": sum(r["collisions_step"] for r in run_rows),
         "collision_ratio": ratio,
         "config": json.loads(config_json),
     }
@@ -189,7 +166,7 @@ def cmd_train(args) -> int:
         json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     print(
-        f"[{variant}] total: {total_episode_collisions}/{total_episodes} collision episodes "
+        f"[{variant}] total: {collision_episodes}/{episodes} collision episodes "
         f"({100.0 * ratio:.3f}%)"
     )
     return EXIT_OK
@@ -256,7 +233,8 @@ def cmd_eval(args) -> int:
     all_metrics = []
     for ep in range(episodes):
         metrics, rows = trainer.run_episode(seed + ep, sigma=0.0, learn=False, record=True)
-        _write_trajectory_csv(out_dir / f"trajectory_ep{ep:03d}.csv", rows, config_json, seed + ep)
+        _write_csv(out_dir / f"trajectory_ep{ep:03d}.csv", TRAJECTORY_SCHEMA, TRAJECTORY_FORMAT,
+                   map(_trajectory_values, rows), config_json, seed + ep)
         all_metrics.append({"episode": ep, **{k: metrics[k] for k in EVAL_KEYS}})
         totals.append(metrics["reward_I"] + metrics["reward_II"])
         paths = {
@@ -291,7 +269,7 @@ def cmd_eval(args) -> int:
                 )
                 (out_dir / f"trajectory_ep000_zoom{k}.svg").write_text(svg, encoding="utf-8")
     if episodes == 0:
-        _write_trajectory_csv(out_dir / "trajectory_ep000.csv", [], config_json, seed)
+        _write_csv(out_dir / "trajectory_ep000.csv", TRAJECTORY_SCHEMA, TRAJECTORY_FORMAT, [], config_json, seed)
     curve = render_curves(
         {"total reward": (list(range(len(totals))), totals)},
         title="evaluation total reward per episode",
@@ -324,39 +302,28 @@ def _read_metrics_csv(path: Path):
     for line in lines[1:]:
         if line.startswith("#") or line == METRICS_COLUMNS or not line.strip():
             continue
-        parts = line.split(",")
         try:
-            rows.append(
-                {
-                    "episode": int(parts[0]),
-                    "reward_I": float(parts[1]),
-                    "reward_II": float(parts[2]),
-                    "collisions_step": int(parts[3]),
-                    "collisions_episode": int(parts[4]),
-                    "min_dist": float(parts[5]),
-                    "slack_events": int(parts[6]),
-                }
-            )
-        except (IndexError, ValueError) as exc:
+            rows.append({c: parse(v) for (c, _, parse), v in zip(METRICS_FORMAT, line.split(","), strict=True)})
+        except ValueError as exc:
             raise ArtifactError(f"{path}: malformed metrics row {line!r}") from exc
     return rows
 
 
 def _read_summary(path: Path) -> dict:
-    """A variant's summary.json holding every key the report reads, else ArtifactError."""
+    """A variant's summary.json holding every key the report reads, each of its JSON type, else ArtifactError."""
     try:
         summary = json.loads(path.read_text(encoding="utf-8"))
-        missing = [k for k in SUMMARY_KEYS if k not in summary]
-        missing += [
+        bad = [k for k, kind in SUMMARY_TYPES.items() if not isinstance(summary.get(k), kind)]
+        bad += [
             f"runs[{i}].{k}"
             for i, run in enumerate(summary["runs"])
             for k in ("run", "seed")
-            if k not in run
+            if type(run.get(k)) is not int
         ]
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ArtifactError(f"{path}: malformed summary ({exc!r})") from exc
-    if missing:
-        raise ArtifactError(f"{path}: summary lacks {', '.join(missing)}")
+    if bad:
+        raise ArtifactError(f"{path}: summary lacks or mistypes {', '.join(bad)}")
     return summary
 
 
@@ -391,23 +358,13 @@ def cmd_report(args) -> int:
 
     order = [v for v in ("shielded", "unshielded") if v in variants]
     order += [v for v in sorted(variants) if v not in order]
-    lines = ["# Run report", "", "| | " + " | ".join(order) + " |"]
-    lines.append("|---" * (len(order) + 1) + "|")
-    lines.append(
-        "| Number of collisions | "
-        + " | ".join(str(variants[v]["collision_episodes_total"]) for v in order)
-        + " |"
+    table = (
+        ("Number of collisions", lambda s: str(s["collision_episodes_total"])),
+        ("Number of episodes", lambda s: str(s["episodes_total"])),
+        ("Collision ratio", lambda s: f"{100.0 * s['collision_ratio']:.3f}%"),
     )
-    lines.append(
-        "| Number of episodes | "
-        + " | ".join(str(variants[v]["episodes_total"]) for v in order)
-        + " |"
-    )
-    lines.append(
-        "| Collision ratio | "
-        + " | ".join(f"{100.0 * variants[v]['collision_ratio']:.3f}%" for v in order)
-        + " |"
-    )
+    lines = ["# Run report", "", "| | " + " | ".join(order) + " |", "|---" * (len(order) + 1) + "|"]
+    lines += [f"| {label} | " + " | ".join(value(variants[v]) for v in order) + " |" for label, value in table]
     report_path = root / "report.md"
     report_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     if curves:

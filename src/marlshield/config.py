@@ -9,7 +9,7 @@ resolved form of this document so outputs stay self-describing.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -34,9 +34,6 @@ class RunConfig:
     shield_enabled: bool = True
 
     def __post_init__(self):
-        if type(self.runs) is not int or type(self.shield_enabled) is not bool:
-            raise ConfigError(f"runs must be an integer, shield_enabled a boolean: {self.runs!r}, "
-                              f"{self.shield_enabled!r}")
         if self.runs < 0:
             raise ConfigError("runs must be >= 0")
         seeds = tuple(int(s) for s in self.seeds)
@@ -73,122 +70,72 @@ def default_run_config(**overrides) -> RunConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
-_WORLD_KEYS = {"wall_half_extent", "obstacles", "checkin_points", "dt", "v_max", "a_max"}
-_SHIELD_KEYS = {
-    "d_s",
-    "a_max_self",
-    "a_max_other",
-    "gamma_coo",
-    "gamma_non",
-    "r_sense",
-    "slack_weight",
-    "margin",
+# The world's two fields with no plain JSON type: (from JSON, to JSON).
+_WORLD_FORMS = {
+    "obstacles": (
+        lambda v: tuple(ObstacleSpec(o["position"], float(o.get("radius", 0.0))) for o in v),
+        lambda v: [{"position": o.position.tolist(), "radius": o.radius} for o in v],
+    ),
+    "checkin_points": (tuple, lambda v: [c.tolist() for c in v]),
 }
-_TRAINER_KEYS = {
-    "episodes",
-    "episode_len",
-    "batch_size",
-    "discount",
-    "soft_update_coef",
-    "lr_critic",
-    "lr_actor",
-    "noise_sigma",
-    "noise_decay",
-    "update_every",
-    "warmup_transitions",
-    "buffer_capacity",
-    "actor_hidden",
-    "critic_hidden",
-    "seed",
-}
-_TOP_KEYS = {"world", "shield", "trainer", "runs", "seeds", "out_dir", "shield_enabled"}
+_JSON_TYPES = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
+               tuple: "a list of integers"}
 
 
-def _check_keys(section: dict, allowed: set, where: str) -> None:
-    unknown = set(section) - allowed
+def _from_json(cls, data, where: str, given=(), forms=()):
+    """An instance of dataclass cls: the fields in given, overridden by a JSON object.
+
+    The keys allowed and each value's JSON type come from cls's fields and
+    their defaults: a bool, int or str default takes exactly that JSON type
+    (neither a float nor a boolean for an int), a float default any number,
+    a tuple default a list of integers. A key in forms is converted by its
+    function instead; a field with no default (a section) comes from given.
+    """
+    if type(data) is not dict:
+        raise ConfigError(f"{where} must be a JSON object, got {data!r}")
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown = set(data) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
-
-
-def _world_from_dict(data: dict) -> WorldConfig:
-    _check_keys(data, _WORLD_KEYS, "'world'")
-    defaults = default_world()
+    kwargs = dict(given)
     try:
-        obstacles = tuple(
-            ObstacleSpec(position=np.asarray(o["position"], dtype=float), radius=float(o.get("radius", 0.0)))
-            for o in data.get("obstacles", [asdict_obstacle(x) for x in defaults.obstacles])
-        )
-        checkins = tuple(
-            np.asarray(c, dtype=float)
-            for c in data.get("checkin_points", [c.tolist() for c in defaults.checkin_points])
-        )
-        return WorldConfig(
-            wall_half_extent=float(data.get("wall_half_extent", defaults.wall_half_extent)),
-            obstacles=obstacles,
-            checkin_points=checkins,
-            dt=float(data.get("dt", defaults.dt)),
-            v_max=float(data.get("v_max", defaults.v_max)),
-            a_max=float(data.get("a_max", defaults.a_max)),
-        )
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"in 'world': {exc}") from exc
-
-
-def asdict_obstacle(obs: ObstacleSpec) -> dict:
-    return {"position": obs.position.tolist(), "radius": obs.radius}
-
-
-def _shield_from_dict(data: dict, world: WorldConfig) -> ShieldParams:
-    _check_keys(data, _SHIELD_KEYS, "'shield'")
-    merged = {"a_max_self": world.a_max, "a_max_other": world.a_max}
-    merged.update(data)
-    try:
-        return ShieldParams(**merged)
-    except ValueError as exc:
-        raise ConfigError(f"in 'shield': {exc}") from exc
-
-
-def _trainer_from_dict(data: dict) -> TrainerConfig:
-    _check_keys(data, _TRAINER_KEYS, "'trainer'")
-    fields = dict(data)
-    for key in ("actor_hidden", "critic_hidden"):
-        if key in fields:
-            fields[key] = tuple(int(v) for v in fields[key])
-    try:
-        return TrainerConfig(**fields)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"in 'trainer': {exc}") from exc
+        for key, value in data.items():
+            kind = type(defaults[key])
+            if key in forms:
+                value = forms[key](value)
+            elif defaults[key] is MISSING:
+                continue
+            elif kind is float and type(value) is int:
+                value = float(value)
+            elif kind is tuple and type(value) is list and all(type(v) is int for v in value):
+                value = tuple(value)
+            elif type(value) is not kind:
+                raise ConfigError(f"{key} in {where} must be {_JSON_TYPES[kind]}, got {value!r}")
+            kwargs[key] = value
+        return cls(**kwargs)
+    except ConfigError:
+        raise
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"in {where}: {exc}") from exc
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
-    if not isinstance(data, dict):
+    if type(data) is not dict:
         raise ConfigError("top-level config must be a JSON object")
-    _check_keys(data, _TOP_KEYS, "top level")
-    world = _world_from_dict(data.get("world", {}))
-    shield = _shield_from_dict(data.get("shield", {}), world)
-    trainer = _trainer_from_dict(data.get("trainer", {}))
-    try:
-        return RunConfig(
-            world=world,
-            shield=shield,
-            trainer=trainer,
-            runs=data.get("runs", 5),
-            seeds=tuple(data.get("seeds", ())),
-            out_dir=str(data.get("out_dir", "out")),
-            shield_enabled=data.get("shield_enabled", True),
-        )
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+    world = _from_json(WorldConfig, data.get("world", {}), "'world'", vars(default_world()),
+                       {k: parse for k, (parse, _) in _WORLD_FORMS.items()})
+    shield = _from_json(ShieldParams, data.get("shield", {}), "'shield'",
+                        {"a_max_self": world.a_max, "a_max_other": world.a_max})
+    trainer = _from_json(TrainerConfig, data.get("trainer", {}), "'trainer'")
+    return _from_json(RunConfig, data, "top level", {"world": world, "shield": shield, "trainer": trainer})
 
 
 def load_run_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     return run_config_from_dict(data)
@@ -196,22 +143,9 @@ def load_run_config(path) -> RunConfig:
 
 def resolved_dict(config: RunConfig) -> dict:
     """JSON-serializable form of a config, as embedded in every artifact."""
-    return {
-        "world": {
-            "wall_half_extent": config.world.wall_half_extent,
-            "obstacles": [asdict_obstacle(o) for o in config.world.obstacles],
-            "checkin_points": [c.tolist() for c in config.world.checkin_points],
-            "dt": config.world.dt,
-            "v_max": config.world.v_max,
-            "a_max": config.world.a_max,
-        },
-        "shield": asdict(config.shield),
-        "trainer": {**asdict(config.trainer), "actor_hidden": list(config.trainer.actor_hidden), "critic_hidden": list(config.trainer.critic_hidden)},
-        "runs": config.runs,
-        "seeds": list(config.seeds),
-        "out_dir": config.out_dir,
-        "shield_enabled": config.shield_enabled,
-    }
+    data = asdict(config)
+    data["world"].update({k: to_json(getattr(config.world, k)) for k, (_, to_json) in _WORLD_FORMS.items()})
+    return data
 
 
 def resolved_json(config: RunConfig) -> str:

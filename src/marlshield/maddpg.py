@@ -74,6 +74,8 @@ class TrainerConfig:
             raise ValueError("episodes and episode_len must be >= 0")
         if self.update_every < 1:
             raise ValueError("update_every must be >= 1")
+        if min((*self.actor_hidden, *self.critic_hidden), default=1) < 1:
+            raise ValueError("hidden layer sizes must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)

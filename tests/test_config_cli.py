@@ -1,19 +1,51 @@
 import json
 import math
+import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from marlshield import cli
+from marlshield.barriers import ShieldParams
 from marlshield.checkpoint import CheckpointMismatchError, load_checkpoint, save_checkpoint
 from marlshield.config import (
     ConfigError,
+    RunConfig,
     default_run_config,
     load_run_config,
     resolved_json,
     run_config_from_dict,
 )
+from marlshield.dynamics import WorldConfig
+from marlshield.maddpg import TrainerConfig
+
+# every field of every section set to a value other than its default
+NON_DEFAULT = {
+    "world": {
+        "wall_half_extent": 2.0,
+        "obstacles": [{"position": [0.5, -0.5], "radius": 0.1}, {"position": [-1.0, 0.25], "radius": 0.0}],
+        "checkin_points": [[1.5, 1.5], [-1.5, -1.5]],
+        "dt": 0.05,
+        "v_max": 0.8,
+        "a_max": 1.5,
+    },
+    "shield": {
+        "d_s": 0.1, "a_max_self": 1.5, "a_max_other": 1.25, "gamma_coo": 0.4, "gamma_non": 0.6,
+        "r_sense": 3.0, "slack_weight": 1e5, "margin": 0.03,
+    },
+    "trainer": {
+        "episodes": 7, "episode_len": 30, "batch_size": 16, "discount": 0.9, "soft_update_coef": 0.05,
+        "lr_critic": 2e-3, "lr_actor": 3e-4, "noise_sigma": 0.2, "noise_decay": 0.999, "update_every": 3,
+        "warmup_transitions": 50, "buffer_capacity": 500, "actor_hidden": [16], "critic_hidden": [32, 16],
+        "seed": 11,
+    },
+    "runs": 2,
+    "seeds": [4, 9],
+    "out_dir": "elsewhere",
+    "shield_enabled": False,
+}
 
 TINY_TRAINER = {
     "episodes": 3,
@@ -26,6 +58,9 @@ TINY_TRAINER = {
     "critic_hidden": [8, 8],
     "seed": 7,
 }
+
+
+METRICS_HEADER = "episode,reward_I,reward_II,collisions_step,collisions_episode,min_dist,slack_events"
 
 
 def tiny_config_file(tmp_path, **extra):
@@ -76,10 +111,27 @@ class TestConfig:
             )
 
     def test_resolved_json_round_trips(self):
-        cfg = default_run_config()
-        data = json.loads(resolved_json(cfg))
-        again = run_config_from_dict(data)
-        assert resolved_json(again) == resolved_json(cfg)
+        for cfg in (default_run_config(), run_config_from_dict(NON_DEFAULT)):
+            data = json.loads(resolved_json(cfg))
+            again = run_config_from_dict(data)
+            assert resolved_json(again) == resolved_json(cfg)
+        assert json.loads(resolved_json(cfg)) == NON_DEFAULT
+        default = json.loads(resolved_json(default_run_config()))
+        assert NON_DEFAULT.keys() == default.keys()
+        for key in ("world", "shield", "trainer"):
+            assert NON_DEFAULT[key].keys() == default[key].keys()
+            assert all(v != default[key][k] for k, v in NON_DEFAULT[key].items()), key
+        assert all(v != default[k] for k, v in NON_DEFAULT.items())
+
+    def test_readme_example_lists_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("Example configuration", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        data = json.loads(block)
+        assert resolved_json(run_config_from_dict(data)) == resolved_json(default_run_config())
+        sections = {"world": WorldConfig, "shield": ShieldParams, "trainer": TrainerConfig}
+        assert data.keys() == {f.name for f in fields(RunConfig)}
+        for name, cls in sections.items():
+            assert data[name].keys() == {f.name for f in fields(cls)}, name
 
 
 class TestTrainCommand:
@@ -90,8 +142,8 @@ class TestTrainCommand:
         metrics = list((tmp_path / "out").glob("*/run*/metrics.csv"))
         assert len(metrics) == 1
         lines = metrics[0].read_text().splitlines()
-        assert lines[0] == cli.METRICS_SCHEMA
-        assert lines[2] == cli.METRICS_COLUMNS
+        assert lines[0] == "# marlshield metrics v1"
+        assert lines[2] == METRICS_HEADER
         assert len(lines) == 3  # headers only
 
     def test_artifacts_and_summary_conserve_counts(self, tmp_path):
@@ -128,11 +180,26 @@ class TestTrainCommand:
             ({"trainer": dict(TINY_TRAINER, batch_size=0)}, []),
             ({"trainer": dict(TINY_TRAINER, batch_size=-3, warmup_transitions=1000)}, []),
             ({"trainer": dict(TINY_TRAINER, batch_size=0, buffer_capacity=0)}, []),
+            ({"world": 5}, []),
+            ({"trainer": dict(TINY_TRAINER, actor_hidden=5)}, []),
+            ({"trainer": dict(TINY_TRAINER, actor_hidden=["a"])}, []),
+            ({"trainer": dict(TINY_TRAINER, critic_hidden=[8, 0])}, []),
+            ({"shield": {"d_s": "x"}}, []),
+            ({"trainer": dict(TINY_TRAINER, lr_actor="x")}, []),
+            ({"trainer": dict(TINY_TRAINER, episodes=1.5)}, []),
+            ({"trainer": dict(TINY_TRAINER, buffer_capacity=100.0)}, []),
+            ({"trainer": dict(TINY_TRAINER, seed=2.5)}, []),
+            ({"trainer": dict(TINY_TRAINER, episode_len=True)}, []),
+            ({"seeds": [1.7]}, []),
         ],
         ids=[
             "cli_seed", "json_trainer_seed", "json_seed_list", "cli_episodes",
             "json_shield_enabled_string", "json_runs_float", "json_runs_bool",
             "json_batch_size_zero", "json_batch_size_negative_no_update", "json_buffer_capacity_zero",
+            "json_world_not_object", "json_actor_hidden_int", "json_actor_hidden_string",
+            "json_critic_hidden_zero", "json_d_s_string", "json_lr_actor_string", "json_episodes_float",
+            "json_buffer_capacity_float", "json_trainer_seed_float", "json_episode_len_bool",
+            "json_seed_list_float",
         ],
     )
     def test_bad_override_is_config_error(self, tmp_path, capsys, extra_config, argv):
@@ -140,6 +207,23 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", str(cfg), *argv]) == 1
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "out").exists()
+
+    def test_metrics_rows_round_trip(self, tmp_path):
+        rows = [
+            {"episode": 0, "reward_I": 1234.5, "reward_II": -0.25, "collisions_step": 3,
+             "collisions_episode": 1, "min_dist": math.inf, "slack_events": 2},
+            {"episode": 1, "reward_I": 80000.0, "reward_II": 0.0, "collisions_step": 0,
+             "collisions_episode": 0, "min_dist": 0.0625, "slack_events": 0},
+        ]
+        path = tmp_path / "metrics.csv"
+        values = [[r[c] for c, *_ in cli.METRICS_FORMAT] for r in rows]
+        cli._write_csv(path, cli.METRICS_SCHEMA, cli.METRICS_FORMAT, values, "{}", 5)
+        lines = path.read_text().splitlines()
+        assert lines[:3] == ["# marlshield metrics v1", "# seed=5 config={}", METRICS_HEADER]
+        assert lines[3] == "0,1234.5,-0.25,3,1,inf,2"
+        read = cli._read_metrics_csv(path)
+        assert read == rows
+        assert [list(map(type, r.values())) for r in read] == [list(map(type, r.values())) for r in rows]
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tiny_config_file(tmp_path)
@@ -178,8 +262,10 @@ class TestEvalCommand:
         )
         assert rc == 0
         lines = (out / "trajectory_ep000.csv").read_text().splitlines()
-        assert lines[0] == cli.TRAJECTORY_SCHEMA
-        assert lines[2] == cli.TRAJECTORY_COLUMNS
+        assert lines[0] == "# marlshield trajectory v1"
+        assert lines[2] == (
+            "step,agent_id,px,py,vx,vy,ax_nominal,ay_nominal,ax_safe,ay_safe,reward,min_dist,shield_status"
+        )
         assert len(lines) > 3
         assert (out / "trajectory_ep001.csv").exists()
         assert (out / "trajectory_ep000.svg").exists()
@@ -212,6 +298,18 @@ class TestEvalCommand:
             cli.main(["eval", "--checkpoint", str(ckpt), "--episodes", "1", "--seed", "3", "--out", str(out)])
         for name in ("trajectory_ep000.csv", "trajectory_ep000.svg", "eval_rewards.svg"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("content", [None, b"\xff"], ids=["missing", "config_not_utf8"])
+    def test_unreadable_checkpoint_is_artifact_error(self, trained, tmp_path, capsys, content):
+        path = tmp_path / "ckpt.bin"
+        if content is not None:
+            data = trained[2].read_bytes()
+            path.write_bytes(data[:20] + content + data[21:])  # first byte of the config blob
+        out = tmp_path / "eval_bad"
+        assert cli.main(["eval", "--checkpoint", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("artifact error:") and "Traceback" not in err
+        assert not out.exists()
 
     def test_checkpoint_dim_mismatch_is_exit_3(self, trained, tmp_path):
         base, cfg, ckpt = trained
@@ -281,16 +379,21 @@ class TestReportCommand:
             ("*/run*/metrics.csv", lambda text: text.rstrip("\n").rsplit(",", 3)[0] + "\n"),
             ("*/summary.json", lambda text: text[: len(text) // 2]),
             ("*/summary.json", lambda text: text.replace('"collision_ratio"', '"ratio"')),
+            ("*/summary.json", lambda text: text.replace('"run": 0', '"run": "0"')),
         ],
-        ids=["truncated_metrics_row", "malformed_summary_json", "summary_missing_key"],
+        ids=["truncated_metrics_row", "malformed_summary_json", "summary_missing_key", "summary_run_string"],
     )
-    def test_corrupt_artifact_refused(self, trained, tmp_path, pattern, tamper):
+    def test_corrupt_artifact_refused(self, trained, tmp_path, capsys, pattern, tamper):
         _, cfg, _ = trained
         out = tmp_path / "tampered"
         cli.main(["train", "--config", str(cfg), "--out", str(out)])
         target = next(out.glob(pattern))
-        target.write_text(tamper(target.read_text()))
+        tampered = tamper(target.read_text())
+        assert tampered != target.read_text()
+        target.write_text(tampered)
+        capsys.readouterr()
         assert cli.main(["report", "--dir", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("artifact error:")
 
     def test_empty_directory_is_artifact_error(self, tmp_path):
         assert cli.main(["report", "--dir", str(tmp_path / "void")]) == 3
@@ -316,6 +419,32 @@ class TestCheckpointFormat:
                 assert loaded.dims == net.dims
                 for a, b in zip(loaded.parameters(), net.parameters()):
                     assert np.array_equal(a, b)
+
+    def test_bytes_follow_documented_layout(self, tmp_path):
+        from marlshield.checkpoint import MAGIC
+        from marlshield.maddpg import MaddpgTrainer
+        from marlshield.patrol import PatrolEnv, default_world
+
+        env = PatrolEnv(default_world(), ShieldParams(), episode_len=5)
+        trainer = MaddpgTrainer(env, TrainerConfig(actor_hidden=(5, 3), critic_hidden=(4,), seed=2))
+        trainer.actors[1].head_scale = 0.5
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, trainer, '{"x": "\u00e9"}')
+        # packed by hand from the layout in the checkpoint module's docstring
+        blob = '{"x": "\u00e9"}'.encode("utf-8")
+        expected = b"MSHLDNN\x00" + struct.pack("<III", 1, 2, len(blob)) + blob
+        for i in range(2):
+            for net in (trainer.actors[i], trainer.critics[i]):
+                expected += struct.pack("<I", {"linear": 0, "tanh": 1}[net.head])
+                expected += struct.pack("<d", net.head_scale)
+                expected += struct.pack("<I", len(net.dims))
+                expected += b"".join(struct.pack("<I", d) for d in net.dims)
+        for i in range(2):
+            for net in (trainer.actors[i], trainer.critics[i], trainer.target_actors[i], trainer.target_critics[i]):
+                for p in net.parameters():
+                    expected += b"".join(struct.pack("<d", v) for v in p.ravel().tolist())
+        assert MAGIC == b"MSHLDNN\x00"
+        assert path.read_bytes() == expected
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -38,3 +38,55 @@ def test_no_unused_imports(module):
 def test_checker_flags_unused_names():
     source = "import math\nimport os.path\nfrom x import a, b as c\n__all__ = ['a']\nos.sep\n"
     assert unused_imports(source) == ["math (line 1)", "c (line 3)"]
+
+
+def private_definitions(source: str) -> dict[str, int]:
+    """Module-level private functions, classes and constants (not dunders), by line."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                found[name] = node.lineno
+    return found
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names a module reads, as bare names, attributes or `from` imports."""
+    refs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs |= {alias.name for alias in node.names}
+    return refs
+
+
+def test_no_unreferenced_private_names():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    used = set().union(*(referenced_names(s) for s in sources.values()))
+    orphans = [
+        f"{module}:{line} {name}"
+        for module, source in sorted(sources.items())
+        for name, line in private_definitions(source).items()
+        if name not in used
+    ]
+    assert orphans == []
+
+
+def test_checker_flags_unreferenced_private_names():
+    source = (
+        "import x\n_A = 1\n_B: int = 2\n__all__ = []\n"
+        "def _f(): return _A\nclass _C: pass\ndef _g(): pass\nx._g\n"
+    )
+    assert private_definitions(source) == {"_A": 2, "_B": 3, "_f": 5, "_C": 6, "_g": 7}
+    assert {"_A", "_g"} <= referenced_names(source)
+    assert not {"_B", "_f", "_C"} & referenced_names(source)
