@@ -10,7 +10,7 @@ from marlshield.qp import QpProblem, kkt_check, solve
 
 
 def row(nx, ny, b):
-    return LinearConstraint(normal=np.array([nx, ny]), bound=b, kind="non-cooperative")
+    return LinearConstraint(normal=np.array([nx, ny]), bound=b, kind="non-cooperative").row
 
 
 def show(label, problem):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -80,31 +81,27 @@ class ShieldParams:
 
 
 class LinearConstraint:
-    """One row ax*ux + ay*uy <= bound of the shield QP acting on the focal agent.
+    """One row ax*ux + ay*uy <= bound acting on the focal agent, as the public builders return it.
 
-    The normal is a 2-tuple of floats (taken as is) or any array-like
-    (converted), stored as floats `ax`, `ay` and validated once: finite and
-    nonzero, with a finite bound, or ValueError. `normal` reads as a fresh
-    array, so writing into it changes no row. `kind` is "cooperative",
-    "non-cooperative" or "wall".
+    The normal is any array-like of two numbers, stored as floats `ax`,
+    `ay`; normal and bound are validated once (finite, normal nonzero) or
+    ValueError. `normal` reads as a fresh array, so writing into it
+    changes no row. `row` is the `(ax, ay, bound)` float triple that
+    `qp.QpProblem` takes; the shield builds such triples directly. `kind`
+    is "cooperative", "non-cooperative" or "wall".
     """
 
     __slots__ = ("ax", "ay", "bound", "kind", "counterpart_id")
+    normal = property(lambda self: np.array((self.ax, self.ay)))
+    row = property(attrgetter("ax", "ay", "bound"))
 
     def __init__(self, normal, bound, kind, counterpart_id=None):
-        if type(normal) is tuple and len(normal) == 2 and type(normal[0]) is type(normal[1]) is float:
-            ax, ay = normal
-        else:
-            ax, ay = np.asarray(normal, dtype=float).reshape(2).tolist()
+        ax, ay = np.asarray(normal, dtype=float).reshape(2).tolist()
         if not (math.isfinite(ax) and math.isfinite(ay)) or (ax == 0.0 and ay == 0.0):
             raise ValueError(f"constraint normal must be finite and nonzero, got {normal!r}")
         if not math.isfinite(bound):
             raise ValueError("constraint bound must be finite")
-        self.ax, self.ay, self.bound, self.kind, self.counterpart_id = ax, ay, bound, kind, counterpart_id
-
-    @property
-    def normal(self) -> np.ndarray:
-        return np.array((self.ax, self.ay))
+        self.ax, self.ay, self.bound, self.kind, self.counterpart_id = ax, ay, float(bound), kind, counterpart_id
 
     def __repr__(self):
         fields = (self.normal, self.bound, self.kind, self.counterpart_id)

@@ -229,6 +229,12 @@ def cmd_eval(args) -> int:
     trainer = MaddpgTrainer(env, replace(config.trainer, seed=seed), shield_enabled=True)
     attach_networks(trainer, agents)
 
+    def arena_svg(rows, title, view=None):
+        paths = {f"patrolman {i + 1}": np.array([r.position for r in rows if r.agent_id == i])
+                 for i in range(env.n_agents)}
+        return render_arena(config.world, paths, d_s=config.shield.d_s, title=title,
+                            metadata=config_json, view=view)
+
     totals = []
     all_metrics = []
     for ep in range(episodes):
@@ -237,36 +243,11 @@ def cmd_eval(args) -> int:
                    map(_trajectory_values, rows), config_json, seed + ep)
         all_metrics.append({"episode": ep, **{k: metrics[k] for k in EVAL_KEYS}})
         totals.append(metrics["reward_I"] + metrics["reward_II"])
-        paths = {
-            f"patrolman {i + 1}": np.array(
-                [r.position for r in rows if r.agent_id == i]
-            )
-            for i in range(env.n_agents)
-        }
-        svg = render_arena(
-            config.world,
-            paths,
-            d_s=config.shield.d_s,
-            title=f"episode {ep}: trajectories",
-            metadata=config_json,
-        )
+        svg = arena_svg(rows, f"episode {ep}: trajectories")
         (out_dir / f"trajectory_ep{ep:03d}.svg").write_text(svg, encoding="utf-8")
         if ep == 0 and rows:
             for k, (step, view, window) in enumerate(_zoom_views(rows, config.world)):
-                zoom_paths = {
-                    f"patrolman {i + 1}": np.array(
-                        [r.position for r in window if r.agent_id == i]
-                    )
-                    for i in range(env.n_agents)
-                }
-                svg = render_arena(
-                    config.world,
-                    zoom_paths,
-                    d_s=config.shield.d_s,
-                    title=f"episode 0 segment around step {step}",
-                    metadata=config_json,
-                    view=view,
-                )
+                svg = arena_svg(window, f"episode 0 segment around step {step}", view)
                 (out_dir / f"trajectory_ep000_zoom{k}.svg").write_text(svg, encoding="utf-8")
     if episodes == 0:
         _write_csv(out_dir / "trajectory_ep000.csv", TRAJECTORY_SCHEMA, TRAJECTORY_FORMAT, [], config_json, seed)

@@ -70,13 +70,26 @@ def default_run_config(**overrides) -> RunConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
+def _json_point(v, what="a check-in point"):
+    if not (type(v) is list and len(v) == 2 and all(type(c) in (int, float) for c in v)):
+        raise ConfigError(f"{what} must be a list of two numbers, got {v!r}")
+    return float(v[0]), float(v[1])
+
+
+def _json_obstacle(o):
+    if not (type(o) is dict and "position" in o and set(o) <= {"position", "radius"}
+            and type(o.get("radius", 0.0)) in (int, float)):
+        raise ConfigError(f"an obstacle must be an object of a position and a numeric radius, got {o!r}")
+    return ObstacleSpec(_json_point(o["position"], "an obstacle position"), float(o.get("radius", 0.0)))
+
+
 # The world's two fields with no plain JSON type: (from JSON, to JSON).
 _WORLD_FORMS = {
     "obstacles": (
-        lambda v: tuple(ObstacleSpec(o["position"], float(o.get("radius", 0.0))) for o in v),
+        lambda v: tuple(map(_json_obstacle, v)),
         lambda v: [{"position": o.position.tolist(), "radius": o.radius} for o in v],
     ),
-    "checkin_points": (tuple, lambda v: [c.tolist() for c in v]),
+    "checkin_points": (lambda v: tuple(map(_json_point, v)), lambda v: [c.tolist() for c in v]),
 }
 _JSON_TYPES = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
                tuple: "a list of integers"}

@@ -22,10 +22,10 @@ Two phases:
    safety-margin erosion instead of crashing. The same rule runs in three
    variables over subsets of at most three rows.
 
-`QpProblem` converts its rows to float triples once, and both phases and
-`kkt_check` read that one list. `QpSolution.iterations` counts the
-candidates evaluated (skipped pairs do not count); it is 0 exactly when the
-box clip of the nominal is returned.
+`QpProblem` takes its rows as `(ax, ay, b)` float triples and validates
+them once; both phases and `kkt_check` read that one list.
+`QpSolution.iterations` counts the candidates evaluated (skipped pairs do
+not count); it is 0 exactly when the box clip of the nominal is returned.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from operator import attrgetter
 
 import numpy as np
 
@@ -40,6 +41,7 @@ STATUS_OPTIMAL = "optimal"
 STATUS_RELAXED = "relaxed"
 
 _FEAS_TOL = 1e-9
+_FLOAT64 = np.dtype(np.float64)
 _ZERO_TOL = 1e-12
 
 
@@ -51,19 +53,22 @@ def _fields_repr(obj) -> str:
 class QpProblem:
     """Projection instance: nominal action, halfplane rows, box, slack penalty.
 
-    `rows` holds every row once as an (ax, ay, b) float triple: constraint
-    rows in problem order, then the +x, -x, +y, -y box rows. That index
-    scheme is used everywhere (active sets, KKT checks); the slack
-    nonnegativity row of the relaxed phase sits one past the box rows.
-    Fields are read-only, so `rows` cannot drift from `constraints`.
+    `constraints` are rows ax*ux + ay*uy <= b as `(ax, ay, b)` triples (a
+    `LinearConstraint` passes its `row`), each validated once: 3 finite
+    numbers, (ax, ay) nonzero, or ValueError. They are kept as float
+    triples, and `rows` is `constraints` followed by the +x, -x, +y, -y box
+    rows. That index scheme is used everywhere (active sets, KKT checks);
+    the slack nonnegativity row of the relaxed phase sits one past the box
+    rows. Fields are read-only.
     """
 
-    __slots__ = ("nominal", "constraints", "box", "slack_weight", "rows")
-    _fields = __slots__[:4]
+    __slots__ = ("_nominal", "_constraints", "_box", "_slack_weight", "_rows")
+    _fields = ("nominal", "constraints", "box", "slack_weight")
+    nominal, constraints, box, slack_weight, rows = (property(attrgetter(n)) for n in __slots__)
 
     def __init__(self, nominal, constraints=(), box=1.0, slack_weight=1e6):
         u = nominal
-        if not (type(u) is np.ndarray and u.shape == (2,) and u.dtype == np.float64):
+        if not (type(u) is np.ndarray and u.shape == (2,) and u.dtype is _FLOAT64):
             u = np.asarray(u, dtype=float).reshape(2)
         hx, hy = u.tolist()
         if not (math.isfinite(hx) and math.isfinite(hy)):
@@ -72,19 +77,19 @@ class QpProblem:
             raise ValueError("box must be a positive finite scalar")
         if not (math.isfinite(slack_weight) and slack_weight >= 0):
             raise ValueError("slack_weight must be >= 0")
-        cons = tuple(constraints)
+        isfinite, cons = math.isfinite, list(constraints)
+        for i, row in enumerate(cons):
+            try:
+                ax, ay, b = row
+                if not (type(row) is tuple and type(ax) is type(ay) is type(b) is float):
+                    ax, ay, b = cons[i] = float(ax), float(ay), float(b)
+                if not (isfinite(ax) and isfinite(ay) and isfinite(b) and (ax != 0.0 or ay != 0.0)):
+                    raise ValueError
+            except (TypeError, ValueError):
+                raise ValueError(f"constraint row {row!r} is not a finite (ax, ay, b) with (ax, ay) != 0") from None
+        self._nominal, self._constraints, self._box, self._slack_weight = u, tuple(cons), box, slack_weight
         b = float(box)
-        rows = [(c.ax, c.ay, float(c.bound)) for c in cons]
-        rows += [(1.0, 0.0, b), (-1.0, 0.0, b), (0.0, 1.0, b), (0.0, -1.0, b)]
-        init = object.__setattr__
-        init(self, "nominal", u)
-        init(self, "constraints", cons)
-        init(self, "box", box)
-        init(self, "slack_weight", slack_weight)
-        init(self, "rows", tuple(rows))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"QpProblem.{name} is read-only")
+        self._rows = self._constraints + ((1.0, 0.0, b), (-1.0, 0.0, b), (0.0, 1.0, b), (0.0, -1.0, b))
 
     __repr__ = _fields_repr
 

@@ -1,8 +1,8 @@
 """Per-agent safety filter around a nominal action.
 
 For one focal agent the filter gathers the local neighborhood (peers,
-obstacles, wall faces within sensing range), builds one linear constraint
-per entity, stacks them into a single projection QP, and returns the
+obstacles, wall faces within sensing range), builds one linear row per
+entity, stacks them into a single projection QP, and returns the
 filtered action plus a diagnostics report. Stacking enforces membership in
 the intersection of all per-entity safe sets, so one solve covers every
 nearby hazard at once.
@@ -14,24 +14,30 @@ the nominal action for maximal braking away from the most imminent threat
 braking through the surviving rows, so an emergency maneuver for one
 entity cannot ram another.
 
-Rows are built inline from `_row_core` and equal, bit for bit, those of
-`cooperative_constraint` and `noncooperative_constraint` (kind="wall").
+Rows are built inline, in one pass over peers, obstacles and wall faces
+that applies the range rule of `neighborhood`. Each row goes from
+`_row_core` to `qp.QpProblem` as an `(ax, ay, b)` float triple, and equals,
+bit for bit, the `row` of `cooperative_constraint` or
+`noncooperative_constraint` (kind="wall"); no per-row object is built.
 """
 
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 import numpy as np
 
 from . import qp
-from .barriers import LinearConstraint, ShieldParams, _row_core
+from .barriers import ShieldParams, _row_core
 from .dynamics import AgentState, WorldConfig, face_clearances
 
 STATUS_PASSTHROUGH = "passthrough"
 STATUS_CORRECTED = "corrected"
 STATUS_RELAXED = "relaxed"
 STATUS_FALLBACK = "fallback"
+
+_first = itemgetter(0)
 
 
 class ShieldReport:
@@ -59,32 +65,18 @@ def neighborhood(self_id, all_agents, obstacles, world: WorldConfig, r_sense: fl
     Faces are built only when half_extent - max(|x|, |y|) <= r_sense; outside
     or non-finite positions still reach face_clearances and raise.
     """
-    self_state = None
-    peers = []
-    for aid, state in all_agents:
-        if aid == self_id:
-            self_state = state
-        else:
-            peers.append((aid, state))
-    if self_state is None:
+    selves = [state for aid, state in all_agents if aid == self_id]
+    if not selves:
         raise ValueError(f"agent {self_id!r} not present in all_agents")
-    if len(peers) > 1:
-        peers.sort(key=lambda item: item[0])
-    x, y = self_state.px, self_state.py
-    neighbors = [(aid, st) for aid, st in peers if math.hypot(x - st.px, y - st.py) <= r_sense]
+    x, y = selves[-1].px, selves[-1].py
+    neighbors = sorted(((aid, st) for aid, st in all_agents
+                        if aid != self_id and math.hypot(x - st.px, y - st.py) <= r_sense), key=_first)
     obstacles_in_range = [obs for obs in obstacles if math.hypot(x - obs.px, y - obs.py) <= r_sense]
     e = world.wall_half_extent  # no face is nearer than e - max(|x|, |y|)
     wall_faces = []
     if not (e - abs(x) > r_sense and e - abs(y) > r_sense):
         wall_faces = [f for f in face_clearances((x, y), e) if f[2] <= r_sense]
     return neighbors, obstacles_in_range, wall_faces
-
-
-def _brake_away(dpx, dpy, a_max):
-    r = math.hypot(dpx, dpy)
-    if r <= 1e-12:
-        return np.array([a_max, 0.0])
-    return np.array([a_max * dpx / r, a_max * dpy / r])
 
 
 def filter_action(
@@ -98,79 +90,69 @@ def filter_action(
 ) -> tuple[np.ndarray, ShieldReport]:
     """Filter one nominal action through the stacked-constraint QP.
 
-    `neighbors` is the full (id, AgentState) list (the focal agent itself
-    may be included and is skipped); range filtering happens here so the
-    output provably depends only on local information.
+    `neighbors` is the full (id, AgentState) list (entries with the focal
+    agent's id are skipped); range filtering happens here, by the rule of
+    `neighborhood`, so the output provably depends only on local information.
     """
     u_hat = np.asarray(u_nominal, dtype=float).reshape(2)
     hx, hy = u_hat.tolist()
     if not (math.isfinite(hx) and math.isfinite(hy)):
         raise ValueError(f"nominal action must be finite, got {u_nominal!r}")
 
-    agents = list(neighbors)
-    if agent_id not in [aid for aid, _ in agents]:
-        agents.append((agent_id, self_state))
-    near_agents, near_obstacles, wall_faces = neighborhood(
-        agent_id, agents, obstacles, world, params.r_sense
-    )
-
     sx, sy, vx, vy = self_state.px, self_state.py, self_state.vx, self_state.vy
     gamma_non, a_self, d_s, margin = params.gamma_non, params.a_max_self, params.d_s, params.margin
-    dacc_pair = a_self + params.a_max_other
+    r_sense = params.r_sense
+    hypot = math.hypot
 
-    # (dpx, dpy, bound or None, h, kind, counterpart id) per in-range entity
-    found = []
-    for aid, other in near_agents:
-        dpx, dpy = sx - other.px, sy - other.py
-        full, h = _row_core(dpx, dpy, vx - other.vx, vy - other.vy, params.gamma_coo, dacc_pair, d_s, margin)
-        if full is not None:
-            full *= 0.5  # half the pairwise bound: the peer enforces the mirror half
-        found.append((dpx, dpy, full, h, "cooperative", aid))
-    for idx, obs in enumerate(near_obstacles):
-        dpx, dpy = sx - obs.px, sy - obs.py
-        full, h = _row_core(dpx, dpy, vx, vy, gamma_non, a_self, d_s + obs.radius, margin)
-        found.append((dpx, dpy, full, h, "non-cooperative", ("obstacle", idx)))
-    for face, (px, py), _ in wall_faces:
-        # A face is a line, not a point: only the normal velocity component
-        # matters, and feeding the full vector would credit motion along the
-        # wall as curvature away from it. Work in the face-normal subspace.
-        dpx, dpy = sx - px, sy - py
-        nvx, nvy = (vx, 0.0) if face in ("+x", "-x") else (0.0, vy)
-        full, h = _row_core(dpx, dpy, nvx, nvy, gamma_non, a_self, d_s, margin)
-        found.append((dpx, dpy, full, h, "wall", ("wall", face)))
-
-    # A violated entity (h <= 0 or inside the safe ball) has no barrier row;
-    # dropping it would let an emergency for one entity ram another, so it
-    # gets a recovery row demanding outward radial acceleration at the full
-    # cap. The slack phase arbitrates when several emergencies conflict.
-    constraints = []
-    built = {"cooperative": 0, "non-cooperative": 0, "wall": 0}
+    # One (ax, ay, b) row per in-range entity, in `neighborhood` order;
+    # constraints_built counts them by kind from the length of `rows`.
+    rows = []
+    violated = []  # (h, dpx, dpy) per violated entity, in row order
     min_h = math.inf
-    worst = None  # (threat value, dpx, dpy) of the most imminent violated entity
-    for dpx, dpy, full, h, kind, cid in found:
-        min_h = min(min_h, h)
-        if full is None:
-            if worst is None or h < worst[0]:
-                worst = (h, dpx, dpy)
-            r = math.hypot(dpx, dpy)
-            if r <= 1e-9:
-                continue
-            # unit normal so simultaneous emergencies trade off evenly
-            constraints.append(LinearConstraint((-dpx / r, -dpy / r), -a_self, kind, cid))
-        else:
-            constraints.append(LinearConstraint((-dpx, -dpy), full, kind, cid))
-        built[kind] += 1
+    peers = [(aid, st) for aid, st in neighbors
+             if aid != agent_id and hypot(sx - st.px, sy - st.py) <= r_sense]
+    if len(peers) > 1:
+        peers.sort(key=_first)
+    dacc_pair = a_self + params.a_max_other
+    for _, other in peers:
+        dpx, dpy = sx - other.px, sy - other.py
+        core = _row_core(dpx, dpy, vx - other.vx, vy - other.vy, params.gamma_coo, dacc_pair, d_s, margin)
+        # half the pairwise bound: the peer enforces the mirror half
+        min_h = min(min_h, _append_row(rows, violated, dpx, dpy, core, a_self, 0.5))
+    n_peer = len(rows)
+    for obs in obstacles:
+        dpx, dpy = sx - obs.px, sy - obs.py
+        if hypot(dpx, dpy) <= r_sense:
+            core = _row_core(dpx, dpy, vx, vy, gamma_non, a_self, d_s + obs.radius, margin)
+            min_h = min(min_h, _append_row(rows, violated, dpx, dpy, core, a_self))
+    n_obs = len(rows) - n_peer
+    e = world.wall_half_extent  # no face is nearer than e - max(|x|, |y|)
+    if not (e - abs(sx) > r_sense and e - abs(sy) > r_sense):
+        for face, (px, py), dist in face_clearances((sx, sy), e):
+            if dist <= r_sense:
+                # A face is a line, not a point: only the normal velocity
+                # component matters; the full vector would credit motion along
+                # the wall as curvature away from it.
+                dpx, dpy = sx - px, sy - py
+                nvx, nvy = (vx, 0.0) if face in ("+x", "-x") else (0.0, vy)
+                core = _row_core(dpx, dpy, nvx, nvy, gamma_non, a_self, d_s, margin)
+                min_h = min(min_h, _append_row(rows, violated, dpx, dpy, core, a_self))
+    built = {"cooperative": n_peer, "non-cooperative": n_obs, "wall": len(rows) - n_peer - n_obs}
 
     # Violated-set fallback: swap the nominal for maximal braking away from
-    # the most imminent violator; the recovery and surviving rows then shape
-    # the executed action through the same projection.
-    fallback = worst is not None
-    nominal_used = _brake_away(worst[1], worst[2], a_self) if fallback else u_hat
+    # the most imminent violator (the first with the smallest h); the
+    # recovery and surviving rows then shape the executed action through
+    # the same projection.
+    nominal_used = u_hat
+    if violated:
+        _, wx, wy = min(violated, key=_first)
+        r = math.hypot(wx, wy)
+        nominal_used = np.array([a_self * wx / r, a_self * wy / r] if r > 1e-12 else [a_self, 0.0])
 
-    sol = qp.solve(qp.QpProblem(nominal_used, constraints, a_self, params.slack_weight))
+    sol = qp.solve(qp.QpProblem(nominal_used, rows, a_self, params.slack_weight))
 
     u_safe = sol.u_safe
-    if fallback:
+    if violated:
         status = STATUS_FALLBACK
     elif sol.status == qp.STATUS_RELAXED:
         status = STATUS_RELAXED
@@ -179,3 +161,22 @@ def filter_action(
 
     return u_safe, ShieldReport(agent_id, u_hat, u_safe, built, status, min_h, sol.slack)
 
+
+def _append_row(rows, violated, dpx, dpy, core, a_max, scale=1.0):
+    """Append one entity's row from its `_row_core` result; returns its h.
+
+    A violated entity (h <= 0 or inside the safe ball) has no barrier row;
+    dropping it would let an emergency for one entity ram another, so it
+    goes into `violated` and gets a recovery row demanding outward radial
+    acceleration at the full cap. The slack phase arbitrates conflicts.
+    """
+    full, h = core
+    if full is not None:
+        rows.append((-dpx, -dpy, full * scale))
+        return h
+    violated.append((h, dpx, dpy))
+    r = math.hypot(dpx, dpy)
+    if r > 1e-9:
+        # unit normal so simultaneous emergencies trade off evenly
+        rows.append((-dpx / r, -dpy / r, -a_max))
+    return h

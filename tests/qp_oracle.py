@@ -17,8 +17,8 @@ import numpy as np
 
 def _row_arrays(problem):
     if problem.constraints:
-        A = np.array([[c.normal[0], c.normal[1]] for c in problem.constraints])
-        b = np.array([c.bound for c in problem.constraints])
+        A = np.array([[ax, ay] for ax, ay, _ in problem.constraints])
+        b = np.array([bound for _, _, bound in problem.constraints])
     else:
         A = np.zeros((0, 2))
         b = np.zeros(0)
@@ -98,7 +98,7 @@ def full_pair_scan(problem, feas_tol: float = 1e-9, zero_tol: float = 1e-12):
     """
     hx, hy = float(problem.nominal[0]), float(problem.nominal[1])
     box = float(problem.box)
-    rows = [(float(c.normal[0]), float(c.normal[1]), float(c.bound)) for c in problem.constraints]
+    rows = [(float(ax), float(ay), float(b)) for ax, ay, b in problem.constraints]
     m = len(rows)
     rows += [(1.0, 0.0, box), (-1.0, 0.0, box), (0.0, 1.0, box), (0.0, -1.0, box)]
 

@@ -191,6 +191,13 @@ class TestTrainCommand:
             ({"trainer": dict(TINY_TRAINER, seed=2.5)}, []),
             ({"trainer": dict(TINY_TRAINER, episode_len=True)}, []),
             ({"seeds": [1.7]}, []),
+            ({"world": {"obstacles": [{"position": ["0.5", "-0.5"]}]}}, []),
+            ({"world": {"obstacles": [{"position": [False, -0.5]}]}}, []),
+            ({"world": {"obstacles": [{"position": [0.5, -0.5], "radius": True}],
+                        "checkin_points": [[0.7, 0.7]]}}, []),
+            ({"world": {"obstacles": [{"position": [0.5, -0.5], "radius": "0.1"}]}}, []),
+            ({"world": {"obstacles": [{"position": [0.5, 0.5], "radius": 0.1, "radus": 3}]}}, []),
+            ({"world": {"checkin_points": [["0.7", 0.7]]}}, []),
         ],
         ids=[
             "cli_seed", "json_trainer_seed", "json_seed_list", "cli_episodes",
@@ -199,7 +206,9 @@ class TestTrainCommand:
             "json_world_not_object", "json_actor_hidden_int", "json_actor_hidden_string",
             "json_critic_hidden_zero", "json_d_s_string", "json_lr_actor_string", "json_episodes_float",
             "json_buffer_capacity_float", "json_trainer_seed_float", "json_episode_len_bool",
-            "json_seed_list_float",
+            "json_seed_list_float", "json_obstacle_position_string", "json_obstacle_position_bool",
+            "json_obstacle_radius_bool", "json_obstacle_radius_string", "json_obstacle_unknown_key",
+            "json_checkin_point_string",
         ],
     )
     def test_bad_override_is_config_error(self, tmp_path, capsys, extra_config, argv):

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from marlshield.barriers import LinearConstraint
+from marlshield.barriers import (
+    LinearConstraint,
+    ShieldParams,
+    cooperative_constraint,
+    noncooperative_constraint,
+)
+from marlshield.dynamics import AgentState, ObstacleSpec
 from marlshield.qp import (
     STATUS_OPTIMAL,
     STATUS_RELAXED,
@@ -17,7 +23,7 @@ from qp_oracle import full_pair_scan, grid_project, grid_relaxed, reported_pair
 
 
 def row(nx, ny, b):
-    return LinearConstraint(normal=np.array([nx, ny]), bound=b, kind="non-cooperative")
+    return LinearConstraint(normal=np.array([nx, ny]), bound=b, kind="non-cooperative").row
 
 
 def objective(problem, u):
@@ -114,7 +120,7 @@ class TestProjectionProperties:
             u = p.nominal
             if np.max(np.abs(u)) > p.box:
                 continue
-            if any(float(c.normal @ u) > c.bound for c in p.constraints):
+            if any(ax * u[0] + ay * u[1] > b for ax, ay, b in p.constraints):
                 continue
             sol = solve(p)
             assert sol.status == STATUS_OPTIMAL
@@ -433,6 +439,43 @@ class TestValidation:
             (0.0, -1.0, 0.75),
         )
         assert all(type(v) is float for r in p.rows for v in r)
+        assert p.rows[:2] == p.constraints
+
+    def test_problem_rejects_bad_rows(self):
+        u = np.array([0.1, 0.2])
+        bad = [(np.nan, 1.0, 0.5), (1.0, np.inf, 0.5), (1.0, 0.0, np.nan), (1.0, 0.0, -np.inf),
+               (0.0, 0.0, 1.0), (-0.0, 0.0, 1.0), (0.0, -0.0, -1.0), (np.float64(0.0), 0, 2)]
+        not_triples = [(1.0, 0.0), (1.0, 0.0, 0.5, 0.0), [1.0], 1.0, None, "abc", {"ax": 1.0},
+                       LinearConstraint((1.0, 0.0), 0.5, "wall")]
+        for r in [form(r) for r in bad for form in (tuple, list, np.array)] + not_triples:
+            with pytest.raises(ValueError):
+                QpProblem(u, (row(1.0, 0.0, 0.5), r))
+
+    def test_integer_rows_become_floats(self):
+        for r in ((1, 0, 2), [1, 0, 2], np.array([1, 0, 2]), (np.float64(1.0), np.int64(0), 2.0)):
+            p = QpProblem(np.zeros(2), (r,))
+            assert p.constraints == ((1.0, 0.0, 2.0),) and p.rows[0] is p.constraints[0]
+            assert all(type(v) is float for v in p.rows[0])
+
+    def test_builder_rows_keep_their_bits(self):
+        # c.row gives the problem the same rows as the per-object unpacking did
+        rng = np.random.default_rng(37)
+        params = ShieldParams()
+        compared = 0
+        for _ in range(300):
+            me = AgentState(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))
+            peer = AgentState(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))
+            cons = [
+                cooperative_constraint(me, peer, params),
+                noncooperative_constraint(me, ObstacleSpec(rng.uniform(-1, 1, 2), 0.05), params),
+                noncooperative_constraint(me, ObstacleSpec((1.0, me.py)), params, kind="wall"),
+            ]
+            cons = [c for c in cons if c is not None]
+            p = QpProblem(rng.uniform(-1, 1, 2), [c.row for c in cons])
+            unpacked = [(c.ax, c.ay, float(c.bound)) for c in cons]
+            assert np.array(p.rows[: len(cons)]).tobytes() == np.array(unpacked).reshape(-1, 3).tobytes()
+            compared += len(cons)
+        assert compared > 500
 
 
 class TestContainers:
@@ -452,7 +495,7 @@ class TestContainers:
         for form in (tuple, list, np.array):
             source = form((0.3, -1.7))
             c = LinearConstraint(source, 0.5, "wall")
-            p = QpProblem(np.zeros(2), (c,))
+            p = QpProblem(np.zeros(2), (c.row,))
             assert type(c.ax) is float and type(c.ay) is float
             assert c.normal.tobytes() == expected
             c.normal[0] = 9.0

@@ -14,11 +14,14 @@ from marlshield.dynamics import (
     face_clearances,
     step_agent,
 )
+from marlshield.maddpg import MaddpgTrainer, TrainerConfig
+from marlshield.patrol import PatrolEnv, default_world
 from marlshield.qp import kkt_check
 from marlshield.shield import (
     STATUS_CORRECTED,
     STATUS_FALLBACK,
     STATUS_PASSTHROUGH,
+    STATUS_RELAXED,
     ShieldReport,
     filter_action,
     neighborhood,
@@ -221,14 +224,16 @@ def random_arena_calls(rng, count):
     return calls
 
 
-def row_bits(c):
-    return (c.normal.tobytes(), np.float64(c.bound).tobytes(), c.kind, c.counterpart_id)
+def row_bits(rows):
+    return np.array(rows, dtype=float).reshape(-1, 3).tobytes()
 
 
 class TestBuilderAgreement:
     def test_public_builders_match_filter_rows(self, monkeypatch):
-        # the rows the filter hands to qp.solve, recovery rows aside, are the
-        # rows the public builders emit for the same in-range entities
+        # the rows the filter hands to qp.solve are, entity by entity in
+        # neighborhood order, the public builders' rows, or a unit recovery
+        # row where the builder returns None (a violated entity); the kind
+        # of each row follows from that order and constraints_built
         problems = []
         solve = marlshield.qp.solve
 
@@ -238,28 +243,35 @@ class TestBuilderAgreement:
 
         monkeypatch.setattr(marlshield.qp, "solve", capture)
         rng = np.random.default_rng(41)
-        compared = walls = 0
+        compared = walls = recoveries = 0
         for aid, u, state, agents, obstacles, world, params in random_arena_calls(rng, 400):
-            filter_action(aid, u, state, agents, obstacles, world, params)
+            _, report = filter_action(aid, u, state, agents, obstacles, world, params)
             near, near_obs, faces = neighborhood(aid, agents, obstacles, world, params.r_sense)
-            expected = [(oid, cooperative_constraint(state, other, params, oid)) for oid, other in near]
-            expected += [
-                (("obstacle", k), noncooperative_constraint(state, o, params, ("obstacle", k)))
-                for k, o in enumerate(near_obs)
+            entities = [("cooperative", o, cooperative_constraint(state, o, params)) for _, o in near]
+            entities += [("non-cooperative", o, noncooperative_constraint(state, o, params)) for o in near_obs]
+            entities += [
+                ("wall", o, noncooperative_constraint(state, o, params, kind="wall"))
+                for o in (ObstacleSpec(point) for _, point, _ in faces)
             ]
-            expected += [
-                (("wall", face), noncooperative_constraint(
-                    state, ObstacleSpec(point), params, ("wall", face), kind="wall"
-                ))
-                for face, point, _ in faces
-            ]
-            expected = [row_bits(c) for _, c in expected if c is not None]
-            ids = {bits[3] for bits in expected}
-            got = [row_bits(c) for c in problems[-1].constraints if c.counterpart_id in ids]
-            assert got == expected
-            compared += len(expected)
-            walls += sum(bits[2] == "wall" for bits in expected)
-        assert walls > 1000 and compared > 2000
+            expected, kinds = [], []
+            for kind, other, c in entities:
+                if c is None:
+                    dpx, dpy = state.px - other.px, state.py - other.py
+                    r = math.hypot(dpx, dpy)
+                    if r <= 1e-9:
+                        continue
+                    expected.append((-dpx / r, -dpy / r, -params.a_max_self))
+                    recoveries += 1
+                else:
+                    expected.append(c.row)
+                    compared += 1
+                    walls += kind == "wall"
+                kinds.append(kind)
+            rows = problems[-1].constraints
+            assert row_bits(rows) == row_bits(expected)
+            assert all(type(v) is float for r in rows for v in r)
+            assert [k for k, n in report.constraints_built.items() for _ in range(n)] == kinds
+        assert walls > 1000 and compared > 2000 and recoveries > 20
 
 
 class TestHookContract:
@@ -445,6 +457,31 @@ class TestShieldOracle:
         # recovery rows (fallback), plain corrections and shared-slack solves all occur
         assert counts[STATUS_FALLBACK] > 700 and counts[STATUS_CORRECTED] > 150 and counts["relaxed"] > 10
         assert counts["wall"] > 4000 and counts["cooperative"] > 1000 and counts["non-cooperative"] > 1000
+
+    def test_recorded_training_states(self, monkeypatch):
+        # every filter call of a short shielded training run in the stock
+        # 2x2 world: 1 peer, 3 obstacles and 4 wall faces in range, and past
+        # warm-up the policy saturates, so most calls are corrected
+        cfg = TrainerConfig(
+            episodes=12, episode_len=100, batch_size=32, warmup_transitions=200, update_every=2,
+            actor_hidden=(32, 32), critic_hidden=(32, 32), lr_actor=1e-3, seed=7,
+        )
+        env = PatrolEnv(default_world(), PARAMS, episode_len=cfg.episode_len)
+        counts = {}
+
+        def checked(*args):
+            check_against_oracle(args, counts)
+            return filter_action(*args)
+
+        monkeypatch.setattr(marlshield.shield, "filter_action", checked)
+        MaddpgTrainer(env, cfg, shield_enabled=True).train()
+        calls = 2 * cfg.episodes * cfg.episode_len
+        statuses = (STATUS_PASSTHROUGH, STATUS_CORRECTED, STATUS_RELAXED, STATUS_FALLBACK)
+        assert sum(counts[s] for s in statuses) == calls
+        assert counts["cooperative"] == calls and counts["non-cooperative"] == 3 * calls
+        assert counts["wall"] == 4 * calls
+        assert counts[STATUS_CORRECTED] > 1400 and counts[STATUS_RELAXED] > 200
+        assert counts[STATUS_PASSTHROUGH] > 100 and counts[STATUS_FALLBACK] >= 1
 
     def test_report_fields_and_defaults(self):
         u = np.array([0.1, -0.2])

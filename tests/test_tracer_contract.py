@@ -8,11 +8,16 @@ per-layer metrics, and its KKT gate, read zero without failing anything;
 this test fails instead. The tracer is only installed and read here.
 """
 
+import math
 import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
+from marlshield import dynamics, shield
 from marlshield.barriers import ShieldParams
+from marlshield.dynamics import AgentState, ObstacleSpec, WorldConfig
 from marlshield.maddpg import MaddpgTrainer, TrainerConfig
 from marlshield.patrol import PatrolEnv, default_world
 
@@ -43,3 +48,38 @@ def test_one_shielded_step_calls_every_traced_entry_point():
         assert counts["patrol.step"] == 1
     assert sum(c["maddpg.update"] for c in steps) > 0
     assert len(tracer.qp_outcomes) == 32
+
+
+def test_adversarial_ticks_call_row_core_per_in_range_entity():
+    # the adversarial_rollout workload's tick: wide arena, one obstacle,
+    # walls out of range, full-throttle nominal at the nearest entity; the
+    # filter's inline range tests must still route every row through the
+    # traced `_row_core` and every call through one traced `qp.solve`
+    world, params = WorldConfig(wall_half_extent=100.0), ShieldParams()
+    obstacles = [ObstacleSpec([0.0, 0.0])]
+    rng = np.random.default_rng(8)
+    expected = []
+    with Tracer() as tracer:
+        for _ in range(12):
+            states = [AgentState(rng.uniform(-2.0, 2.0, 2), rng.uniform(-1, 1, 2)) for _ in range(2)]
+            for _ in range(40):
+                all_agents = list(enumerate(states))
+                new = []
+                for i, s in enumerate(states):
+                    targets = [(states[1 - i].px, states[1 - i].py), (0.0, 0.0)]
+                    dists = [math.hypot(tx - s.px, ty - s.py) for tx, ty in targets]
+                    (tx, ty), n = targets[int(np.argmin(dists))], max(min(dists), 1e-9)
+                    nominal = np.array(((tx - s.px) / n, (ty - s.py) / n))
+                    u, report = shield.filter_action(i, nominal, s, all_agents, obstacles, world, params)
+                    expected.append(sum(d <= params.r_sense for d in dists))
+                    assert report.constraints_built["wall"] == 0
+                    new.append(dynamics.step_agent(s, u, world.dt, world.v_max))
+                states = new
+    children = Counter(zip(tracer.parents, tracer.names))
+    calls = [k for k, name in enumerate(tracer.names) if name == "shield.filter_action"]
+    assert len(calls) == len(expected) == 12 * 40 * 2
+    for k, in_range in zip(calls, expected):
+        assert children[k, "qp.solve"] == 1
+        assert children[k, "barriers.row_core"] == in_range
+    assert [n for n, *_ in tracer.qp_outcomes] == [n for n, _ in tracer.shield_outcomes]
+    assert Counter(expected)[1] > 50 and Counter(expected)[2] > 50
