@@ -24,7 +24,7 @@ from .dynamics import (
     step_agent,
     wall_clearance,
 )
-from .maddpg import MaddpgTrainer, ReplayBuffer, TrainerConfig, Transition
+from .maddpg import MaddpgTrainer, ReplayBuffer, TrainerConfig
 from .patrol import EnvState, EpisodeLedger, PatrolEnv, default_world
 from .qp import QpProblem, QpSolution, kkt_check, solve
 from .shield import ShieldReport, filter_action, neighborhood

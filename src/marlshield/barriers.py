@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from operator import attrgetter
 
 import numpy as np
@@ -99,7 +100,7 @@ class LinearConstraint:
         ax, ay = np.asarray(normal, dtype=float).reshape(2).tolist()
         if not (math.isfinite(ax) and math.isfinite(ay)) or (ax == 0.0 and ay == 0.0):
             raise ValueError(f"constraint normal must be finite and nonzero, got {normal!r}")
-        if not math.isfinite(bound):
+        if not (isinstance(bound, Real) and math.isfinite(bound)):
             raise ValueError("constraint bound must be finite")
         self.ax, self.ay, self.bound, self.kind, self.counterpart_id = ax, ay, float(bound), kind, counterpart_id
 

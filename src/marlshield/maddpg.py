@@ -2,10 +2,10 @@
 
 Centralized training, decentralized execution: each agent owns an actor fed
 by its local observation and a critic fed by the joint observation/action
-vector. A shared FIFO replay buffer stores the executed (post-shield)
-actions, so critics always score the behavior that actually happened.
-Target copies of every network trail the online ones through soft updates,
-one vector blend per network over its flat parameter vector.
+vector; the online actors share one `nets.MlpStack`, so the per-step policy
+is one pass. A shared FIFO replay buffer stores the executed (post-shield)
+actions, so critics always score the behavior that actually happened. Target
+nets trail the online ones through soft updates, one blend per flat vector.
 
 The safety filter sits between action selection and execution: exploration
 noise is added to the policy output first, the filtered action is what the
@@ -21,12 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import shield as shield_mod
-from .nets import Adam, Mlp, soft_update
+from .nets import Adam, Mlp, MlpStack, soft_update
 from .patrol import EpisodeLedger, PatrolEnv, TrajectoryRow
 
 __all__ = [
     "TrainerConfig",
-    "Transition",
     "ReplayBuffer",
     "Batch",
     "td_target",
@@ -79,15 +78,6 @@ class TrainerConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class Transition:
-    obs: np.ndarray  # (n_agents, obs_dim)
-    actions: np.ndarray  # (n_agents, 2), the executed safe actions
-    rewards: np.ndarray  # (n_agents,)
-    next_obs: np.ndarray
-    done: bool
-
-
-@dataclass(frozen=True, eq=False)
 class Batch:
     obs: np.ndarray  # (S, n, d)
     actions: np.ndarray  # (S, n, 2)
@@ -97,17 +87,17 @@ class Batch:
 
 
 class ReplayBuffer:
-    """Preallocated ring buffer; eviction strictly FIFO, sampling uniform."""
+    """Preallocated ring buffer, left uninitialized (`sample` reads only written slots); FIFO, uniform."""
 
     def __init__(self, capacity: int, n_agents: int, obs_dim: int, act_dim: int = 2):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._obs = np.zeros((capacity, n_agents, obs_dim))
-        self._actions = np.zeros((capacity, n_agents, act_dim))
-        self._rewards = np.zeros((capacity, n_agents))
-        self._next_obs = np.zeros((capacity, n_agents, obs_dim))
-        self._done = np.zeros(capacity, dtype=bool)
+        self._obs = np.empty((capacity, n_agents, obs_dim))
+        self._actions = np.empty((capacity, n_agents, act_dim))
+        self._rewards = np.empty((capacity, n_agents))
+        self._next_obs = np.empty((capacity, n_agents, obs_dim))
+        self._done = np.empty(capacity, dtype=bool)
         self._pos = 0
         self._size = 0
 
@@ -123,19 +113,6 @@ class ReplayBuffer:
         self._done[i] = done
         self._pos = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
-
-    def get(self, k: int) -> Transition:
-        """k-th oldest stored transition (0 = oldest surviving)."""
-        if not 0 <= k < self._size:
-            raise IndexError(k)
-        i = (self._pos - self._size + k) % self.capacity
-        return Transition(
-            obs=self._obs[i].copy(),
-            actions=self._actions[i].copy(),
-            rewards=self._rewards[i].copy(),
-            next_obs=self._next_obs[i].copy(),
-            done=bool(self._done[i]),
-        )
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> Batch:
         if self._size == 0:
@@ -224,6 +201,7 @@ class MaddpgTrainer:
             Mlp((joint_dim, *config.critic_hidden, 1), head="linear", rng=self.rng)
             for _ in range(n)
         ]
+        self.policy = MlpStack(self.actors)
         self.target_actors = [a.copy() for a in self.actors]
         self.target_critics = [c.copy() for c in self.critics]
         self.actor_opts = [Adam(a, config.lr_actor) for a in self.actors]
@@ -232,12 +210,12 @@ class MaddpgTrainer:
         self.global_step = 0
 
     def nominal_actions(self, obs, sigma: float) -> np.ndarray:
-        """Policy outputs plus exploration noise, clipped to the action box."""
+        """Actor i on obs[i] for every agent in one stacked pass, plus exploration noise, clipped to the box."""
         a_max = self.env.world.a_max
-        acts = np.stack([actor.forward(o) for actor, o in zip(self.actors, obs)])
+        acts = self.policy.forward(obs)
         if sigma > 0.0:
-            acts = acts + self.rng.normal(0.0, sigma, size=acts.shape)
-        return np.clip(acts, -a_max, a_max)
+            acts += self.rng.normal(0.0, sigma, size=acts.shape)
+        return np.clip(acts, -a_max, a_max, out=acts)
 
     def shielded_actions(self, state, nominal: np.ndarray):
         """Run each agent's filter; returns executed actions and reports."""

@@ -10,6 +10,8 @@ All parameters of one Mlp live in a single flat float64 vector, `flat`, in
 declaration order (W0, b0, W1, b1, ...); `weights` and `biases` are views
 into it. Adam and soft_update therefore act on whole vectors, element by
 element, with the same arithmetic a per-tensor loop would do.
+`MlpStack` rebinds the `flat` of several nets to the rows of one matrix and
+runs net i on input row i for all of them in one stacked matmul per layer.
 
 Hidden layers are rectified-linear; the output head is either linear (value
 estimates) or a saturating tanh scaled to the action box (policies).
@@ -20,6 +22,16 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+
+def _views(flat, dims):
+    """Per-layer weight and bias views into the last axis of flat: one net, or one net per row."""
+    lead, weights, biases, pos = flat.shape[:-1], [], [], 0
+    for din, dout in zip(dims[:-1], dims[1:]):
+        weights.append(flat[..., pos : pos + din * dout].reshape(*lead, din, dout))
+        biases.append(flat[..., pos + din * dout : pos + din * dout + dout])
+        pos += din * dout + dout
+    return weights, biases
 
 
 class Mlp:
@@ -35,24 +47,13 @@ class Mlp:
         self.head_scale = float(head_scale)
         rng = rng if rng is not None else np.random.default_rng(0)
         self.flat = np.zeros(sum(din * dout + dout for din, dout in zip(self.dims[:-1], self.dims[1:])))
-        self._bind()
+        self.weights, self.biases = _views(self.flat, self.dims)
         for i, w in enumerate(self.weights):
             if i == len(self.weights) - 1:
                 w[...] = rng.uniform(-1e-3, 1e-3, size=w.shape)
             else:
                 w[...] = rng.normal(0.0, math.sqrt(2.0 / w.shape[0]), size=w.shape)
         self._cache = None
-
-    def _bind(self) -> None:
-        """Point weights and biases at their slices of flat."""
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        pos = 0
-        for din, dout in zip(self.dims[:-1], self.dims[1:]):
-            self.weights.append(self.flat[pos : pos + din * dout].reshape(din, dout))
-            pos += din * dout
-            self.biases.append(self.flat[pos : pos + dout])
-            pos += dout
 
     @property
     def n_params(self) -> int:
@@ -72,7 +73,7 @@ class Mlp:
         clone.head = self.head
         clone.head_scale = self.head_scale
         clone.flat = self.flat.copy()
-        clone._bind()
+        clone.weights, clone.biases = _views(clone.flat, clone.dims)
         clone._cache = None
         return clone
 
@@ -129,6 +130,35 @@ class Mlp:
             if i > 0:
                 g *= activations[i] > 0.0
         return grads, (g[0] if squeeze else g)
+
+
+class MlpStack:
+    """Nets of one architecture whose `flat` vectors are rebound to the rows of one matrix, `flat`."""
+
+    def __init__(self, nets):
+        self.nets = list(nets)
+        (dims,) = {net.dims for net in self.nets}  # ValueError unless every net has the same dims
+        self.in_shape = (len(self.nets), 1, dims[0])
+        self.flat = np.stack([net.flat for net in self.nets])
+        for row, net in zip(self.flat, self.nets):
+            net.flat = row
+            net.weights, net.biases = _views(row, dims)
+        self.weights, biases = _views(self.flat, dims)
+        self.biases = [b[:, None] for b in biases]
+
+    def forward(self, x) -> np.ndarray:
+        """Row i of the (n, dims[-1]) output is net i, with its head as set now, on row i of x."""
+        z = np.asarray(x, dtype=float).reshape(self.in_shape)  # ValueError unless n rows of dims[0]
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if i:  # rectify the previous hidden layer in place
+                np.maximum(z, 0.0, out=z)
+            z = np.matmul(z, w)
+            z += b
+        for row, net in zip(z, self.nets):
+            if net.head == "tanh":
+                np.tanh(row, out=row)
+                row *= net.head_scale
+        return z[:, 0, :]
 
 
 class Adam:

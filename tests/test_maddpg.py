@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from marlshield.barriers import ShieldParams
+from marlshield.checkpoint import attach_networks, load_checkpoint, save_checkpoint
 from marlshield.maddpg import (
     Batch,
     MaddpgTrainer,
@@ -16,7 +17,7 @@ from marlshield.maddpg import (
     td_target,
 )
 from marlshield.dynamics import AgentState
-from marlshield.nets import Adam, Mlp
+from marlshield.nets import Adam, Mlp, MlpStack
 from marlshield.patrol import EnvState, PatrolEnv, default_world
 
 import learner_oracle
@@ -43,6 +44,16 @@ def make_trainer(shield=True, **kwargs):
     return MaddpgTrainer(env, tiny_config(**kwargs), shield_enabled=shield)
 
 
+BUFFER_FIELDS = ("obs", "actions", "rewards", "next_obs", "done")
+
+
+def stored(buf, k) -> dict:
+    """k-th oldest transition in buf (0 = oldest surviving), read from its arrays by age."""
+    assert 0 <= k < len(buf)
+    i = (buf._pos - len(buf) + k) % buf.capacity
+    return {f: getattr(buf, "_" + f)[i] for f in BUFFER_FIELDS}
+
+
 def random_batch(rng, s=6, n=2, d=4):
     return Batch(
         obs=rng.normal(size=(s, n, d)),
@@ -59,8 +70,7 @@ class TestReplayBuffer:
         for k in range(8):
             buf.add([[k]], [[k, k]], [k], [[k]], False)
         assert len(buf) == 5
-        stored = [buf.get(i).rewards[0] for i in range(5)]
-        assert stored == [3.0, 4.0, 5.0, 6.0, 7.0]
+        assert [stored(buf, i)["rewards"][0] for i in range(5)] == [3.0, 4.0, 5.0, 6.0, 7.0]
 
     def test_uniform_sampling_covers_full_buffer(self):
         cap = 50
@@ -73,6 +83,28 @@ class TestReplayBuffer:
             batch = buf.sample(cap, rng)
             seen.update(batch.rewards[:, 0].astype(int).tolist())
         assert seen == set(range(cap))
+
+    def test_unwritten_slots_are_never_read(self):
+        # the arrays start uninitialized; poison them so a read of an unwritten slot shows
+        cap, n, d = 7, 2, 3
+        buf = ReplayBuffer(capacity=cap, n_agents=n, obs_dim=d)
+        for f in BUFFER_FIELDS[:4]:
+            getattr(buf, "_" + f).fill(np.nan)
+        rng = np.random.default_rng(78)
+        added = []
+        for k in range(2 * cap + 3):
+            t = (rng.normal(size=(n, d)), rng.normal(size=(n, 2)), rng.normal(size=n),
+                 rng.normal(size=(n, d)), bool(k % 2))
+            buf.add(*t)
+            added.append(t)
+            batch = buf.sample(16, rng)
+            for f in BUFFER_FIELDS[:4]:
+                assert np.isfinite(getattr(batch, f)).all()
+            for age, t in enumerate(added[-len(buf):]):
+                got = stored(buf, age)
+                for f, v in zip(BUFFER_FIELDS, t):
+                    assert np.array_equal(got[f], v)
+        assert len(buf) == cap
 
     def test_empty_sample_rejected(self):
         buf = ReplayBuffer(capacity=4, n_agents=1, obs_dim=1)
@@ -261,9 +293,9 @@ class TestTrainerLoop:
         for r in rows:
             by_step.setdefault(r.step, {})[r.agent_id] = r
         for t, agents in by_step.items():
-            stored = trainer.buffer.get(t).actions
+            actions = stored(trainer.buffer, t)["actions"]
             for i, r in agents.items():
-                assert np.array_equal(stored[i], r.u_safe)
+                assert np.array_equal(actions[i], r.u_safe)
 
     def test_unshielded_stores_nominal(self):
         trainer = make_trainer(shield=False)
@@ -339,6 +371,85 @@ class TestTrainerLoop:
             for p, b in zip(trainer.actors[0].parameters(), before)
         )
         assert changed
+
+
+class TestStackedPolicy:
+    """nominal_actions runs the actors as one MlpStack; the per-net forward is the reference."""
+
+    @staticmethod
+    def per_net(trainer, obs, sigma, rng):
+        a_max = trainer.env.world.a_max
+        acts = np.stack([actor.forward(o) for actor, o in zip(trainer.actors, obs)])
+        if sigma > 0.0:
+            acts = acts + rng.normal(0.0, sigma, size=acts.shape)
+        return np.clip(acts, -a_max, a_max)
+
+    def assert_matches_per_net(self, trainer):
+        for row, actor in zip(trainer.policy.flat, trainer.actors):
+            assert actor.flat.__array_interface__ == row.__array_interface__
+            assert all(np.shares_memory(p, trainer.policy.flat) for p in actor.parameters())
+        rng = np.random.default_rng(0)
+        state, obs = trainer.env.reset(21)
+        inputs = [obs] + [rng.normal(size=obs.shape) * s for s in (0.5, 3.0, 30.0)]
+        for _ in range(30):
+            state, obs, _, _ = trainer.env.step(state, rng.uniform(-1.0, 1.0, size=(2, 2)))
+            inputs.append(obs)
+        for obs in inputs:
+            kept = obs.copy()
+            for sigma in (0.0, 0.3):
+                ref_rng = np.random.default_rng()
+                ref_rng.bit_generator.state = trainer.rng.bit_generator.state
+                got = trainer.nominal_actions(obs, sigma)
+                assert got.tobytes() == self.per_net(trainer, obs, sigma, ref_rng).tobytes()
+                assert trainer.rng.bit_generator.state == ref_rng.bit_generator.state
+            assert obs.tobytes() == kept.tobytes()
+
+    def test_fresh_trainer(self):
+        self.assert_matches_per_net(make_trainer())
+
+    def test_after_training(self):
+        trainer = make_trainer(episodes=3)
+        start = trainer.policy.flat.copy()
+        trainer.train()
+        assert not np.array_equal(trainer.policy.flat, start)
+        self.assert_matches_per_net(trainer)
+
+    def test_after_attaching_per_agent_heads(self, tmp_path):
+        source = make_trainer(episodes=1)
+        source.train()
+        source.actors[0].head_scale = 0.6
+        source.actors[1].head, source.actors[1].head_scale = "linear", 1.7
+        source.actors[1].flat *= 300.0  # outputs beyond the box, so the clip acts
+        save_checkpoint(tmp_path / "ckpt.bin", source, "{}")
+        trainer = make_trainer(seed=5)
+        attach_networks(trainer, load_checkpoint(tmp_path / "ckpt.bin")[1])
+        assert [(a.head, a.head_scale) for a in trainer.actors] == [("tanh", 0.6), ("linear", 1.7)]
+        assert trainer.policy.flat.tobytes() == np.stack([a.flat for a in source.actors]).tobytes()
+        self.assert_matches_per_net(trainer)
+        _, obs = trainer.env.reset(4)
+        raw = trainer.policy.forward(obs)
+        assert np.abs(raw[1]).max() > trainer.env.world.a_max
+        assert np.abs(raw[0]).max() <= 0.6
+
+    def test_rows_are_decentralized(self):
+        trainer = make_trainer()
+        _, obs = trainer.env.reset(3)
+        base = trainer.policy.forward(obs)
+        moved = obs.copy()
+        moved[1] += 0.25
+        out = trainer.policy.forward(moved)
+        assert out[0].tobytes() == base[0].tobytes() and not np.array_equal(out[1], base[1])
+        trainer.actors[0].flat += 0.1
+        out = trainer.policy.forward(obs)
+        assert out[1].tobytes() == base[1].tobytes() and not np.array_equal(out[0], base[0])
+
+    def test_rejects_mismatched_nets_and_inputs(self):
+        with pytest.raises(ValueError):
+            MlpStack([Mlp((4, 3, 2)), Mlp((4, 5, 2))])
+        stack = MlpStack([Mlp((4, 3, 2)), Mlp((4, 3, 2))])
+        for x in (np.zeros((1, 4)), np.zeros((3, 4)), np.zeros((2, 5)), np.zeros(4)):
+            with pytest.raises(ValueError):
+                stack.forward(x)
 
 
 class TestLearnerOracle:

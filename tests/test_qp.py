@@ -425,6 +425,14 @@ class TestValidation:
             with pytest.raises(ValueError):
                 QpProblem(nominal=u, **kwargs)
 
+    @pytest.mark.parametrize("value", ["1", None, object()], ids=["string", "none", "object"])
+    def test_non_numbers_give_value_error(self, value):
+        for kwargs in ({"box": value}, {"slack_weight": value}):
+            with pytest.raises(ValueError):
+                QpProblem(np.zeros(2), **kwargs)
+        with pytest.raises(ValueError):
+            LinearConstraint((1.0, 0.0), value, "wall")
+
     def test_rows_are_constraints_then_box(self):
         cons = (row(1.0, -2.0, 0.5), row(-0.25, 3.0, -1.5))
         p = QpProblem(nominal=np.array([0.3, 0.4]), constraints=list(cons), box=0.75)

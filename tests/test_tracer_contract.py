@@ -5,7 +5,9 @@ perfbench/tracing.py wraps module attributes (`shield._row_core`,
 `PatrolEnv.step`, ...) from outside the package. A hot path that inlines
 one of them or binds it under another name would make the benchmark's
 per-layer metrics, and its KKT gate, read zero without failing anything;
-this test fails instead. The tracer is only installed and read here.
+this test fails instead. It also pins the policy tick to one stacked pass:
+`nets.forward*` spans (Mlp.forward) may appear only inside `maddpg.update`.
+The tracer is only installed and read here.
 """
 
 import math
@@ -46,8 +48,18 @@ def test_one_shielded_step_calls_every_traced_entry_point():
         assert counts["shield.filter_action"] == 2
         assert counts["dynamics.step_agent"] == 2
         assert counts["patrol.step"] == 1
+        # one stacked policy pass per step, never a per-agent Mlp.forward
+        assert counts["maddpg.nominal_actions"] == 1
     assert sum(c["maddpg.update"] for c in steps) > 0
     assert len(tracer.qp_outcomes) == 32
+
+    def in_update(k):
+        while k >= 0 and tracer.names[k] != "maddpg.update":
+            k = tracer.parents[k]
+        return k >= 0
+
+    forwards = [k for k, name in enumerate(tracer.names) if name.startswith("nets.forward")]
+    assert forwards and all(in_update(k) for k in forwards)
 
 
 def test_adversarial_ticks_call_row_core_per_in_range_entity():
