@@ -91,7 +91,7 @@ class ObstacleSpec:
 
 @dataclass(frozen=True, eq=False)
 class WorldConfig:
-    """Square arena with static obstacles and an ordered check-in circuit."""
+    """Square arena with static obstacles and an ordered check-in circuit of read-only arrays."""
 
     wall_half_extent: float = 1.0
     obstacles: tuple[ObstacleSpec, ...] = ()
@@ -118,6 +118,7 @@ class WorldConfig:
             if abs(obs.position[0]) >= e or abs(obs.position[1]) >= e:
                 raise ValueError(f"obstacle at {obs.position} lies outside the wall square")
         for c in self.checkin_points:
+            c.setflags(write=False)
             if abs(c[0]) >= e or abs(c[1]) >= e:
                 raise ValueError(f"check-in point {c} lies outside the wall square")
             for obs in self.obstacles:

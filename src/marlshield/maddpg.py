@@ -215,7 +215,7 @@ class MaddpgTrainer:
         acts = self.policy.forward(obs)
         if sigma > 0.0:
             acts += self.rng.normal(0.0, sigma, size=acts.shape)
-        return np.clip(acts, -a_max, a_max, out=acts)
+        return np.minimum(np.maximum(acts, -a_max, out=acts), a_max, out=acts)
 
     def shielded_actions(self, state, nominal: np.ndarray):
         """Run each agent's filter; returns executed actions and reports."""

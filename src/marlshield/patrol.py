@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barriers import ShieldParams
-from .dynamics import AgentState, WorldConfig, step_agent
+from .dynamics import AgentState, WorldConfig, _read_only, step_agent
 from .shield import STATUS_PASSTHROUGH, STATUS_RELAXED
 
 PATROLMAN_I = 0  # random patrol, no target term
@@ -31,15 +31,28 @@ REWARD_CHECKIN = 100.0
 N_AGENTS = 2
 
 
-@dataclass(frozen=True, eq=False)
 class EnvState:
-    """Joint snapshot; checkin_index wraps forward-only through the circuit."""
+    """Joint snapshot, a slotted read-only record like AgentState; checkin_index wraps forward-only
+    through the circuit; PatrolEnv.step fills in min_clearance (per agent; inf: none in range).
+    """
 
-    agents: tuple[AgentState, AgentState]
-    checkin_index: int = 0
-    checkins_reached: int = 0
-    step_count: int = 0
-    min_clearance: tuple[float, ...] = ()  # per agent (inf: none in range); set by step only
+    __slots__ = ("agents", "checkin_index", "checkins_reached", "step_count", "min_clearance")
+    __setattr__ = _read_only
+
+    def __new__(cls, agents, checkin_index=0, checkins_reached=0, step_count=0, min_clearance=()):
+        s = object.__new__(cls)
+        _SET_AGENTS(s, agents)
+        _SET_INDEX(s, checkin_index)
+        _SET_REACHED(s, checkins_reached)
+        _SET_STEPS(s, step_count)
+        _SET_MIN_CLEARANCE(s, min_clearance)
+        return s
+
+    def __reduce__(self):
+        return EnvState, (self.agents, self.checkin_index, self.checkins_reached, self.step_count, self.min_clearance)
+
+
+_SET_AGENTS, _SET_INDEX, _SET_REACHED, _SET_STEPS, _SET_MIN_CLEARANCE = (getattr(EnvState, n).__set__ for n in EnvState.__slots__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +89,12 @@ class PatrolEnv:
             raise ValueError("episode_len must be >= 0")
         if len(world.checkin_points) == 0:
             raise ValueError("world must define at least one check-in point")
+        if not all(math.isfinite(v) and v >= 0 for v in (d_c, reset_margin)):
+            raise ValueError(f"d_c and reset_margin must be finite and >= 0, got {d_c!r} and {reset_margin!r}")
         self.world = world
+        # float copies for the step; WorldConfig's arrays are read-only, so these cannot go stale
+        self._targets = tuple(tuple(c.tolist()) for c in world.checkin_points)
+        self._obstacles = tuple((o.px, o.py, o.radius) for o in world.obstacles)
         self.params = shield_params
         self.episode_len = episode_len
         self.d_c = d_c
@@ -128,14 +146,14 @@ class PatrolEnv:
         """Observations as one (n_agents, obs_dim) float array: own position and velocity,
         then the offsets of the peer, each obstacle and the target (zeros for patrolman I).
         """
-        tx, ty = self.world.checkin_points[state.checkin_index].tolist()
+        tx, ty = self._targets[state.checkin_index]
         rows = []
         for i, agent in enumerate(state.agents):
             x, y = agent.px, agent.py
             other = state.agents[1 - i]
             row = [x, y, agent.vx, agent.vy, other.px - x, other.py - y]
-            for o in self.world.obstacles:
-                row += (o.px - x, o.py - y)
+            for ox, oy, _ in self._obstacles:
+                row += (ox - x, oy - y)
             row += (tx - x, ty - y) if i == PATROLMAN_II else (0.0, 0.0)
             rows.append(row)
         return np.array(rows)
@@ -149,80 +167,70 @@ class PatrolEnv:
         d = math.hypot(px - other.px, py - other.py)
         if d <= self.params.r_sense:
             out.append(d)
-        for o in self.world.obstacles:
-            d = math.hypot(px - o.px, py - o.py)
+        for ox, oy, radius in self._obstacles:
+            d = math.hypot(px - ox, py - oy)
             if d <= self.params.r_sense:
-                out.append(d - o.radius)
+                out.append(d - radius)
         return out
 
     def min_entity_distance(self, state: EnvState, agent_idx: int) -> float:
         return min(self.entity_distances(state, agent_idx), default=math.inf)
 
     def step(self, state: EnvState, actions) -> tuple[EnvState, np.ndarray, np.ndarray, bool]:
-        """Integrate both agents, score rewards, advance the check-in circuit.
+        """Integrate both agents, score rewards as floats (one array at the end), advance the circuit.
 
         Actions: (n_agents, 2), finite, within +-a_max. Returns (state, `observe` rows, rewards, done).
         """
+        world = self.world
         rows = np.asarray(actions, dtype=float).reshape(N_AGENTS, 2).tolist()
         if not all(map(math.isfinite, rows[0] + rows[1])):
             raise ValueError("actions must be finite")
-        if max(map(abs, rows[0] + rows[1])) > self.world.a_max + 1e-9:
-            raise ValueError(
-                f"action components must lie within +-{self.world.a_max}, got {rows!r}"
-            )
-        agents = tuple(
-            step_agent(agent, rows[i], self.world.dt, self.world.v_max)
-            for i, agent in enumerate(state.agents)
-        )
-        tx, ty = self.world.checkin_points[state.checkin_index].tolist()
+        if max(map(abs, rows[0] + rows[1])) > world.a_max + 1e-9:
+            raise ValueError(f"action components must lie within +-{world.a_max}, got {rows!r}")
+        a0, a1 = state.agents
+        agents = (step_agent(a0, rows[0], world.dt, world.v_max), step_agent(a1, rows[1], world.dt, world.v_max))
+        tx, ty = self._targets[state.checkin_index]
         p2 = agents[PATROLMAN_II]
         at_target = math.hypot(p2.px - tx, p2.py - ty) <= self.d_c
 
-        checkin_index = state.checkin_index
-        checkins_reached = state.checkins_reached
+        checkin_index, checkins_reached = state.checkin_index, state.checkins_reached
         if at_target:
-            checkin_index = (checkin_index + 1) % len(self.world.checkin_points)
+            checkin_index = (checkin_index + 1) % len(self._targets)
             checkins_reached += 1
-        new_state = EnvState(
-            agents=agents,
-            checkin_index=checkin_index,
-            checkins_reached=checkins_reached,
-            step_count=state.step_count + 1,
-        )
+        new_state = EnvState(agents, checkin_index, checkins_reached, state.step_count + 1)
 
-        rewards = np.zeros(N_AGENTS)
+        rewards = []
         min_clearance = []
         for i in range(N_AGENTS):
             dists = self.entity_distances(new_state, i)
+            r = 0.0
             for d in dists:
                 if d <= self.params.d_s:
-                    rewards[i] += REWARD_COLLISION
+                    r += REWARD_COLLISION
                 elif i == PATROLMAN_II and at_target:
-                    rewards[i] += REWARD_CHECKIN
+                    r += REWARD_CHECKIN
                 else:
-                    rewards[i] += REWARD_CLEAR
+                    r += REWARD_CLEAR
+            rewards.append(r)
             min_clearance.append(min(dists, default=math.inf))
         # filled in before the state leaves step, so it reads as immutable
-        object.__setattr__(new_state, "min_clearance", tuple(min_clearance))
+        _SET_MIN_CLEARANCE(new_state, tuple(min_clearance))
 
-        done = (
-            new_state.step_count >= self.episode_len
-            or checkins_reached >= len(self.world.checkin_points)
-        )
-        return new_state, self.observe(new_state), rewards, done
+        done = new_state.step_count >= self.episode_len or checkins_reached >= len(self._targets)
+        return new_state, self.observe(new_state), np.array(rewards), done
 
 
 class EpisodeLedger:
     """One episode's metrics, fed once per step; no steps give zero counts.
 
-    A collision step has some clearance at or below d_s. Any filter status
-    but passthrough is an intervention, a relaxed one also a slack event;
-    unshielded steps pass no reports.
+    Reward totals are two floats. A collision step has some clearance at or
+    below d_s. Any filter status but passthrough is an intervention, a
+    relaxed one also a slack event; unshielded steps pass no reports.
     """
 
     def __init__(self, d_s: float):
         self.d_s = d_s
-        self.totals = np.zeros(N_AGENTS)
+        self.reward_I = self.reward_II = 0.0
         self.collision_steps = 0
         self.min_dist = math.inf
         self.checkins = 0
@@ -231,7 +239,8 @@ class EpisodeLedger:
 
     def record(self, state: EnvState, rewards, reports=None) -> None:
         """Add one step: the state PatrolEnv.step returned, its rewards, the filter reports."""
-        self.totals += rewards
+        r_i, r_ii = rewards.tolist()
+        self.reward_I, self.reward_II = self.reward_I + r_i, self.reward_II + r_ii
         step_min = min(state.min_clearance)
         self.min_dist = min(self.min_dist, step_min)
         if step_min <= self.d_s:
@@ -245,8 +254,8 @@ class EpisodeLedger:
 
     def metrics(self) -> dict:
         return {
-            "reward_I": float(self.totals[PATROLMAN_I]),
-            "reward_II": float(self.totals[PATROLMAN_II]),
+            "reward_I": self.reward_I,
+            "reward_II": self.reward_II,
             "collisions_step": self.collision_steps,
             "collisions_episode": int(self.collision_steps > 0),
             "min_dist": self.min_dist,

@@ -162,6 +162,18 @@ class TestWorldConfig:
         with pytest.raises(ValueError):
             WorldConfig(checkin_points=([1.5, 0.0],))
 
+    def test_checkin_points_are_read_only(self):
+        source = np.array([0.5, -0.5])
+        world = WorldConfig(checkin_points=(source, [0.1, 0.2]))
+        source[0] = 0.9
+        for c in world.checkin_points:
+            assert not c.flags.writeable
+            with pytest.raises(ValueError):
+                c[0] = 0.0
+            with pytest.raises(ValueError):
+                c += 1.0
+        assert [c.tolist() for c in world.checkin_points] == [[0.5, -0.5], [0.1, 0.2]]
+
     def test_checkin_inside_obstacle_rejected(self):
         with pytest.raises(ValueError):
             WorldConfig(

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -62,6 +64,63 @@ class TestReset:
         env = PatrolEnv(tiny, PARAMS)
         with pytest.raises(CrowdedWorldError):
             env.reset(0)
+
+    @pytest.mark.parametrize("name", ["d_c", "reset_margin"])
+    @pytest.mark.parametrize("value", [-0.07, -1e-12, math.nan, math.inf, -math.inf])
+    def test_rejects_negative_or_non_finite_radii(self, name, value):
+        # a negative margin spawns agents within d_s (a collision on the first
+        # step); a NaN d_c silently disables every check-in
+        with pytest.raises(ValueError, match=name):
+            make_env(**{name: value})
+
+    def test_zero_radii_are_allowed(self):
+        env = make_env(d_c=0.0, reset_margin=0.0)
+        for seed in range(20):
+            state, _ = env.reset(seed)
+            a, b = state.agents
+            assert math.hypot(a.px - b.px, a.py - b.py) > PARAMS.d_s
+
+
+class TestEnvStateRecord:
+    FIELDS = ("agents", "checkin_index", "checkins_reached", "step_count", "min_clearance")
+
+    def stepped(self):
+        env = make_env()
+        state, _ = env.reset(4)
+        for _ in range(3):
+            state = env.step(state, np.array([[0.5, -0.25], [-1.0, 1.0]]))[0]
+        return state
+
+    def fields(self, state):
+        return tuple(getattr(state, name) for name in self.FIELDS)
+
+    def test_fields_are_read_only(self):
+        state = self.stepped()
+        for name in (*self.FIELDS, "other"):
+            with pytest.raises(AttributeError):
+                setattr(state, name, 1)
+        assert not hasattr(state, "__dict__")
+        assert state.step_count == 3 and len(state.min_clearance) == 2
+
+    def test_keyword_and_positional_construction(self):
+        agents = (AgentState([0.1, 0.2], [0, 0]), AgentState([-0.3, 0.4], [0, 0]))
+        bare = EnvState(agents)
+        assert self.fields(bare) == (agents, 0, 0, 0, ())
+        assert self.fields(EnvState(agents=agents)) == self.fields(bare)
+        full = (agents, 2, 7, 11, (0.5, math.inf))
+        assert self.fields(EnvState(*full)) == full
+        assert self.fields(EnvState(**dict(zip(self.FIELDS, full)))) == full
+
+    def test_stepped_state_survives_pickle_and_copies(self):
+        state = self.stepped()
+        copies = (pickle.loads(pickle.dumps(state)), copy.copy(state), copy.deepcopy(state))
+        for c in copies:
+            assert type(c) is EnvState and c is not state
+            assert self.fields(c)[1:] == self.fields(state)[1:]
+            for a, b in zip(c.agents, state.agents):
+                assert (a.px, a.py, a.vx, a.vy) == (b.px, b.py, b.vx, b.vy)
+            with pytest.raises(AttributeError):
+                c.step_count = 0
 
 
 class TestObservations:
@@ -290,6 +349,32 @@ def oracle_replay(shielded, world, seeds):
             ref_out = env_oracle.step(env, ref, actions)
             yield out, ref_out
             state, ref, done = out[0], ref_out[0], out[3]
+
+
+def oracle_worlds():
+    """The stock arena, and one with room to reach top speed under the shield."""
+    stock = default_world()
+    wide = WorldConfig(wall_half_extent=4.0, obstacles=stock.obstacles, checkin_points=stock.checkin_points)
+    return stock, wide
+
+
+@pytest.mark.parametrize("shielded", [False, True], ids=["unshielded", "shielded"])
+def test_ledger_float_totals_match_numpy_accumulation(shielded):
+    """Over the oracle episodes, float reward totals equal, byte for byte, a float64 array summed with numpy."""
+    episodes = 0
+    for world in oracle_worlds():
+        ledger, ref = EpisodeLedger(PARAMS.d_s), np.zeros(2)
+        for (state, _, rewards, done), _ in oracle_replay(shielded, world, range(12)):
+            ledger.record(state, rewards)
+            ref += rewards
+            if done:
+                metrics = ledger.metrics()
+                totals = (metrics["reward_I"], metrics["reward_II"])
+                assert all(type(t) is float for t in totals)
+                assert np.array(totals).tobytes() == ref.tobytes()
+                ledger, ref = EpisodeLedger(PARAMS.d_s), np.zeros(2)
+                episodes += 1
+    assert episodes == 24
 
 
 class TestEnvOracle:
