@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from marlshield.dynamics import AgentState, WorldConfig, step_agent, wall_clearance
+from marlshield.dynamics import AgentState, WorldConfig, face_clearances, step_agent
 from marlshield.svgplot import render_arena
 
 OUT = Path("demo_out")
@@ -30,8 +30,9 @@ print(f"  after one full-throttle step: v={s.velocity} (capped at 1.0 per axis)\
 
 print("== wall clearance ==")
 for p in ([0.0, 0.0], [0.9, 0.0], [0.9, 0.9], [-0.2, -0.95]):
-    point, dist = wall_clearance(AgentState(p, [0, 0]), world)
-    print(f"  p={p}: nearest boundary point {point}, distance {dist:.3f}")
+    # the nearest face; ties go to the first in (+x, -x, +y, -y) order
+    _, point, dist = min(face_clearances(p, world.wall_half_extent), key=lambda face: face[2])
+    print(f"  p={p}: nearest boundary point {np.array(point)}, distance {dist:.3f}")
 
 # ballistic arcs: constant acceleration from different headings
 paths = {}

@@ -3,21 +3,14 @@
 Run:  python demos/02_barrier_anatomy.py
 """
 
-import math
-
 import numpy as np
 
-from marlshield.barriers import (
-    ShieldParams,
-    cbf_condition_residual,
-    cooperative_constraint,
-    h_cooperative,
-    h_noncooperative,
-    noncooperative_constraint,
-)
-from marlshield.dynamics import AgentState, ObstacleSpec
+from marlshield.barriers import ShieldParams, cbf_condition_residual, h_cooperative
+from marlshield.dynamics import AgentState, ObstacleSpec, WorldConfig
+from marlshield.shield import local_rows
 
 params = ShieldParams()
+world = WorldConfig(wall_half_extent=100.0)  # walls far outside sensing range
 print(f"safe distance d_s={params.d_s}, caps {params.a_max_self}/{params.a_max_other}, "
       f"gammas {params.gamma_coo}/{params.gamma_non}, sensing {params.r_sense}\n")
 
@@ -35,15 +28,19 @@ for r in (1.0, 0.6, 0.4, 0.3, 0.25):
 print("\n== the emitted rows ==")
 a = AgentState([0.0, 0.0], [0.6, 0.0])
 b = AgentState([0.5, 0.0], [-0.6, 0.0])
-con = cooperative_constraint(a, b, params)
-print(f"  pair row: normal={con.normal}, bound={con.bound:.4f} (half of the pairwise budget)")
-print(f"  full-throttle approach u=(1,0): lhs={float(con.normal @ [1, 0]):+.4f} "
-      f"{'violates -> correction' if float(con.normal @ [1, 0]) > con.bound else 'fits'}")
+# each row is an (ax, ay, b) triple: the focal acceleration u must keep ax*ux + ay*uy <= b
+rows, _, _, _ = local_rows(0, a, [(1, b)], [], world, params)
+ax, ay, bound = rows[0]
+normal = np.array([ax, ay])
+print(f"  pair row: normal={normal}, bound={bound:.4f} (half of the pairwise budget)")
+print(f"  full-throttle approach u=(1,0): lhs={float(normal @ [1, 0]):+.4f} "
+      f"{'violates -> correction' if float(normal @ [1, 0]) > bound else 'fits'}")
 
 obs = ObstacleSpec([0.4, 0.0])
 agent = AgentState([0.0, 0.0], [0.7, 0.0])
-row = noncooperative_constraint(agent, obs, params)
-print(f"  obstacle row: normal={row.normal}, bound={row.bound:.4f} (no split, obstacle will not help)")
+rows, _, _, _ = local_rows(0, agent, [], [obs], world, params)
+ax, ay, bound = rows[0]
+print(f"  obstacle row: normal={np.array([ax, ay])}, bound={bound:.4f} (no split, obstacle will not help)")
 
 print("\n== the growth condition the rows encode ==")
 h = 0.8

@@ -5,12 +5,12 @@ Run:  python demos/03_action_projection.py
 
 import numpy as np
 
-from marlshield.barriers import LinearConstraint
-from marlshield.qp import QpProblem, kkt_check, solve
+from marlshield.qp import QpProblem, solve
 
 
 def row(nx, ny, b):
-    return LinearConstraint(normal=np.array([nx, ny]), bound=b, kind="non-cooperative").row
+    """The halfplane nx*ux + ny*uy <= b as the (ax, ay, b) float triple the solver takes."""
+    return float(nx), float(ny), float(b)
 
 
 def show(label, problem):

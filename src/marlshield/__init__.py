@@ -8,25 +8,15 @@ safety machinery (`barriers`, `qp`, `shield`), the learner (`nets`,
 
 from .barriers import (
     InsideUnsafeBall,
-    LinearConstraint,
     ShieldParams,
     cbf_condition_residual,
-    cooperative_constraint,
     h_cooperative,
     h_noncooperative,
-    noncooperative_constraint,
 )
-from .dynamics import (
-    AgentState,
-    ObstacleSpec,
-    WorldConfig,
-    pairwise_distance,
-    step_agent,
-    wall_clearance,
-)
+from .dynamics import AgentState, ObstacleSpec, WorldConfig, step_agent
 from .maddpg import MaddpgTrainer, ReplayBuffer, TrainerConfig
 from .patrol import EnvState, EpisodeLedger, PatrolEnv, default_world
 from .qp import QpProblem, QpSolution, kkt_check, solve
-from .shield import ShieldReport, filter_action, neighborhood
+from .shield import ShieldReport, filter_action, local_rows
 
 __version__ = "0.1.0"

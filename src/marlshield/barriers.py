@@ -16,19 +16,14 @@ closing speed is below what maximal braking can absorb over the remaining
 separation. The reciprocal barrier B = 1/h satisfies the usual controlled
 growth condition exactly when the emitted linear constraint on the focal
 acceleration holds; `cbf_condition_residual` exposes that condition for
-verification.
+verification. `_row_core` computes one such row, and `shield.local_rows`
+builds each agent's rows from it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from numbers import Real
-from operator import attrgetter
-
-import numpy as np
-
-from .dynamics import AgentState, ObstacleSpec
+from dataclasses import astuple, dataclass
 
 # Separation-above-safe-distance floor applied inside bound computations;
 # the sqrt term's slope diverges at the boundary and this keeps bounds finite.
@@ -55,6 +50,9 @@ class ShieldParams:
     about a_max*dt^2 plus curvature terms. Bounds are therefore computed
     as if the safe distance were d_s + margin; triggers, rewards, and
     metrics keep the true d_s.
+
+    Every field must be finite, and `a_max_self`, the QP's action box,
+    must be positive; ValueError otherwise.
     """
 
     d_s: float = 0.075
@@ -67,10 +65,14 @@ class ShieldParams:
     margin: float = 0.02
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in astuple(self)):
+            raise ValueError(f"shield parameters must be finite, got {self!r}")
         if not self.d_s > 0:
             raise ValueError("d_s must be > 0")
-        if self.a_max_self < 0 or self.a_max_other < 0:
-            raise ValueError("acceleration caps must be >= 0")
+        if not self.a_max_self > 0:
+            raise ValueError("a_max_self must be > 0: it is the QP's action box")
+        if self.a_max_other < 0:
+            raise ValueError("a_max_other must be >= 0")
         if not (self.gamma_coo > 0 and self.gamma_non > 0):
             raise ValueError("gamma values must be > 0")
         if not self.r_sense > self.d_s:
@@ -79,34 +81,6 @@ class ShieldParams:
             raise ValueError("slack_weight must be >= 0")
         if self.margin < 0:
             raise ValueError("margin must be >= 0")
-
-
-class LinearConstraint:
-    """One row ax*ux + ay*uy <= bound acting on the focal agent, as the public builders return it.
-
-    The normal is any array-like of two numbers, stored as floats `ax`,
-    `ay`; normal and bound are validated once (finite, normal nonzero) or
-    ValueError. `normal` reads as a fresh array, so writing into it
-    changes no row. `row` is the `(ax, ay, bound)` float triple that
-    `qp.QpProblem` takes; the shield builds such triples directly. `kind`
-    is "cooperative", "non-cooperative" or "wall".
-    """
-
-    __slots__ = ("ax", "ay", "bound", "kind", "counterpart_id")
-    normal = property(lambda self: np.array((self.ax, self.ay)))
-    row = property(attrgetter("ax", "ay", "bound"))
-
-    def __init__(self, normal, bound, kind, counterpart_id=None):
-        ax, ay = np.asarray(normal, dtype=float).reshape(2).tolist()
-        if not (math.isfinite(ax) and math.isfinite(ay)) or (ax == 0.0 and ay == 0.0):
-            raise ValueError(f"constraint normal must be finite and nonzero, got {normal!r}")
-        if not (isinstance(bound, Real) and math.isfinite(bound)):
-            raise ValueError("constraint bound must be finite")
-        self.ax, self.ay, self.bound, self.kind, self.counterpart_id = ax, ay, float(bound), kind, counterpart_id
-
-    def __repr__(self):
-        fields = (self.normal, self.bound, self.kind, self.counterpart_id)
-        return f"LinearConstraint{fields!r}"
 
 
 def _pair(v, name: str) -> tuple[float, float]:
@@ -194,60 +168,6 @@ def _row_core(dpx, dpy, wx, wy, gamma, dacc, d_s_true, margin):
     if in_band and credit > 0.0:
         credit = 0.0
     return gamma * h * h * h * r - sigma * sigma / (r * r) + credit, h
-
-
-def cooperative_constraint(
-    self_state: AgentState, other_state: AgentState, params: ShieldParams, counterpart_id=None
-) -> LinearConstraint | None:
-    """Linear constraint the focal agent enforces against a cooperating peer.
-
-    Returns None when the pair is at or below the safe distance or the
-    barrier value is nonpositive; the shield is expected to brake instead.
-    The emitted bound is half the pairwise right-hand side: the peer's own
-    shield enforces the mirrored half, and the sum implies the joint
-    condition on the relative acceleration.
-    """
-    dpx, dpy = self_state.px - other_state.px, self_state.py - other_state.py
-    dvx, dvy = self_state.vx - other_state.vx, self_state.vy - other_state.vy
-    dacc = params.a_max_self + params.a_max_other
-    full, _ = _row_core(
-        dpx, dpy, dvx, dvy, params.gamma_coo, dacc, params.d_s, params.margin
-    )
-    if full is None:
-        return None
-    return LinearConstraint((-dpx, -dpy), 0.5 * full, "cooperative", counterpart_id)
-
-
-def noncooperative_constraint(
-    self_state: AgentState,
-    obstacle: ObstacleSpec,
-    params: ShieldParams,
-    counterpart_id=None,
-    kind: str = "non-cooperative",
-) -> LinearConstraint | None:
-    """Linear constraint against an inert entity (obstacle or wall point).
-
-    A positive obstacle radius inflates the safe distance so clearance is
-    measured from the disc surface. No bound split: the counterpart
-    contributes nothing.
-
-    With kind="wall" the entity is the nearest point of an arena wall face.
-    A face is a line, not a point, so only the velocity component along dp
-    counts and motion along the face earns no curvature credit. The faces
-    are axis-aligned, so one dp component is exactly 0 and the other axis
-    carries that component; the row equals the shield's bit for bit.
-    """
-    dpx, dpy = self_state.px - obstacle.px, self_state.py - obstacle.py
-    vx, vy = self_state.vx, self_state.vy
-    if kind == "wall":
-        vx, vy = (vx if dpx else 0.0), (vy if dpy else 0.0)
-    full, _ = _row_core(
-        dpx, dpy, vx, vy, params.gamma_non, params.a_max_self,
-        params.d_s + obstacle.radius, params.margin,
-    )
-    if full is None:
-        return None
-    return LinearConstraint((-dpx, -dpy), full, kind, counterpart_id)
 
 
 def cbf_condition_residual(h_value: float, h_dot: float, gamma: float) -> float:

@@ -1,7 +1,7 @@
 """Double-integrator agents and static world geometry.
 
-Everything here is a pure function of its inputs: stepping an agent,
-measuring separations, and locating the nearest wall point. The stepping
+Everything here is a pure function of its inputs: stepping an agent and
+measuring the clearance to each wall face. The stepping
 scheme is semi-implicit Euler (velocity updated first, then position),
 which keeps braking commands effective within the same step.
 """
@@ -16,10 +16,6 @@ import numpy as np
 DEFAULT_DT = 0.1
 DEFAULT_V_MAX = 1.0
 DEFAULT_A_MAX = 1.0
-
-# Fixed face order; ties in nearest-face queries resolve to the first entry.
-WALL_FACES = ("+x", "-x", "+y", "-y")
-
 
 def _as_vec2(value, name: str) -> list[float]:
     v = np.asarray(value, dtype=float).reshape(2).tolist()
@@ -125,6 +121,11 @@ class WorldConfig:
                 if math.hypot(c[0] - obs.position[0], c[1] - obs.position[1]) <= obs.radius:
                     raise ValueError(f"check-in point {c} lies inside obstacle at {obs.position}")
 
+    def __reduce__(self):
+        # through the constructor, so copies get read-only check-in arrays too
+        return WorldConfig, (self.wall_half_extent, self.obstacles, self.checkin_points,
+                             self.dt, self.v_max, self.a_max)
+
 
 def step_agent(state: AgentState, accel, dt: float, v_max: float = DEFAULT_V_MAX) -> AgentState:
     """Advance one agent by dt seconds under constant acceleration.
@@ -142,28 +143,12 @@ def step_agent(state: AgentState, accel, dt: float, v_max: float = DEFAULT_V_MAX
     return _state_unchecked(state.px + vx * dt, state.py + vy * dt, vx, vy)
 
 
-def _position_of(entity) -> np.ndarray:
-    pos = getattr(entity, "position", entity)
-    return np.asarray(pos, dtype=float)
-
-
-def pairwise_distance(a, b) -> float:
-    """Euclidean distance between the positions of two entities.
-
-    Accepts AgentState, ObstacleSpec, or a bare 2-vector; symmetric by
-    construction.
-    """
-    pa = _position_of(a)
-    pb = _position_of(b)
-    return float(math.hypot(pa[0] - pb[0], pa[1] - pb[1]))
-
-
 def face_clearances(position, half_extent: float) -> list[tuple[str, tuple, float]]:
     """Nearest point and distance to each wall face, in fixed face order.
 
-    Points are plain (x, y) tuples; wall_clearance wraps its winner in an
-    array. The agent must be inside the square; outside positions indicate
-    an integration or shielding failure upstream, so they raise.
+    Points are plain (x, y) tuples; the nearest face is the first entry of
+    least distance. The agent must be inside the square; outside positions
+    indicate an integration or shielding failure upstream, so they raise.
     """
     x, y = float(position[0]), float(position[1])
     if not (math.isfinite(x) and math.isfinite(y)):
@@ -177,14 +162,3 @@ def face_clearances(position, half_extent: float) -> list[tuple[str, tuple, floa
         ("+y", (x, e), e - y),
         ("-y", (x, -e), e + y),
     ]
-
-
-def wall_clearance(state: AgentState, world: WorldConfig) -> tuple[np.ndarray, float]:
-    """Closest point on the square boundary and its distance.
-
-    Ties between faces resolve in the fixed (+x, -x, +y, -y) order.
-    """
-    faces = face_clearances(state.position, world.wall_half_extent)
-    best = min(range(4), key=lambda i: faces[i][2])
-    _, point, dist = faces[best]
-    return np.array(point), float(dist)

@@ -54,8 +54,8 @@ def _fields_repr(obj) -> str:
 class QpProblem:
     """Projection instance: nominal action, halfplane rows, box, slack penalty.
 
-    `constraints` are rows ax*ux + ay*uy <= b as `(ax, ay, b)` triples (a
-    `LinearConstraint` passes its `row`), each validated once: 3 finite
+    `constraints` are rows ax*ux + ay*uy <= b as `(ax, ay, b)` triples (as
+    `shield.local_rows` builds them), each validated once: 3 finite real
     numbers, (ax, ay) nonzero, or ValueError. They are kept as float
     triples, and `rows` is `constraints` followed by the +x, -x, +y, -y box
     rows. That index scheme is used everywhere (active sets, KKT checks);
@@ -83,6 +83,8 @@ class QpProblem:
             try:
                 ax, ay, b = row
                 if not (type(row) is tuple and type(ax) is type(ay) is type(b) is float):
+                    if not (isinstance(ax, _REAL) and isinstance(ay, _REAL) and isinstance(b, _REAL)):
+                        raise ValueError
                     ax, ay, b = cons[i] = float(ax), float(ay), float(b)
                 if not (isfinite(ax) and isfinite(ay) and isfinite(b) and (ax != 0.0 or ay != 0.0)):
                     raise ValueError

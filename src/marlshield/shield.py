@@ -1,11 +1,10 @@
 """Per-agent safety filter around a nominal action.
 
-For one focal agent the filter gathers the local neighborhood (peers,
-obstacles, wall faces within sensing range), builds one linear row per
-entity, stacks them into a single projection QP, and returns the
-filtered action plus a diagnostics report. Stacking enforces membership in
-the intersection of all per-entity safe sets, so one solve covers every
-nearby hazard at once.
+For one focal agent the filter builds one linear row per entity it senses
+(peers, obstacles, wall faces within sensing range), stacks them into a
+single projection QP, and returns the filtered action plus a diagnostics
+report. Stacking enforces membership in the intersection of all
+per-entity safe sets, so one solve covers every nearby hazard at once.
 
 When any entity is already at or below the safe distance, or its barrier
 value is nonpositive, no constraint exists for it; the filter then swaps
@@ -14,11 +13,12 @@ the nominal action for maximal braking away from the most imminent threat
 braking through the surviving rows, so an emergency maneuver for one
 entity cannot ram another.
 
-Rows are built inline, in one pass over peers, obstacles and wall faces
-that applies the range rule of `neighborhood`. Each row goes from
-`_row_core` to `qp.QpProblem` as an `(ax, ay, b)` float triple, and equals,
-bit for bit, the `row` of `cooperative_constraint` or
-`noncooperative_constraint` (kind="wall"); no per-row object is built.
+`local_rows` is the one place rows are built: a single pass over peers,
+obstacles and wall faces that applies the range rule and calls
+`_row_core` once per in-range entity. Each row goes from there to
+`qp.QpProblem` as an `(ax, ay, b)` float triple; no per-row object is
+built. `filter_action` adds the projection: the fallback nominal, one
+`qp.solve`, the status and the `ShieldReport`.
 """
 
 from __future__ import annotations
@@ -56,58 +56,31 @@ class ShieldReport:
     __repr__ = qp._fields_repr
 
 
-def neighborhood(self_id, all_agents, obstacles, world: WorldConfig, r_sense: float):
-    """Entities within sensing range of one agent, in deterministic order.
+def local_rows(
+    agent_id, self_state: AgentState, neighbors, obstacles, world: WorldConfig, params: ShieldParams
+) -> tuple[list, dict, list, float]:
+    """The focal agent's barrier rows from what it senses: `(rows, built, violated, min_h)`.
 
-    Returns (neighbors, obstacles_in_range, wall_faces_in_range); neighbors
-    ascend by id, obstacles keep list order, wall faces keep the fixed face
-    order. Distances are center-to-center and the comparison is inclusive.
-    Faces are built only when half_extent - max(|x|, |y|) <= r_sense; outside
-    or non-finite positions still reach face_clearances and raise.
+    Entities are in range when their center-to-center distance is at most
+    `r_sense` (inclusive). `neighbors` is the full (id, AgentState) list;
+    entries with the focal agent's id are skipped and peers ascend by id.
+    Obstacles keep list order and wall faces the fixed (+x, -x, +y, -y)
+    order; faces are measured only when half_extent - max(|x|, |y|) <=
+    r_sense, and outside or non-finite positions then raise ValueError.
+
+    `rows` holds one `(ax, ay, b)` float triple per in-range entity in that
+    order (peers, obstacles, walls), or a unit recovery row for a violated
+    one; `built` counts them by kind. `violated` lists `(h, dpx, dpy)` per
+    violated entity in row order, and `min_h` is the smallest barrier value
+    seen (inf when nothing is in range).
     """
-    selves = [state for aid, state in all_agents if aid == self_id]
-    if not selves:
-        raise ValueError(f"agent {self_id!r} not present in all_agents")
-    x, y = selves[-1].px, selves[-1].py
-    neighbors = sorted(((aid, st) for aid, st in all_agents
-                        if aid != self_id and math.hypot(x - st.px, y - st.py) <= r_sense), key=_first)
-    obstacles_in_range = [obs for obs in obstacles if math.hypot(x - obs.px, y - obs.py) <= r_sense]
-    e = world.wall_half_extent  # no face is nearer than e - max(|x|, |y|)
-    wall_faces = []
-    if not (e - abs(x) > r_sense and e - abs(y) > r_sense):
-        wall_faces = [f for f in face_clearances((x, y), e) if f[2] <= r_sense]
-    return neighbors, obstacles_in_range, wall_faces
-
-
-def filter_action(
-    agent_id,
-    u_nominal,
-    self_state: AgentState,
-    neighbors,
-    obstacles,
-    world: WorldConfig,
-    params: ShieldParams,
-) -> tuple[np.ndarray, ShieldReport]:
-    """Filter one nominal action through the stacked-constraint QP.
-
-    `neighbors` is the full (id, AgentState) list (entries with the focal
-    agent's id are skipped); range filtering happens here, by the rule of
-    `neighborhood`, so the output provably depends only on local information.
-    """
-    u_hat = np.asarray(u_nominal, dtype=float).reshape(2)
-    hx, hy = u_hat.tolist()
-    if not (math.isfinite(hx) and math.isfinite(hy)):
-        raise ValueError(f"nominal action must be finite, got {u_nominal!r}")
-
     sx, sy, vx, vy = self_state.px, self_state.py, self_state.vx, self_state.vy
     gamma_non, a_self, d_s, margin = params.gamma_non, params.a_max_self, params.d_s, params.margin
     r_sense = params.r_sense
     hypot = math.hypot
 
-    # One (ax, ay, b) row per in-range entity, in `neighborhood` order;
-    # constraints_built counts them by kind from the length of `rows`.
     rows = []
-    violated = []  # (h, dpx, dpy) per violated entity, in row order
+    violated = []
     min_h = math.inf
     peers = [(aid, st) for aid, st in neighbors
              if aid != agent_id and hypot(sx - st.px, sy - st.py) <= r_sense]
@@ -138,11 +111,35 @@ def filter_action(
                 core = _row_core(dpx, dpy, nvx, nvy, gamma_non, a_self, d_s, margin)
                 min_h = min(min_h, _append_row(rows, violated, dpx, dpy, core, a_self))
     built = {"cooperative": n_peer, "non-cooperative": n_obs, "wall": len(rows) - n_peer - n_obs}
+    return rows, built, violated, min_h
+
+
+def filter_action(
+    agent_id,
+    u_nominal,
+    self_state: AgentState,
+    neighbors,
+    obstacles,
+    world: WorldConfig,
+    params: ShieldParams,
+) -> tuple[np.ndarray, ShieldReport]:
+    """Filter one nominal action through the stacked-constraint QP.
+
+    Takes the arguments of `local_rows` plus the nominal action; the rows
+    apply its range rule, so the output provably depends only on local
+    information.
+    """
+    u_hat = np.asarray(u_nominal, dtype=float).reshape(2)
+    hx, hy = u_hat.tolist()
+    if not (math.isfinite(hx) and math.isfinite(hy)):
+        raise ValueError(f"nominal action must be finite, got {u_nominal!r}")
+    rows, built, violated, min_h = local_rows(agent_id, self_state, neighbors, obstacles, world, params)
 
     # Violated-set fallback: swap the nominal for maximal braking away from
     # the most imminent violator (the first with the smallest h); the
     # recovery and surviving rows then shape the executed action through
     # the same projection.
+    a_self = params.a_max_self
     nominal_used = u_hat
     if violated:
         _, wx, wy = min(violated, key=_first)

@@ -5,9 +5,10 @@ in a frozen dataclass, the problem is a frozen dataclass that unboxes the
 normals again with `tolist()`, the report is a frozen dataclass, and the
 neighborhood builds all four wall faces on every call before the range
 test. The barrier arithmetic (`_row_core`) and the solver (`qp.solve`) are
-the package's, so `shield.filter_action` must return the same `u_safe`
-bytes, status, `min_h`, slack and `constraints_built` as `filter_action`
-here on every input.
+the package's, so `shield.local_rows` must return the same row bytes,
+kinds, violated entities and `min_h` as `local_rows` here, and
+`shield.filter_action` the same `u_safe` bytes, status, `min_h`, slack and
+`constraints_built` as `filter_action` here, on every input.
 """
 
 from __future__ import annotations
@@ -74,10 +75,8 @@ def neighborhood(self_id, all_agents, obstacles, world, r_sense):
     return neighbors, near_obstacles, faces
 
 
-def filter_action(agent_id, u_nominal, self_state, neighbors, obstacles, world, params):
-    """Same inputs and outputs as `shield.filter_action`, through the containers above."""
-    u_hat = np.asarray(u_nominal, dtype=float).reshape(2)
-    hx, hy = u_hat.tolist()
+def local_rows(agent_id, self_state, neighbors, obstacles, world, params):
+    """Same inputs and outputs as `shield.local_rows`, with `ArrayRow` rows."""
     agents = list(neighbors)
     if agent_id not in [aid for aid, _ in agents]:
         agents.append((agent_id, self_state))
@@ -102,14 +101,13 @@ def filter_action(agent_id, u_nominal, self_state, neighbors, obstacles, world, 
         full, h = _row_core(sx - px, sy - py, nvx, nvy, params.gamma_non, a_self, d_s, margin)
         found.append((sx - px, sy - py, full, h, "wall", ("wall", face)))
 
-    rows = []
+    rows, violated = [], []
     built = {"cooperative": 0, "non-cooperative": 0, "wall": 0}
-    min_h, worst = math.inf, None
+    min_h = math.inf
     for dpx, dpy, full, h, kind, cid in found:
         min_h = min(min_h, h)
         if full is None:
-            if worst is None or h < worst[0]:
-                worst = (h, dpx, dpy)
+            violated.append((h, dpx, dpy))
             r = math.hypot(dpx, dpy)
             if r <= 1e-9:
                 continue
@@ -117,6 +115,19 @@ def filter_action(agent_id, u_nominal, self_state, neighbors, obstacles, world, 
         else:
             rows.append(ArrayRow(np.array((-dpx, -dpy)), full, kind, cid))
         built[kind] += 1
+    return rows, built, violated, min_h
+
+
+def filter_action(agent_id, u_nominal, self_state, neighbors, obstacles, world, params):
+    """Same inputs and outputs as `shield.filter_action`, through the containers above."""
+    u_hat = np.asarray(u_nominal, dtype=float).reshape(2)
+    hx, hy = u_hat.tolist()
+    rows, built, violated, min_h = local_rows(agent_id, self_state, neighbors, obstacles, world, params)
+    a_self = params.a_max_self
+    worst = None
+    for h, dpx, dpy in violated:
+        if worst is None or h < worst[0]:
+            worst = (h, dpx, dpy)
 
     nominal = u_hat
     if worst is not None:

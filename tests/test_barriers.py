@@ -7,16 +7,40 @@ from marlshield.barriers import (
     InsideUnsafeBall,
     ShieldParams,
     cbf_condition_residual,
-    cooperative_constraint,
     h_cooperative,
     h_noncooperative,
     h_rate,
-    noncooperative_constraint,
 )
-from marlshield.dynamics import AgentState, ObstacleSpec
+from marlshield.dynamics import AgentState, ObstacleSpec, WorldConfig
+from marlshield.shield import local_rows
 
 PARAMS = ShieldParams()  # d_s=0.075, caps 1.0, gammas 0.5
 P0 = ShieldParams(margin=0.0)  # literal bound formulas, no sampled-data guard
+# an arena whose walls lie far outside sensing range, so each call below sees one entity
+OPEN = WorldConfig(wall_half_extent=100.0)
+
+
+class Row:
+    """One (ax, ay, b) row of `local_rows` as a normal array and a bound."""
+
+    def __init__(self, row):
+        ax, ay, self.bound = row
+        self.normal = np.array([ax, ay])
+
+
+def only_row(self_state, peers, obstacles, params):
+    """The row `local_rows` builds for the one entity in range; None if it is violated."""
+    rows, built, violated, _ = local_rows(0, self_state, peers, obstacles, OPEN, params)
+    assert len(rows) == 1 and built["wall"] == 0
+    return None if violated else Row(rows[0])
+
+
+def peer_row(self_state, other_state, params):
+    return only_row(self_state, [(1, other_state)], [], params)
+
+
+def obstacle_row(self_state, obstacle, params):
+    return only_row(self_state, [], [obstacle], params)
 
 
 def closed_form_flow(p, v, a, t):
@@ -97,7 +121,7 @@ class TestConstraints:
     def test_receding_pair_inactive_for_any_box_action(self):
         a = AgentState([1, 0], [0.5, 0])
         b = AgentState([0, 0], [0, 0])
-        con = cooperative_constraint(a, b, P0)
+        con = peer_row(a, b, P0)
         # evaluate the pairwise right-hand side directly at dp=(1,0), dv=(0.5,0)
         sigma, r = 0.5, 1.0
         dacc = 2.0
@@ -121,8 +145,8 @@ class TestConstraints:
                 [math.cos(rng.uniform(0, 6.28)), math.sin(rng.uniform(0, 6.28))]
             )
             va, vb = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
-            ca = cooperative_constraint(AgentState(pa, va), AgentState(pb, vb), P0)
-            cb = cooperative_constraint(AgentState(pb, vb), AgentState(pa, va), P0)
+            ca = peer_row(AgentState(pa, va), AgentState(pb, vb), P0)
+            cb = peer_row(AgentState(pb, vb), AgentState(pa, va), P0)
             if ca is None or cb is None:
                 continue
             assert np.allclose(ca.normal, -cb.normal, atol=0)
@@ -132,8 +156,8 @@ class TestConstraints:
         a = AgentState([0.2, 0.1], [-0.3, 0.2])
         b = AgentState([-0.4, -0.2], [0.1, 0.0])
         doubled = ShieldParams(gamma_coo=1.0, margin=0.0)
-        c1 = cooperative_constraint(a, b, P0)
-        c2 = cooperative_constraint(a, b, doubled)
+        c1 = peer_row(a, b, P0)
+        c2 = peer_row(a, b, doubled)
         dp = a.position - b.position
         dv = a.velocity - b.velocity
         r = float(np.hypot(*dp))
@@ -144,7 +168,7 @@ class TestConstraints:
     def test_resting_agent_near_obstacle_feasible(self):
         agent = AgentState([0.3, 0], [0, 0])
         obs = ObstacleSpec([0, 0])
-        con = noncooperative_constraint(agent, obs, P0)
+        con = obstacle_row(agent, obs, P0)
         r = 0.3
         h = math.sqrt(2 * 1.0 * (r - P0.d_s))
         assert math.isclose(con.bound, P0.gamma_non * h**3 * r, rel_tol=1e-12)
@@ -153,7 +177,7 @@ class TestConstraints:
     def test_moving_away_all_terms_nonnegative(self):
         agent = AgentState([0.5, 0], [0.4, 0])  # directly away from the obstacle
         obs = ObstacleSpec([0, 0])
-        con = noncooperative_constraint(agent, obs, P0)
+        con = obstacle_row(agent, obs, P0)
         sigma = 0.5 * 0.4
         r = 0.5
         gap = r - P0.d_s
@@ -169,17 +193,17 @@ class TestConstraints:
 
     def test_violated_set_returns_none(self):
         inside = AgentState([0.05, 0], [0, 0])
-        assert cooperative_constraint(inside, AgentState([0, 0], [0, 0]), P0) is None
+        assert peer_row(inside, AgentState([0, 0], [0, 0]), P0) is None
         fast = AgentState([0.3, 0], [-3.0, 0])  # h < 0: overshooting approach
-        assert noncooperative_constraint(fast, ObstacleSpec([0, 0]), P0) is None
+        assert obstacle_row(fast, ObstacleSpec([0, 0]), P0) is None
 
     def test_obstacle_radius_inflates_safe_distance(self):
         agent = AgentState([0.5, 0], [0, 0])
         fat = ObstacleSpec([0, 0], radius=0.2)
-        con = noncooperative_constraint(agent, fat, P0)
+        con = obstacle_row(agent, fat, P0)
         h_expected = math.sqrt(2 * 1.0 * (0.5 - 0.2 - P0.d_s))
         assert math.isclose(con.bound, P0.gamma_non * h_expected**3 * 0.5, rel_tol=1e-12)
-        assert noncooperative_constraint(AgentState([0.27, 0], [0, 0]), fat, P0) is None
+        assert obstacle_row(AgentState([0.27, 0], [0, 0]), fat, P0) is None
 
     def test_margin_equals_shifted_safe_distance(self):
         # the sampled-data guard only shifts the safe distance inside bounds
@@ -187,11 +211,11 @@ class TestConstraints:
         shifted = ShieldParams(d_s=guarded.d_s + 0.03, margin=0.0)
         a = AgentState([0.4, 0.2], [-0.5, 0.1])
         b = AgentState([-0.2, -0.1], [0.3, 0.0])
-        c1 = cooperative_constraint(a, b, guarded)
-        c2 = cooperative_constraint(a, b, shifted)
+        c1 = peer_row(a, b, guarded)
+        c2 = peer_row(a, b, shifted)
         assert math.isclose(c1.bound, c2.bound, rel_tol=1e-15)
-        o1 = noncooperative_constraint(a, ObstacleSpec([0, 0]), guarded)
-        o2 = noncooperative_constraint(a, ObstacleSpec([0, 0]), shifted)
+        o1 = obstacle_row(a, ObstacleSpec([0, 0]), guarded)
+        o2 = obstacle_row(a, ObstacleSpec([0, 0]), shifted)
         assert math.isclose(o1.bound, o2.bound, rel_tol=1e-15)
 
 
@@ -227,7 +251,7 @@ class TestDerivationCrossChecks:
             dv = rng.uniform(-1.5, 1.5, 2)
             a = AgentState(np.zeros(2) + dp, dv)
             b = AgentState(np.zeros(2), np.zeros(2))
-            con = cooperative_constraint(a, b, P0)
+            con = peer_row(a, b, P0)
             if con is None:
                 continue
             du = rng.uniform(-2, 2, 2)  # relative acceleration sample
@@ -250,7 +274,7 @@ class TestDerivationCrossChecks:
                 continue
             v = rng.uniform(-1.5, 1.5, 2)
             agent = AgentState(pos, v)
-            con = noncooperative_constraint(agent, ObstacleSpec([0, 0]), P0)
+            con = obstacle_row(agent, ObstacleSpec([0, 0]), P0)
             if con is None:
                 continue
             u = rng.uniform(-1, 1, 2)
@@ -300,3 +324,16 @@ class TestShieldParams:
             ShieldParams(a_max_self=-1.0)
         with pytest.raises(ValueError):
             ShieldParams(slack_weight=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "name", ["d_s", "a_max_self", "a_max_other", "gamma_coo", "gamma_non", "r_sense", "slack_weight", "margin"]
+    )
+    def test_rejects_non_finite_fields(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            ShieldParams(**{name: value})
+
+    def test_action_box_must_be_positive(self):
+        with pytest.raises(ValueError):
+            ShieldParams(a_max_self=0.0)
+        assert ShieldParams(a_max_other=0.0).a_max_other == 0.0  # a peer may bring no braking of its own

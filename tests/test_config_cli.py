@@ -198,6 +198,9 @@ class TestTrainCommand:
             ({"world": {"obstacles": [{"position": [0.5, -0.5], "radius": "0.1"}]}}, []),
             ({"world": {"obstacles": [{"position": [0.5, 0.5], "radius": 0.1, "radus": 3}]}}, []),
             ({"world": {"checkin_points": [["0.7", 0.7]]}}, []),
+            ({"shield": {"slack_weight": math.inf}}, []),
+            ({"shield": {"margin": math.nan}}, []),
+            ({"shield": {"a_max_self": 0.0}}, []),
         ],
         ids=[
             "cli_seed", "json_trainer_seed", "json_seed_list", "cli_episodes",
@@ -208,7 +211,8 @@ class TestTrainCommand:
             "json_buffer_capacity_float", "json_trainer_seed_float", "json_episode_len_bool",
             "json_seed_list_float", "json_obstacle_position_string", "json_obstacle_position_bool",
             "json_obstacle_radius_bool", "json_obstacle_radius_string", "json_obstacle_unknown_key",
-            "json_checkin_point_string",
+            "json_checkin_point_string", "json_slack_weight_infinity", "json_margin_nan",
+            "json_a_max_self_zero",
         ],
     )
     def test_bad_override_is_config_error(self, tmp_path, capsys, extra_config, argv):

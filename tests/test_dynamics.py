@@ -10,10 +10,9 @@ from marlshield.dynamics import (
     ObstacleSpec,
     WorldConfig,
     face_clearances,
-    pairwise_distance,
     step_agent,
-    wall_clearance,
 )
+from marlshield.patrol import default_world
 
 
 def boundary_distance_oracle(p, half_extent, samples=20001):
@@ -88,26 +87,10 @@ class TestStepAgent:
             assert np.all(np.abs(s.velocity) <= 1.0 + 1e-15)
 
 
-class TestPairwiseDistance:
-    def test_3_4_5(self):
-        assert pairwise_distance(AgentState([0, 0], [0, 0]), AgentState([3, 4], [0, 0])) == 5.0
-
-    def test_identity(self):
-        s = AgentState([0.4, -0.9], [1, 1])
-        assert pairwise_distance(s, s) == 0.0
-
-    def test_safe_distance_boundary(self):
-        # the configured safe distance is 0.075
-        a = AgentState([0.1, 0], [0, 0])
-        b = ObstacleSpec([0.1, 0.075])
-        assert math.isclose(pairwise_distance(a, b), 0.075, abs_tol=1e-15)
-
-    def test_symmetry_nonnegativity(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            a = AgentState(rng.uniform(-5, 5, 2), [0, 0])
-            b = AgentState(rng.uniform(-5, 5, 2), [0, 0])
-            assert pairwise_distance(a, b) == pairwise_distance(b, a) >= 0.0
+def wall_clearance(state, world):
+    """The nearest face of `face_clearances`: its point as an array, and its distance."""
+    _, point, dist = min(face_clearances(state.position, world.wall_half_extent), key=lambda f: f[2])
+    return np.array(point), dist
 
 
 class TestWallClearance:
@@ -173,6 +156,22 @@ class TestWorldConfig:
             with pytest.raises(ValueError):
                 c += 1.0
         assert [c.tolist() for c in world.checkin_points] == [[0.5, -0.5], [0.1, 0.2]]
+
+    def test_copies_keep_checkin_points_read_only(self):
+        # a pickle round trip or a copy rebuilds the world through its constructor
+        world = default_world()
+        for copied in (pickle.loads(pickle.dumps(world)), copy.deepcopy(world), copy.copy(world)):
+            assert type(copied) is WorldConfig and copied is not world
+            assert [c.tolist() for c in copied.checkin_points] == [c.tolist() for c in world.checkin_points]
+            fields = [(o.px, o.py, o.radius) for o in world.obstacles]
+            assert [(o.px, o.py, o.radius) for o in copied.obstacles] == fields
+            assert (copied.wall_half_extent, copied.dt, copied.v_max, copied.a_max) == (
+                world.wall_half_extent, world.dt, world.v_max, world.a_max
+            )
+            for c in copied.checkin_points:
+                assert not c.flags.writeable
+                with pytest.raises(ValueError):
+                    c[0] = 0.0
 
     def test_checkin_inside_obstacle_rejected(self):
         with pytest.raises(ValueError):

@@ -90,3 +90,39 @@ def test_checker_flags_unreferenced_private_names():
     assert private_definitions(source) == {"_A": 2, "_B": 3, "_f": 5, "_C": 6, "_g": 7}
     assert {"_A", "_g"} <= referenced_names(source)
     assert not {"_B", "_f", "_C"} & referenced_names(source)
+
+
+# Public names no package module reads, kept on purpose.
+UNREAD_PUBLIC_KEEP = {
+    "h_cooperative": "the paper's cooperative barrier value; tests and the benchmark's safe starts use it",
+    "h_noncooperative": "the paper's inert-entity barrier value; tests and the benchmark's safe starts use it",
+    "h_rate": "the analytic barrier rate the row formula is derived from; the derivation tests use it",
+    "cbf_condition_residual": "the paper's controlled-growth condition; the derivation tests check rows against it",
+    "kkt_check": "the independent optimality certificate the QP tests hold `solve` to",
+}
+
+
+def public_definitions(source: str) -> dict[str, int]:
+    """Module-level public functions and classes, by line."""
+    return {
+        node.name: node.lineno
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+
+
+def test_no_unread_public_definitions():
+    # a re-export from __init__ is not a read: code only tests or demos call belongs with them
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    used = set().union(*(referenced_names(s) for m, s in sources.items() if m != "__init__.py"))
+    defined = {name: f"{module}:{line}" for module, source in sorted(sources.items())
+               for name, line in public_definitions(source).items()}
+    assert set(UNREAD_PUBLIC_KEEP) <= set(defined)
+    orphans = [f"{where} {name}" for name, where in defined.items() if name not in used | set(UNREAD_PUBLIC_KEEP)]
+    assert orphans == []
+
+
+def test_checker_flags_unread_public_names():
+    source = "import x\nA = 1\ndef f(): return g()\ndef g(): pass\nclass C: pass\ndef _h(): pass\n"
+    assert public_definitions(source) == {"f": 3, "g": 4, "C": 5}
+    assert "g" in referenced_names(source) and not {"f", "C"} & referenced_names(source)

@@ -17,9 +17,10 @@ from marlshield.patrol import (
     PatrolEnv,
     default_world,
 )
-from marlshield.shield import ShieldReport, filter_action, neighborhood
+from marlshield.shield import ShieldReport, filter_action, local_rows
 
 import env_oracle
+import shield_oracle
 
 PARAMS = ShieldParams()
 
@@ -200,10 +201,13 @@ class TestRewards:
             p0 = rng.uniform(-0.9, 0.9, 2)
             p1 = rng.uniform(-0.9, 0.9, 2)
             state = state_at(p0, p1)
+            agents = list(enumerate(state.agents))
             for i in range(2):
-                near_agents, near_obs, _ = neighborhood(
-                    i, list(enumerate(state.agents)), env.world.obstacles, env.world, PARAMS.r_sense
+                _, built, _, _ = local_rows(i, state.agents[i], agents, env.world.obstacles, env.world, PARAMS)
+                near_agents, near_obs, _ = shield_oracle.neighborhood(
+                    i, agents, env.world.obstacles, env.world, PARAMS.r_sense
                 )
+                assert (built["cooperative"], built["non-cooperative"]) == (len(near_agents), len(near_obs))
                 assert len(env.entity_distances(state, i)) == len(near_agents) + len(near_obs)
 
 

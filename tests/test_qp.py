@@ -3,13 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from marlshield.barriers import (
-    LinearConstraint,
-    ShieldParams,
-    cooperative_constraint,
-    noncooperative_constraint,
-)
-from marlshield.dynamics import AgentState, ObstacleSpec
 from marlshield.qp import (
     STATUS_OPTIMAL,
     STATUS_RELAXED,
@@ -23,7 +16,8 @@ from qp_oracle import full_pair_scan, grid_project, grid_relaxed, reported_pair
 
 
 def row(nx, ny, b):
-    return LinearConstraint(normal=np.array([nx, ny]), bound=b, kind="non-cooperative").row
+    """The halfplane nx*ux + ny*uy <= b as the solver's (ax, ay, b) float triple."""
+    return float(nx), float(ny), float(b)
 
 
 def objective(problem, u):
@@ -68,7 +62,7 @@ class TestSolveExamples:
         with pytest.raises(ValueError):
             QpProblem(nominal=np.array([np.nan, 0.0]))
         with pytest.raises(ValueError):
-            row(np.inf, 0.0, 1.0)
+            QpProblem(np.zeros(2), (row(np.inf, 0.0, 1.0),))
 
 
 class TestKktCheck:
@@ -402,17 +396,6 @@ class TestPrunedPairScan:
 
 
 class TestValidation:
-    def test_constraint_rejects_bad_rows(self):
-        for normal, bound in (
-            ((np.nan, 1.0), 1.0),
-            ((0.0, 0.0), 1.0),
-            ((1.0, 0.0), np.nan),
-            ((1.0, 0.0), np.inf),
-            ((1.0, 0.0), -np.inf),
-        ):
-            with pytest.raises(ValueError):
-                LinearConstraint(np.array(normal), bound, "non-cooperative")
-
     def test_problem_rejects_bad_box_and_weight(self):
         u = np.array([0.1, 0.2])
         for kwargs in (
@@ -431,7 +414,7 @@ class TestValidation:
             with pytest.raises(ValueError):
                 QpProblem(np.zeros(2), **kwargs)
         with pytest.raises(ValueError):
-            LinearConstraint((1.0, 0.0), value, "wall")
+            QpProblem(np.zeros(2), ((1.0, 0.0, value),))
 
     def test_rows_are_constraints_then_box(self):
         cons = (row(1.0, -2.0, 0.5), row(-0.25, 3.0, -1.5))
@@ -453,8 +436,7 @@ class TestValidation:
         u = np.array([0.1, 0.2])
         bad = [(np.nan, 1.0, 0.5), (1.0, np.inf, 0.5), (1.0, 0.0, np.nan), (1.0, 0.0, -np.inf),
                (0.0, 0.0, 1.0), (-0.0, 0.0, 1.0), (0.0, -0.0, -1.0), (np.float64(0.0), 0, 2)]
-        not_triples = [(1.0, 0.0), (1.0, 0.0, 0.5, 0.0), [1.0], 1.0, None, "abc", {"ax": 1.0},
-                       LinearConstraint((1.0, 0.0), 0.5, "wall")]
+        not_triples = [(1.0, 0.0), (1.0, 0.0, 0.5, 0.0), [1.0], 1.0, None, "abc", {"ax": 1.0}]
         for r in [form(r) for r in bad for form in (tuple, list, np.array)] + not_triples:
             with pytest.raises(ValueError):
                 QpProblem(u, (row(1.0, 0.0, 0.5), r))
@@ -465,26 +447,6 @@ class TestValidation:
             assert p.constraints == ((1.0, 0.0, 2.0),) and p.rows[0] is p.constraints[0]
             assert all(type(v) is float for v in p.rows[0])
 
-    def test_builder_rows_keep_their_bits(self):
-        # c.row gives the problem the same rows as the per-object unpacking did
-        rng = np.random.default_rng(37)
-        params = ShieldParams()
-        compared = 0
-        for _ in range(300):
-            me = AgentState(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))
-            peer = AgentState(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))
-            cons = [
-                cooperative_constraint(me, peer, params),
-                noncooperative_constraint(me, ObstacleSpec(rng.uniform(-1, 1, 2), 0.05), params),
-                noncooperative_constraint(me, ObstacleSpec((1.0, me.py)), params, kind="wall"),
-            ]
-            cons = [c for c in cons if c is not None]
-            p = QpProblem(rng.uniform(-1, 1, 2), [c.row for c in cons])
-            unpacked = [(c.ax, c.ay, float(c.bound)) for c in cons]
-            assert np.array(p.rows[: len(cons)]).tobytes() == np.array(unpacked).reshape(-1, 3).tobytes()
-            compared += len(cons)
-        assert compared > 500
-
 
 class TestContainers:
     BAD_NORMALS = ((np.nan, 1.0), (1.0, np.nan), (np.inf, 0.0), (0.0, -np.inf), (0.0, 0.0), (-0.0, 0.0))
@@ -493,30 +455,20 @@ class TestContainers:
     def test_constraint_rejects_bad_normals_in_every_form(self, form):
         for normal in self.BAD_NORMALS:
             with pytest.raises(ValueError):
-                LinearConstraint(form(normal), 1.0, "wall")
+                QpProblem(np.zeros(2), (form((*normal, 1.0)),))
         for bound in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError):
-                LinearConstraint(form((1.0, 0.0)), bound, "wall")
+                QpProblem(np.zeros(2), (form((1.0, 0.0, bound)),))
 
     def test_normal_reads_as_a_fresh_copy_of_the_floats(self):
-        expected = np.array([0.3, -1.7]).tobytes()
         for form in (tuple, list, np.array):
-            source = form((0.3, -1.7))
-            c = LinearConstraint(source, 0.5, "wall")
-            p = QpProblem(np.zeros(2), (c.row,))
-            assert type(c.ax) is float and type(c.ay) is float
-            assert c.normal.tobytes() == expected
-            c.normal[0] = 9.0
+            source = form((0.3, -1.7, 0.5))
+            p = QpProblem(np.zeros(2), (source,))
+            ax, ay, b = p.constraints[0]
+            assert type(ax) is float and type(ay) is float and type(b) is float
             if form is not tuple:
-                source[0] = 9.0  # nor is the caller's list or array aliased
-            assert (c.ax, c.ay) == (0.3, -1.7) and p.rows[0] == (0.3, -1.7, 0.5)
-            assert c.normal.tobytes() == expected
-
-    def test_integer_normals_become_floats(self):
-        for normal in ((1, 0), np.array([1, 0]), (np.float64(1.0), 0.0)):
-            c = LinearConstraint(normal, 2, "non-cooperative")
-            assert type(c.ax) is float and type(c.ay) is float
-            assert c.normal.dtype == np.float64
+                source[0] = 9.0  # the caller's list or array is not aliased
+            assert p.constraints[0] == p.rows[0] == (0.3, -1.7, 0.5)
 
     def test_problem_fields_are_read_only(self):
         p = QpProblem(np.array([0.1, 0.2]), (row(1.0, 0.0, 0.5),))

@@ -5,7 +5,7 @@ import pytest
 
 import marlshield.qp
 import marlshield.shield
-from marlshield.barriers import ShieldParams, cooperative_constraint, noncooperative_constraint
+from marlshield.barriers import ShieldParams
 from marlshield.dynamics import (
     AgentState,
     ObstacleSpec,
@@ -24,7 +24,7 @@ from marlshield.shield import (
     STATUS_RELAXED,
     ShieldReport,
     filter_action,
-    neighborhood,
+    local_rows,
 )
 
 import shield_oracle
@@ -38,14 +38,20 @@ def agents_pair(p0, v0, p1, v1):
     return [(0, AgentState(p0, v0)), (1, AgentState(p1, v1))]
 
 
+def kinds_in_range(self_id, agents, obstacles, world, params):
+    """Row counts by kind from the oracle's independent range rule."""
+    near, near_obs, faces = shield_oracle.neighborhood(self_id, agents, obstacles, world, params.r_sense)
+    return {"cooperative": len(near), "non-cooperative": len(near_obs), "wall": len(faces)}
+
+
 class TestNeighborhood:
     def test_everything_within_huge_range(self):
         agents = agents_pair([0, 0], [0, 0], [0.5, 0], [0, 0])
         obstacles = [ObstacleSpec([0.2, 0.2]), ObstacleSpec([-0.7, 0.1])]
-        n, o, w = neighborhood(0, agents, obstacles, SMALL_WORLD, r_sense=1000.0)
-        assert [aid for aid, _ in n] == [1]
-        assert len(o) == 2
-        assert [f for f, _, _ in w] == ["+x", "-x", "+y", "-y"]
+        params = ShieldParams(r_sense=1000.0)
+        _, built, _, _ = local_rows(0, agents[0][1], agents, obstacles, SMALL_WORLD, params)
+        assert built == {"cooperative": 1, "non-cooperative": 2, "wall": 4}
+        assert built == kinds_in_range(0, agents, obstacles, SMALL_WORLD, params)
 
     def test_r_sense_invariant_gate(self):
         with pytest.raises(ValueError):
@@ -53,14 +59,22 @@ class TestNeighborhood:
 
     def test_center_sees_all_faces_at_exactly_one(self):
         agents = [(0, AgentState([0, 0], [0, 0]))]
-        _, _, faces = neighborhood(0, agents, [], SMALL_WORLD, r_sense=1.0)
-        assert [f for f, _, _ in faces] == ["+x", "-x", "+y", "-y"]
-        assert all(math.isclose(d, 1.0) for _, _, d in faces)
+        params = ShieldParams(r_sense=1.0)
+        rows, built, _, _ = local_rows(0, agents[0][1], agents, [], SMALL_WORLD, params)
+        assert built == {"cooperative": 0, "non-cooperative": 0, "wall": 4}
+        assert built == kinds_in_range(0, agents, [], SMALL_WORLD, params)
+        # each wall row's normal points from the agent to its face, at distance 1
+        assert [r[:2] for r in rows] == [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
 
     def test_deterministic_order(self):
         agents = [(2, AgentState([0.1, 0], [0, 0])), (0, AgentState([0, 0], [0, 0])), (1, AgentState([0, 0.1], [0, 0]))]
-        n, _, _ = neighborhood(0, agents, [], BIG_WORLD, r_sense=5.0)
-        assert [aid for aid, _ in n] == [1, 2]
+        params = ShieldParams(r_sense=5.0)
+        rows, built, _, _ = local_rows(0, agents[1][1], agents, [], BIG_WORLD, params)
+        assert built == {"cooperative": 2, "non-cooperative": 0, "wall": 0}
+        # peers ascend by id: the row of peer 1 (at +y) comes before that of peer 2 (at +x)
+        near, _, _ = shield_oracle.neighborhood(0, agents, [], BIG_WORLD, params.r_sense)
+        assert [aid for aid, _ in near] == [1, 2]
+        assert [r[:2] for r in rows] == [(st.px, st.py) for _, st in near]
 
 
 class TestFilterAction:
@@ -143,21 +157,12 @@ class TestFilterAction:
             u_safe, report = filter_action(0, u, s0, [(0, s0), (1, s1)], obstacles, world, PARAMS)
             if report.status not in (STATUS_PASSTHROUGH, STATUS_CORRECTED):
                 continue
-            # rebuild every row independently and check the returned action
-            cons = []
-            if math.hypot(*(p0 - p1)) <= PARAMS.r_sense:
-                cons.append(cooperative_constraint(s0, s1, PARAMS))
-            for o in obstacles:
-                if math.hypot(*(p0 - o.position)) <= PARAMS.r_sense:
-                    cons.append(noncooperative_constraint(s0, o, PARAMS))
-            for face, point, dist in face_clearances(p0, world.wall_half_extent):
-                if dist <= PARAMS.r_sense:
-                    cons.append(
-                        noncooperative_constraint(s0, ObstacleSpec(point), PARAMS, kind="wall")
-                    )
-            for c in cons:
-                assert c is not None
-                assert float(c.normal @ u_safe) <= c.bound + 1e-6
+            # every row of the stack, one per entity in range, holds at the returned action
+            rows, built, violated, _ = local_rows(0, s0, [(0, s0), (1, s1)], obstacles, world, PARAMS)
+            assert not violated
+            assert built == kinds_in_range(0, [(0, s0), (1, s1)], obstacles, world, PARAMS)
+            for ax, ay, bound in rows:
+                assert float(np.array([ax, ay]) @ u_safe) <= bound + 1e-6
             done += 1
 
     def test_minimal_interference(self):
@@ -228,52 +233,6 @@ def row_bits(rows):
     return np.array(rows, dtype=float).reshape(-1, 3).tobytes()
 
 
-class TestBuilderAgreement:
-    def test_public_builders_match_filter_rows(self, monkeypatch):
-        # the rows the filter hands to qp.solve are, entity by entity in
-        # neighborhood order, the public builders' rows, or a unit recovery
-        # row where the builder returns None (a violated entity); the kind
-        # of each row follows from that order and constraints_built
-        problems = []
-        solve = marlshield.qp.solve
-
-        def capture(problem):
-            problems.append(problem)
-            return solve(problem)
-
-        monkeypatch.setattr(marlshield.qp, "solve", capture)
-        rng = np.random.default_rng(41)
-        compared = walls = recoveries = 0
-        for aid, u, state, agents, obstacles, world, params in random_arena_calls(rng, 400):
-            _, report = filter_action(aid, u, state, agents, obstacles, world, params)
-            near, near_obs, faces = neighborhood(aid, agents, obstacles, world, params.r_sense)
-            entities = [("cooperative", o, cooperative_constraint(state, o, params)) for _, o in near]
-            entities += [("non-cooperative", o, noncooperative_constraint(state, o, params)) for o in near_obs]
-            entities += [
-                ("wall", o, noncooperative_constraint(state, o, params, kind="wall"))
-                for o in (ObstacleSpec(point) for _, point, _ in faces)
-            ]
-            expected, kinds = [], []
-            for kind, other, c in entities:
-                if c is None:
-                    dpx, dpy = state.px - other.px, state.py - other.py
-                    r = math.hypot(dpx, dpy)
-                    if r <= 1e-9:
-                        continue
-                    expected.append((-dpx / r, -dpy / r, -params.a_max_self))
-                    recoveries += 1
-                else:
-                    expected.append(c.row)
-                    compared += 1
-                    walls += kind == "wall"
-                kinds.append(kind)
-            rows = problems[-1].constraints
-            assert row_bits(rows) == row_bits(expected)
-            assert all(type(v) is float for r in rows for v in r)
-            assert [k for k, n in report.constraints_built.items() for _ in range(n)] == kinds
-        assert walls > 1000 and compared > 2000 and recoveries > 20
-
-
 class TestHookContract:
     def test_one_solve_per_call_and_one_row_core_per_entity(self, monkeypatch):
         # the benchmark's tracer wraps qp.solve and shield._row_core by these
@@ -298,9 +257,9 @@ class TestHookContract:
         for aid, u, state, agents, obstacles, world, params in random_arena_calls(rng, 400):
             before_solves, before_rows = len(solutions), len(row_calls)
             filter_action(aid, u, state, agents, obstacles, world, params)
-            near, near_obs, faces = neighborhood(aid, agents, obstacles, world, params.r_sense)
+            in_range = sum(kinds_in_range(aid, agents, obstacles, world, params).values())
             assert len(solutions) == before_solves + 1
-            assert len(row_calls) == before_rows + len(near) + len(near_obs) + len(faces)
+            assert len(row_calls) == before_rows + in_range
             problem, sol = solutions[-1]
             if sol.status == marlshield.qp.STATUS_OPTIMAL and sol.iterations == 0 and not sol.active_set:
                 assert sol.kkt_residual == 0.0  # fast path: nominal returned untouched
@@ -383,7 +342,16 @@ def bits(x):
 
 
 def check_against_oracle(args, counts):
-    """Run one call through the package and the reference; tally what the call exercised."""
+    """Run one call through the package and the reference, rows first; tally what the call exercised."""
+    row_args = args[:1] + args[2:]  # local_rows takes no nominal action
+    rows, built, violated, min_h = local_rows(*row_args)
+    ref_rows, ref_built, ref_violated, ref_min_h = shield_oracle.local_rows(*row_args)
+    assert all(type(v) is float for r in rows for v in r)
+    assert row_bits(rows) == row_bits([(*r.normal.tolist(), r.bound) for r in ref_rows])
+    assert [r.kind for r in ref_rows] == [k for k, n in built.items() for _ in range(n)]
+    assert built == ref_built
+    assert row_bits(violated) == row_bits(ref_violated)
+    assert bits(min_h) == bits(ref_min_h)
     u, report = filter_action(*args)
     u_ref, ref = shield_oracle.filter_action(*args)
     assert u.tobytes() == u_ref.tobytes()
@@ -406,34 +374,68 @@ def near_wall_position(rng):
     return p
 
 
-class TestShieldOracle:
-    """The float-native filter against the array-and-dataclass reference, call by call."""
+def record_training_calls(episodes):
+    """The filter_action arguments of a short shielded training run in the stock 2x2 world."""
+    cfg = TrainerConfig(
+        episodes=episodes, episode_len=100, batch_size=32, warmup_transitions=200, update_every=2,
+        actor_hidden=(32, 32), critic_hidden=(32, 32), lr_actor=1e-3, seed=7,
+    )
+    env = PatrolEnv(default_world(), PARAMS, episode_len=cfg.episode_len)
+    calls = []
 
-    def test_adversarial_rollouts_in_wide_arena(self):
+    def recording(*args):
+        calls.append(args)
+        return filter_action(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(marlshield.shield, "filter_action", recording)
+        MaddpgTrainer(env, cfg, shield_enabled=True).train()
+    return calls
+
+
+def record_adversarial_calls(scenarios, ticks, seed):
+    """The filter_action arguments of the forward-invariance protocol: 2 agents, 1 obstacle, walls out of range."""
+    rng = np.random.default_rng(seed)
+    world = WorldConfig(wall_half_extent=100.0)
+    obstacles = [ObstacleSpec([0.0, 0.0])]
+    calls = []
+    while len(calls) < 2 * scenarios * ticks:
+        states = _random_safe_scenario(rng, obstacles)
+        if states is None:
+            continue
+        for _ in range(ticks):
+            all_agents = list(enumerate(states))
+            new = []
+            for i, s in enumerate(states):
+                targets = [states[1 - i].position, obstacles[0].position]
+                t = min(targets, key=lambda p: math.hypot(*(p - s.position)))
+                d = t - s.position
+                n = math.hypot(*d)
+                args = (i, d / n if n > 1e-9 else np.array([1.0, 0.0]), s, all_agents, obstacles, world, PARAMS)
+                calls.append(args)
+                new.append(step_agent(s, filter_action(*args)[0], world.dt, world.v_max))
+            states = new
+    return calls
+
+
+@pytest.fixture(scope="module")
+def recorded_calls():
+    return {"training": record_training_calls(12), "adversarial": record_adversarial_calls(10, 100, 61)}
+
+
+class TestShieldOracle:
+    """`local_rows` and the filter against the array-and-dataclass reference, call by call, bit for bit.
+
+    The recorded training and adversarial calls are the gate a second row
+    builder (a batched one, say) must pass as well.
+    """
+
+    def test_adversarial_rollouts_in_wide_arena(self, recorded_calls):
         # the benchmark's forward-invariance protocol: worst-case nominal at
         # the nearest entity, two agents and one obstacle, walls out of range
-        rng = np.random.default_rng(61)
-        world = WorldConfig(wall_half_extent=100.0)
-        obstacles = [ObstacleSpec([0.0, 0.0])]
         counts = {}
-        calls = 0
-        while calls < 2000:
-            states = _random_safe_scenario(rng, obstacles)
-            if states is None:
-                continue
-            for _ in range(100):
-                all_agents = list(enumerate(states))
-                new = []
-                for i, s in enumerate(states):
-                    targets = [states[1 - i].position, obstacles[0].position]
-                    t = min(targets, key=lambda p: math.hypot(*(p - s.position)))
-                    d = t - s.position
-                    n = math.hypot(*d)
-                    nominal = d / n if n > 1e-9 else np.array([1.0, 0.0])
-                    u = check_against_oracle((i, nominal, s, all_agents, obstacles, world, PARAMS), counts)
-                    new.append(step_agent(s, u, world.dt, world.v_max))
-                    calls += 1
-                states = new
+        for args in recorded_calls["adversarial"]:
+            check_against_oracle(args, counts)
         assert counts["wall"] == 0
         assert counts[STATUS_CORRECTED] > 200 and counts[STATUS_PASSTHROUGH] > 200
 
@@ -458,24 +460,14 @@ class TestShieldOracle:
         assert counts[STATUS_FALLBACK] > 700 and counts[STATUS_CORRECTED] > 150 and counts["relaxed"] > 10
         assert counts["wall"] > 4000 and counts["cooperative"] > 1000 and counts["non-cooperative"] > 1000
 
-    def test_recorded_training_states(self, monkeypatch):
+    def test_recorded_training_states(self, recorded_calls):
         # every filter call of a short shielded training run in the stock
         # 2x2 world: 1 peer, 3 obstacles and 4 wall faces in range, and past
         # warm-up the policy saturates, so most calls are corrected
-        cfg = TrainerConfig(
-            episodes=12, episode_len=100, batch_size=32, warmup_transitions=200, update_every=2,
-            actor_hidden=(32, 32), critic_hidden=(32, 32), lr_actor=1e-3, seed=7,
-        )
-        env = PatrolEnv(default_world(), PARAMS, episode_len=cfg.episode_len)
         counts = {}
-
-        def checked(*args):
+        for args in recorded_calls["training"]:
             check_against_oracle(args, counts)
-            return filter_action(*args)
-
-        monkeypatch.setattr(marlshield.shield, "filter_action", checked)
-        MaddpgTrainer(env, cfg, shield_enabled=True).train()
-        calls = 2 * cfg.episodes * cfg.episode_len
+        calls = 2 * 12 * 100
         statuses = (STATUS_PASSTHROUGH, STATUS_CORRECTED, STATUS_RELAXED, STATUS_FALLBACK)
         assert sum(counts[s] for s in statuses) == calls
         assert counts["cooperative"] == calls and counts["non-cooperative"] == 3 * calls
@@ -502,15 +494,22 @@ class TestWallFaceSkip:
         return [f for f in face_clearances(np.array(position), self.E) if f[2] <= self.R]
 
     def faces(self, position):
+        """The wall rows `local_rows` builds, as (normal, distance) pairs."""
         world = WorldConfig(wall_half_extent=self.E)
-        return neighborhood(0, [(0, AgentState(position, [0.0, 0.0]))], [], world, self.R)[2]
+        state = AgentState(position, [0.0, 0.0])
+        rows, built, _, _ = local_rows(0, state, [(0, state)], [], world, PARAMS)
+        assert built["wall"] == len(rows)
+        return [((ax, ay), math.hypot(ax, ay)) for ax, ay, _ in rows]
+
+    def expected(self, position):
+        return [((px - position[0], py - position[1]), dist) for _, (px, py), dist in self.unpruned(position)]
 
     def test_same_faces_around_the_threshold(self):
         edge = self.E - self.R  # e - max(|x|, |y|) == r_sense exactly
         seen = 0
         for c in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, self.E)):
             for position in ((c, 0.0), (-c, 1.0), (3.0, c), (-2.0, -c), (c, -c), (-c, c), (c, 0.5 * c)):
-                expected = self.unpruned(position)
+                expected = self.expected(position)
                 assert self.faces(position) == expected
                 seen += len(expected)
         assert seen >= 14  # the faces at exactly r_sense are kept (inclusive range)
@@ -521,4 +520,4 @@ class TestWallFaceSkip:
         for position in ((50.5, 0.0), (0.0, -51.0), (0.0, np.nan), (np.nan, 0.0), (np.inf, 0.0), (0.0, -np.inf)):
             state = _state_unchecked(*position, 0.0, 0.0)  # AgentState itself refuses such values
             with pytest.raises(ValueError):
-                neighborhood(0, [(0, state)], [], world, self.R)
+                local_rows(0, state, [(0, state)], [], world, PARAMS)
