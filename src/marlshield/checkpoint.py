@@ -10,17 +10,20 @@ Layout, all integers little-endian uint32 unless noted:
         actor W0 b0 W1 b1 ..., critic ..., target actor ..., target critic ...
         (each net's `flat` vector)
 
-Loading validates architecture dims against the requesting trainer and
-reports expected/found on mismatch.
+Loading checks each header (at least two dims, each >= 1, a finite
+head_scale > 0) and that the tensors fill the rest of the file exactly
+before it builds any net; attaching validates architecture dims against
+the requesting trainer and reports expected/found on mismatch.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
-from .nets import Mlp
+from .nets import Mlp, flat_size
 
 MAGIC = b"MSHLDNN\x00"
 VERSION = 1
@@ -82,7 +85,12 @@ def _read_net_header(r: _Reader) -> dict:
     if head is None:
         raise CheckpointError("unknown head code")
     scale = struct.unpack("<d", r.take(8))[0]
-    return {"head": head, "head_scale": scale, "dims": tuple(r.u32() for _ in range(r.u32()))}
+    dims = tuple(r.u32() for _ in range(r.u32()))
+    if not (math.isfinite(scale) and scale > 0):
+        raise CheckpointError(f"net head_scale must be finite and > 0, found {scale!r}")
+    if len(dims) < 2 or min(dims) < 1:
+        raise CheckpointError(f"net dims must be at least two sizes, each >= 1, found {dims}")
+    return {"head": head, "head_scale": scale, "dims": dims}
 
 
 def load_checkpoint(path):
@@ -103,6 +111,13 @@ def load_checkpoint(path):
     except UnicodeDecodeError as exc:
         raise CheckpointError(f"{path}: embedded config is not UTF-8 ({exc.reason})") from exc
     headers = [{role: _read_net_header(r) for role in ROLES[:2]} for _ in range(n_agents)]
+    declared = 8 * sum(
+        flat_size(header[role.removeprefix("target_")]["dims"]) for header in headers for role in ROLES
+    )
+    if len(r.data) - r.pos != declared:
+        raise CheckpointError(
+            f"checkpoint holds {len(r.data) - r.pos} tensor bytes, its headers declare {declared}"
+        )
     agents = []
     for header in headers:
         nets = {role: Mlp(**header[role.removeprefix("target_")]) for role in ROLES}

@@ -97,6 +97,8 @@ class WorldConfig:
     a_max: float = DEFAULT_A_MAX
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.wall_half_extent, self.dt, self.v_max, self.a_max)):
+            raise ValueError(f"wall_half_extent, dt, v_max and a_max must be finite, got {self!r}")
         if not self.wall_half_extent > 0:
             raise ValueError("wall_half_extent must be > 0")
         if not self.dt > 0:

@@ -16,7 +16,7 @@ one `patrol.EpisodeLedger` fed once per step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -61,8 +61,14 @@ class TrainerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in astuple(self) if isinstance(v, float)):
+            raise ValueError(f"trainer parameters must be finite, got {self!r}")
         if not 0.0 < self.discount < 1.0:
             raise ValueError("discount must lie in (0, 1)")
+        if not (self.lr_actor > 0 and self.lr_critic > 0):
+            raise ValueError("learning rates must be > 0")
+        if min(self.noise_sigma, self.noise_decay, self.warmup_transitions) < 0:
+            raise ValueError("noise_sigma, noise_decay and warmup_transitions must be >= 0")
         if not 0.0 < self.soft_update_coef <= 1.0:
             raise ValueError("soft_update_coef must lie in (0, 1]")
         if self.batch_size < 1 or self.buffer_capacity < 1:

@@ -24,6 +24,11 @@ import math
 import numpy as np
 
 
+def flat_size(dims) -> int:
+    """The number of parameters of an Mlp with these layer sizes: the length of its `flat`."""
+    return sum(din * dout + dout for din, dout in zip(dims[:-1], dims[1:]))
+
+
 def _views(flat, dims):
     """Per-layer weight and bias views into the last axis of flat: one net, or one net per row."""
     lead, weights, biases, pos = flat.shape[:-1], [], [], 0
@@ -46,7 +51,7 @@ class Mlp:
         self.head = head
         self.head_scale = float(head_scale)
         rng = rng if rng is not None else np.random.default_rng(0)
-        self.flat = np.zeros(sum(din * dout + dout for din, dout in zip(self.dims[:-1], self.dims[1:])))
+        self.flat = np.zeros(flat_size(self.dims))
         self.weights, self.biases = _views(self.flat, self.dims)
         for i, w in enumerate(self.weights):
             if i == len(self.weights) - 1:

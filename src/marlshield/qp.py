@@ -19,18 +19,19 @@ Two phases:
 2. Slack phase. Only when the rows conflict outright, one shared
    nonnegative slack s relaxes every row (a.u <= b + s) under a quadratic
    penalty, which is always solvable; status "relaxed" reports the
-   safety-margin erosion instead of crashing. The same rule runs in three
-   variables over subsets of at most three rows.
+   safety-margin erosion instead of crashing. The same pruned scan runs in
+   the three variables (u, s*sqrt(2w)): the projection onto each violated
+   row, onto the line of each pair, then each vertex of three rows, every
+   subset holding a row violated at the nominal.
 
 `QpProblem` takes its rows as `(ax, ay, b)` float triples and validates
 them once; both phases and `kkt_check` read that one list.
-`QpSolution.iterations` counts the candidates evaluated (skipped pairs do
+`QpSolution.iterations` counts the candidates evaluated (pruned subsets do
 not count); it is 0 exactly when the box clip of the nominal is returned.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from operator import attrgetter
@@ -199,51 +200,43 @@ def _best_pair(rows, zx, zy, gx, gy, found):
     return best
 
 
-@functools.cache
-def _subsets(n: int, k: int) -> np.ndarray:
-    """The k-row subsets of n rows in lexicographic order, as a read-only index array."""
-    out = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp).reshape(-1, k)
-    out.setflags(write=False)
-    return out
-
-
-def _cross(a, b):
-    """Cross products along the last axis; np.cross's axis handling costs more."""
-    return np.stack(
-        [
-            a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
-            a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
-            a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0],
-        ],
-        axis=-1,
-    )
-
-
-def _vertices(M, rhs, c):
-    """Solve M[t] z = rhs[t] for stacked 3x3 systems; multipliers of c - z.
+def _cramer(p, q, r, c):
+    """The point z where rows p, q, r, each (ax, ay, az, b), hold with equality; (z, multipliers of c - z).
 
     Cramer's rule, whose adjugate columns are cross products of the rows,
-    keeps the conditioning of M; normal equations would square it, which
-    the tiny slack column cannot afford. Returns (z, lam, det); det ~ 0
-    flags dependent rows.
+    keeps their conditioning; normal equations would square it, which the
+    tiny slack column cannot afford. Dependent rows (|det| <= _ZERO_TOL)
+    give NaNs, which fail every comparison.
     """
-    adj = _cross(M[:, [1, 2, 0]], M[:, [2, 0, 1]])
-    det = np.einsum("ti,ti->t", M[:, 0], adj[:, 0])
-    z = np.einsum("tk,tki->ti", rhs, adj) / det[:, None]
-    lam = np.einsum("tki,ti->tk", adj, c - z) / det[:, None]
-    return z, lam, det
+    (px, py, pz, pb), (qx, qy, qz, qb), (rx, ry, rz, rb) = p, q, r
+    adj = (
+        (qy * rz - qz * ry, qz * rx - qx * rz, qx * ry - qy * rx),
+        (ry * pz - rz * py, rz * px - rx * pz, rx * py - ry * px),
+        (py * qz - pz * qy, pz * qx - px * qz, px * qy - py * qx),
+    )
+    det = px * adj[0][0] + py * adj[0][1] + pz * adj[0][2]
+    det = det if abs(det) > _ZERO_TOL else math.nan
+    z = [(pb * a0 + qb * a1 + rb * a2) / det for a0, a1, a2 in zip(*adj)]
+    gx, gy, gz = c[0] - z[0], c[1] - z[1], c[2] - z[2]
+    return z, [(ax * gx + ay * gy + az * gz) / det for ax, ay, az in adj]
 
 
 def _solve_relaxed(problem: QpProblem):
-    """Phase 2: shared-slack relaxation, always feasible; 3-variable enumeration.
+    """Phase 2: shared-slack relaxation, always feasible; phase 1's scan in three variables.
 
     The slack variable is rescaled by sqrt(2w) so the objective becomes a
-    pure Euclidean projection in three variables (identity Hessian), which
-    stays well conditioned for arbitrarily large penalties. The optimum lies
-    on at most three independent active rows, so the subsets of one, two,
-    then three rows are scanned and the first candidate that is feasible
-    with nonnegative multipliers is the optimum. The s >= 0 row is left out:
-    this phase runs only when the rows conflict, so the optimal s is > 0.
+    pure Euclidean projection of c = (nominal, 0) in three variables
+    (identity Hessian), which stays well conditioned for arbitrarily large
+    penalties. The optimum lies on at most three independent active rows,
+    so the projections onto one row, onto the line of two rows, then the
+    vertices of three rows are scanned, and the first candidate that is
+    feasible with nonnegative multipliers is the optimum. The s >= 0 row is
+    left out: this phase runs only when the rows conflict, so s > 0.
+
+    Only subsets holding a row violated at c (phase 1's violated rows, as
+    c's slack is 0) are tried. At the optimum z, c - z = sum(l_i * r_i) with
+    l >= 0, so sum(l_i * (r_i.c - b_i)) = |c - z|^2 > 0, because c is
+    infeasible when the rows conflict: some active row is violated at c.
     Returns ((x, y, s), active rows, candidates evaluated).
     """
     hx, hy = problem.nominal.tolist()
@@ -258,57 +251,49 @@ def _solve_relaxed(problem: QpProblem):
         # Penalty-free slack absorbs every row; only the box binds the action.
         return (ux, uy, max(0.0, max(ax * ux + ay * uy - b for ax, ay, b in base[:m]))), (), 0
 
-    scale = math.sqrt(2.0 * w)  # z[2] holds s * scale
-    rows3 = np.array(base)
-    bounds3 = rows3[:, 2].copy()
-    rows3[:, 2] = 0.0
-    rows3[:m, 2] = -1.0 / scale
-    c = np.array([hx, hy, 0.0])
+    scale = math.sqrt(2.0 * w)  # the third variable holds s * scale
+    sz = -1.0 / scale
+    rows = [(ax, ay, sz if i < m else 0.0, b) for i, (ax, ay, b) in enumerate(base)]
+    hot = [ax * hx + ay * hy > b for ax, ay, b in base]
+    c = (hx, hy, 0.0)
 
-    def first_kkt(z, lam, det):
-        """Index of the first feasible candidate with nonnegative multipliers, or -1."""
-        ok = (
-            (np.abs(det) > _ZERO_TOL)
-            & np.all(z @ rows3.T <= bounds3 + _FEAS_TOL, axis=1)
-            & np.all(lam >= -1e-10, axis=1)
-        )
-        return int(np.argmax(ok)) if ok.any() else -1
+    def candidates():
+        """(row indices, point, multipliers) in scan order; dependent rows give NaNs."""
+        for i, (ax, ay, az, b) in enumerate(rows):
+            if hot[i]:
+                rr = ax * ax + ay * ay + az * az
+                lam = (ax * hx + ay * hy - b) / (rr if rr > _ZERO_TOL else math.nan)
+                yield (i,), (hx - lam * ax, hy - lam * ay, -lam * az), (lam,)
+        # A pair's third row is its unit line direction pinned at c, so its
+        # vertex is the projection of c onto the line; that row is not a
+        # constraint, so its multiplier is dropped.
+        for i, j in itertools.combinations(range(len(rows)), 2):
+            if hot[i] or hot[j]:
+                (px, py, pz, _), (qx, qy, qz, _) = rows[i], rows[j]
+                dx, dy, dz = py * qz - pz * qy, pz * qx - px * qz, px * qy - py * qx
+                norm = math.sqrt(dx * dx + dy * dy + dz * dz) or math.nan
+                dx, dy, dz = dx / norm, dy / norm, dz / norm
+                z, lam = _cramer(rows[i], rows[j], (dx, dy, dz, dx * hx + dy * hy), c)
+                yield (i, j), z, lam[:2]
+        for i, j, k in itertools.combinations(range(len(rows)), 3):
+            if hot[i] or hot[j] or hot[k]:
+                yield (i, j, k), *_cramer(rows[i], rows[j], rows[k], c)
 
-    n = len(base)
-    tried = n
-    # Dependent subsets divide by a zero determinant; their NaN candidates
-    # fail every comparison in first_kkt.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # one row: the projection of c onto the row's plane
-        rr = np.einsum("ti,ti->t", rows3, rows3)
-        lam = ((rows3 @ c - bounds3) / rr)[:, None]
-        best = first_kkt(c - lam * rows3, lam, rr)
-        active = (best,)
-        if best < 0:
-            # Two and three rows as one batch of 3x3 vertices, pairs first.
-            # A pair's third row is its unit line direction pinned at c, so
-            # its vertex is the projection of c onto the line.
-            pairs, triples = _subsets(n, 2), _subsets(n, 3)
-            ri, rj = rows3[pairs[:, 0]], rows3[pairs[:, 1]]
-            d = _cross(ri, rj)
-            d /= np.sqrt(np.einsum("ti,ti->t", d, d))[:, None]
-            M = np.concatenate([np.stack([ri, rj, d], axis=1), rows3[triples]])
-            pair_rhs = np.stack([bounds3[pairs[:, 0]], bounds3[pairs[:, 1]], d @ c], axis=1)
-            rhs = np.concatenate([pair_rhs, bounds3[triples]])
-            z, lam, det = _vertices(M, rhs, c)
-            lam[: len(pairs), 2] = 0.0  # the pinned direction is not a constraint
-            best = first_kkt(z, lam, det)
-            tried += len(pairs) + len(triples)
-            if best < 0:
-                raise RuntimeError("no KKT point among the relaxed candidates")
-            active = tuple(pairs[best] if best < len(pairs) else triples[best - len(pairs)])
+    for tried, (active, (x, y, t), lam) in enumerate(candidates(), 1):
+        if all(l >= -1e-10 for l in lam) and all(
+            ax * x + ay * y + az * t <= b + _FEAS_TOL for ax, ay, az, b in rows
+        ):
+            break
+    else:
+        raise RuntimeError("no KKT point among the relaxed candidates")
 
     # re-derive the winner by lstsq so active rows hold with equality to
     # machine precision
-    A, bw = rows3[list(active)], bounds3[list(active)]
+    A, bw = np.array([rows[i][:3] for i in active]), np.array([rows[i][3] for i in active])
+    c = np.array([hx, hy, 0.0])
     correction, *_ = np.linalg.lstsq(A, bw - A @ c, rcond=None)
     z = c + correction
-    return (float(z[0]), float(z[1]), float(z[2]) / scale), tuple(int(i) for i in active), tried
+    return (float(z[0]), float(z[1]), float(z[2]) / scale), active, tried
 
 
 def solve(problem: QpProblem) -> QpSolution:

@@ -3,16 +3,20 @@
 Independent of the solver: feasibility is a direct row check on grid
 points, the optimum is located by repeatedly shrinking the grid window
 around the best point found. Used by unit and acceptance tests.
-`full_pair_scan` is the unpruned reference for the solver's projection
-phase.
+`full_pair_scan` and `full_relaxed_scan` are the unpruned references for
+the solver's projection and relaxed phases.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 import numpy as np
+
+_FEAS_TOL = 1e-9
+_ZERO_TOL = 1e-12
 
 
 def _row_arrays(problem):
@@ -157,3 +161,115 @@ def reported_pair(rows, zx, zy, gx, gy, found, tight_tol: float = 1e-9):
         if (gx * a2y - gy * a2x) / det >= -1e-10 and (a1x * gy - a1y * gx) / det >= -1e-10:
             scored.append((-abs(det) / (math.hypot(a1x, a1y) * math.hypot(a2x, a2y)), (i, j)))
     return min(scored)[1] if scored else found
+
+
+@functools.cache
+def _subsets(n: int, k: int) -> np.ndarray:
+    """The k-row subsets of n rows in lexicographic order, as a read-only index array."""
+    out = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp).reshape(-1, k)
+    out.setflags(write=False)
+    return out
+
+
+def _cross(a, b):
+    """Cross products along the last axis; np.cross's axis handling costs more."""
+    return np.stack(
+        [
+            a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
+            a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
+            a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0],
+        ],
+        axis=-1,
+    )
+
+
+def _vertices(M, rhs, c):
+    """Solve M[t] z = rhs[t] for stacked 3x3 systems; multipliers of c - z.
+
+    Cramer's rule, whose adjugate columns are cross products of the rows,
+    keeps the conditioning of M; normal equations would square it, which
+    the tiny slack column cannot afford. Returns (z, lam, det); det ~ 0
+    flags dependent rows.
+    """
+    adj = _cross(M[:, [1, 2, 0]], M[:, [2, 0, 1]])
+    det = np.einsum("ti,ti->t", M[:, 0], adj[:, 0])
+    z = np.einsum("tk,tki->ti", rhs, adj) / det[:, None]
+    lam = np.einsum("tki,ti->tk", adj, c - z) / det[:, None]
+    return z, lam, det
+
+
+def full_relaxed_scan(problem):
+    """Reference relaxed phase: every row, pair and triple as one numpy batch.
+
+    The solver's shared-slack phase before it pruned to subsets holding a
+    violated row, kept as the unpruned reference: the projection of
+    c = (nominal, 0) in (u, s * sqrt(2w)) onto each row's plane, then onto
+    each pair's line, then each triple's vertex, the first that is
+    feasible with multipliers >= -1e-10 winning, re-derived by lstsq. Rows
+    are read from `problem.constraints`. Returns ((x, y, s), active rows,
+    candidates evaluated: every row, pair and triple of the batch that ran).
+    """
+    hx, hy = problem.nominal.tolist()
+    box = float(problem.box)
+    w = float(problem.slack_weight)
+    m = len(problem.constraints)
+    base = [(float(ax), float(ay), float(b)) for ax, ay, b in problem.constraints]
+    base += [(1.0, 0.0, box), (-1.0, 0.0, box), (0.0, 1.0, box), (0.0, -1.0, box)]
+
+    ux = min(max(hx, -box), box)
+    uy = min(max(hy, -box), box)
+    if w == 0.0:
+        # Penalty-free slack absorbs every row; only the box binds the action.
+        return (ux, uy, max(0.0, max(ax * ux + ay * uy - b for ax, ay, b in base[:m]))), (), 0
+
+    scale = math.sqrt(2.0 * w)  # z[2] holds s * scale
+    rows3 = np.array(base)
+    bounds3 = rows3[:, 2].copy()
+    rows3[:, 2] = 0.0
+    rows3[:m, 2] = -1.0 / scale
+    c = np.array([hx, hy, 0.0])
+
+    def first_kkt(z, lam, det):
+        """Index of the first feasible candidate with nonnegative multipliers, or -1."""
+        ok = (
+            (np.abs(det) > _ZERO_TOL)
+            & np.all(z @ rows3.T <= bounds3 + _FEAS_TOL, axis=1)
+            & np.all(lam >= -1e-10, axis=1)
+        )
+        return int(np.argmax(ok)) if ok.any() else -1
+
+    n = len(base)
+    tried = n
+    # Dependent subsets divide by a zero determinant; their NaN candidates
+    # fail every comparison in first_kkt.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # one row: the projection of c onto the row's plane
+        rr = np.einsum("ti,ti->t", rows3, rows3)
+        lam = ((rows3 @ c - bounds3) / rr)[:, None]
+        best = first_kkt(c - lam * rows3, lam, rr)
+        active = (best,)
+        if best < 0:
+            # Two and three rows as one batch of 3x3 vertices, pairs first.
+            # A pair's third row is its unit line direction pinned at c, so
+            # its vertex is the projection of c onto the line.
+            pairs, triples = _subsets(n, 2), _subsets(n, 3)
+            ri, rj = rows3[pairs[:, 0]], rows3[pairs[:, 1]]
+            d = _cross(ri, rj)
+            d /= np.sqrt(np.einsum("ti,ti->t", d, d))[:, None]
+            M = np.concatenate([np.stack([ri, rj, d], axis=1), rows3[triples]])
+            pair_rhs = np.stack([bounds3[pairs[:, 0]], bounds3[pairs[:, 1]], d @ c], axis=1)
+            rhs = np.concatenate([pair_rhs, bounds3[triples]])
+            z, lam, det = _vertices(M, rhs, c)
+            lam[: len(pairs), 2] = 0.0  # the pinned direction is not a constraint
+            best = first_kkt(z, lam, det)
+            tried += len(pairs) + len(triples)
+            if best < 0:
+                raise RuntimeError("no KKT point among the relaxed candidates")
+            active = tuple(pairs[best] if best < len(pairs) else triples[best - len(pairs)])
+
+    # re-derive the winner by lstsq so active rows hold with equality to
+    # machine precision
+    A, bw = rows3[list(active)], bounds3[list(active)]
+    correction, *_ = np.linalg.lstsq(A, bw - A @ c, rcond=None)
+    z = c + correction
+    return (float(z[0]), float(z[1]), float(z[2]) / scale), tuple(int(i) for i in active), tried

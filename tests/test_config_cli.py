@@ -201,6 +201,16 @@ class TestTrainCommand:
             ({"shield": {"slack_weight": math.inf}}, []),
             ({"shield": {"margin": math.nan}}, []),
             ({"shield": {"a_max_self": 0.0}}, []),
+            ({"trainer": dict(TINY_TRAINER, noise_sigma=math.nan)}, []),
+            ({"trainer": dict(TINY_TRAINER, lr_actor=math.inf)}, []),
+            ({"trainer": dict(TINY_TRAINER, lr_critic=0.0)}, []),
+            ({"trainer": dict(TINY_TRAINER, noise_sigma=-0.5)}, []),
+            ({"trainer": dict(TINY_TRAINER, noise_decay=-0.1)}, []),
+            ({"trainer": dict(TINY_TRAINER, warmup_transitions=-5)}, []),
+            ({"world": {"v_max": math.inf}}, []),
+            ({"world": {"dt": math.inf}}, []),
+            ({"world": {"wall_half_extent": math.inf}}, []),
+            ({"world": {"a_max": math.nan}}, []),
         ],
         ids=[
             "cli_seed", "json_trainer_seed", "json_seed_list", "cli_episodes",
@@ -212,7 +222,9 @@ class TestTrainCommand:
             "json_seed_list_float", "json_obstacle_position_string", "json_obstacle_position_bool",
             "json_obstacle_radius_bool", "json_obstacle_radius_string", "json_obstacle_unknown_key",
             "json_checkin_point_string", "json_slack_weight_infinity", "json_margin_nan",
-            "json_a_max_self_zero",
+            "json_a_max_self_zero", "json_noise_sigma_nan", "json_lr_actor_infinity", "json_lr_critic_zero",
+            "json_noise_sigma_negative", "json_noise_decay_negative", "json_warmup_negative",
+            "json_v_max_infinity", "json_dt_infinity", "json_wall_half_extent_infinity", "json_a_max_nan",
         ],
     )
     def test_bad_override_is_config_error(self, tmp_path, capsys, extra_config, argv):
@@ -318,6 +330,33 @@ class TestEvalCommand:
         if content is not None:
             data = trained[2].read_bytes()
             path.write_bytes(data[:20] + content + data[21:])  # first byte of the config blob
+        out = tmp_path / "eval_bad"
+        assert cli.main(["eval", "--checkpoint", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("artifact error:") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "head_scale, dims, tail",
+        [
+            (math.nan, None, 0), (0.0, None, 0), (-1.0, None, 0), (None, (), 0), (None, (14,), 0),
+            (None, (14, 0, 2), 0), (None, None, 8), (None, None, -8),
+        ],
+        ids=["head_scale_nan", "head_scale_zero", "head_scale_negative", "no_dims", "one_dim",
+             "zero_width_layer", "trailing_bytes", "truncated"],
+    )
+    def test_malformed_checkpoint_is_artifact_error(self, trained, tmp_path, capsys, head_scale, dims, tail):
+        # rewrite the first net header (layout in the checkpoint module's docstring)
+        data = trained[2].read_bytes()
+        at = 20 + struct.unpack_from("<I", data, 16)[0]
+        old_scale, n = struct.unpack_from("<dI", data, at + 4)
+        old_dims = struct.unpack_from(f"<{n}I", data, at + 16)
+        dims = old_dims if dims is None else dims
+        header = struct.pack(f"<dI{len(dims)}I", old_scale if head_scale is None else head_scale, len(dims), *dims)
+        data = data[: at + 4] + header + data[at + 16 + 4 * n :]
+        data = data + b"\x00" * tail if tail >= 0 else data[:tail]
+        path = tmp_path / "ckpt.bin"
+        path.write_bytes(data)
         out = tmp_path / "eval_bad"
         assert cli.main(["eval", "--checkpoint", str(path), "--out", str(out)]) == 3
         err = capsys.readouterr().err

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import marlshield.qp
 from marlshield.qp import (
     STATUS_OPTIMAL,
     STATUS_RELAXED,
@@ -11,8 +12,9 @@ from marlshield.qp import (
     kkt_check,
     solve,
 )
+from marlshield.shield import filter_action
 
-from qp_oracle import full_pair_scan, grid_project, grid_relaxed, reported_pair
+from qp_oracle import full_pair_scan, full_relaxed_scan, grid_project, grid_relaxed, reported_pair
 
 
 def row(nx, ny, b):
@@ -174,6 +176,8 @@ class TestRelaxation:
         sol = solve(self.infeasible_problem())
         assert sol.status == STATUS_RELAXED
         assert sol.slack > 0.0
+        # candidates: the two violated rows alone, then their pair
+        assert (sol.active_set, sol.iterations) == ((0, 1), 3)
         assert np.max(np.abs(sol.u_safe)) <= 1.0 + 1e-12
         assert sol.kkt_residual <= 1e-9
 
@@ -368,10 +372,20 @@ class TestCommonVertexCertificates:
         assert len(failures) <= 1, failures
 
 
+def relaxed_training_problems(calls):
+    """The problems of recorded filter calls whose rows conflict."""
+    problems = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(marlshield.qp, "solve", lambda p: problems.append(p) or solve(p))
+        for args in calls:
+            filter_action(*args)
+    return [p for p in problems if full_pair_scan(p) is None]
+
+
 class TestPrunedPairScan:
-    def test_matches_full_pair_scan(self):
-        # the solver skips vertex pairs whose rows both hold at the nominal;
-        # outputs must match the unpruned scan bit-for-bit
+    def test_matches_full_pair_scan(self, recorded_calls):
+        # both phases try only candidates that hold a row violated at the
+        # nominal; outputs must match the unpruned scans bit-for-bit
         rng = np.random.default_rng(34)
         problems = [
             random_problem(rng, max_rows=8, feasible_bias=bool(rng.integers(0, 2)))
@@ -379,12 +393,21 @@ class TestPrunedPairScan:
         ]
         problems += degenerate_problems(np.random.default_rng(35), 300)
         problems += training_shaped_problems(np.random.default_rng(36), 400)
-        pruned = 0
+        relaxed = [p for p in problems if full_pair_scan(p) is None]
+        problems += [QpProblem(p.nominal, p.constraints, p.box, w) for w in (1e3, 1e9, 1e12) for p in relaxed]
+        problems += relaxed_training_problems(recorded_calls["training"])
+        pruned = pruned_relaxed = 0
         for p in problems:
             ref = full_pair_scan(p)
             sol = solve(p)
             if ref is None:
+                (ux, uy, s), active, tried = full_relaxed_scan(p)
                 assert sol.status == STATUS_RELAXED
+                assert sol.active_set == active
+                assert sol.u_safe.tobytes() == np.array([ux, uy]).tobytes()
+                assert np.float64(sol.slack).tobytes() == np.float64(max(s, 0.0)).tobytes()
+                assert sol.iterations <= tried
+                pruned_relaxed += sol.iterations < tried
                 continue
             u, active, tried = ref
             assert sol.status == STATUS_OPTIMAL
@@ -392,7 +415,7 @@ class TestPrunedPairScan:
             assert sol.active_set == active
             assert sol.iterations <= tried
             pruned += sol.iterations < tried
-        assert pruned > 100
+        assert pruned > 100 and pruned_relaxed > 100
 
 
 class TestValidation:

@@ -418,11 +418,6 @@ def record_adversarial_calls(scenarios, ticks, seed):
     return calls
 
 
-@pytest.fixture(scope="module")
-def recorded_calls():
-    return {"training": record_training_calls(12), "adversarial": record_adversarial_calls(10, 100, 61)}
-
-
 class TestShieldOracle:
     """`local_rows` and the filter against the array-and-dataclass reference, call by call, bit for bit.
 
