@@ -4,8 +4,13 @@ Centralized training, decentralized execution: each agent owns an actor fed
 by its local observation and a critic fed by the joint observation/action
 vector; the online actors share one `nets.MlpStack`, so the per-step policy
 is one pass. A shared FIFO replay buffer stores the executed (post-shield)
-actions, so critics always score the behavior that actually happened. Target
-nets trail the online ones through soft updates, one blend per flat vector.
+actions, so critics always score the behavior that actually happened. Each
+transition is one row of the buffer's matrix with the critic input (joint
+observation, then joint action) at its front, so a minibatch is one row
+gather and the critic reads its input as a view of the gathered rows.
+Gradients arrive as each net's flat `grad` vector and go to Adam whole.
+Target nets trail the online ones through soft updates, one blend per flat
+vector.
 
 The safety filter sits between action selection and execution: exploration
 noise is added to the policy output first, the filtered action is what the
@@ -90,27 +95,51 @@ class Batch:
     rewards: np.ndarray  # (S, n)
     next_obs: np.ndarray
     done: np.ndarray  # (S,)
+    joint: np.ndarray  # (S, n*d + n*2): joint_input(obs, actions), the critic input
 
 
 class ReplayBuffer:
-    """Preallocated ring buffer, left uninitialized (`sample` reads only written slots); FIFO, uniform."""
+    """Preallocated ring buffer, left uninitialized (`sample` reads only written slots); FIFO, uniform.
+
+    Transition k is row k of one (capacity, width) matrix: obs, actions,
+    rewards and next_obs, each flattened, in that order. `_obs`, `_actions`,
+    `_rewards` and `_next_obs` are views of its columns, and a sampled
+    Batch holds the same views of the gathered rows; its `joint` is the
+    leading obs-and-actions columns, which is joint_input's layout.
+    """
 
     def __init__(self, capacity: int, n_agents: int, obs_dim: int, act_dim: int = 2):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._obs = np.empty((capacity, n_agents, obs_dim))
-        self._actions = np.empty((capacity, n_agents, act_dim))
-        self._rewards = np.empty((capacity, n_agents))
-        self._next_obs = np.empty((capacity, n_agents, obs_dim))
+        self._shapes = ((n_agents, obs_dim), (n_agents, act_dim), (n_agents,), (n_agents, obs_dim))
+        self._rows = np.empty((capacity, sum(math.prod(s) for s in self._shapes)))
+        self._joint_width = n_agents * (obs_dim + act_dim)
+        self._obs, self._actions, self._rewards, self._next_obs, _ = self._fields(self._rows)
         self._done = np.empty(capacity, dtype=bool)
         self._pos = 0
         self._size = 0
+
+    def _fields(self, rows: np.ndarray):
+        """Views of rows: (obs, actions, rewards, next_obs, joint), each with the leading row axis."""
+        views, pos = [], 0
+        for shape in self._shapes:
+            width = math.prod(shape)
+            views.append(rows[:, pos : pos + width].reshape(len(rows), *shape))
+            pos += width
+        return (*views, rows[:, : self._joint_width])
 
     def __len__(self) -> int:
         return self._size
 
     def add(self, obs, actions, rewards, next_obs, done: bool) -> None:
+        """Store one transition; each array must have its field's exact per-agent shape."""
+        try:  # arrays, as the trainer passes them, without np.shape's dispatch cost
+            shapes = (obs.shape, actions.shape, rewards.shape, next_obs.shape)
+        except AttributeError:
+            shapes = (np.shape(obs), np.shape(actions), np.shape(rewards), np.shape(next_obs))
+        if shapes != self._shapes:
+            raise ValueError(f"transition shapes {shapes} do not match the buffer's {self._shapes}")
         i = self._pos
         self._obs[i] = obs
         self._actions[i] = actions
@@ -125,13 +154,8 @@ class ReplayBuffer:
             raise ValueError("cannot sample from an empty buffer")
         idx = rng.integers(0, self._size, size=batch_size)
         idx = (self._pos - self._size + idx) % self.capacity
-        return Batch(
-            obs=self._obs[idx],
-            actions=self._actions[idx],
-            rewards=self._rewards[idx],
-            next_obs=self._next_obs[idx],
-            done=self._done[idx],
-        )
+        obs, actions, rewards, next_obs, joint = self._fields(self._rows.take(idx, axis=0))
+        return Batch(obs, actions, rewards, next_obs, self._done[idx], joint)
 
 
 def joint_input(obs: np.ndarray, actions: np.ndarray) -> np.ndarray:
@@ -152,38 +176,37 @@ def td_target(batch: Batch, agent: int, target_actors, target_critic: Mlp, disco
 def critic_update(critic: Mlp, optimizer: Adam, batch: Batch, targets: np.ndarray) -> float:
     """One squared-TD-error gradient step; returns the pre-step loss."""
     s = batch.obs.shape[0]
-    q = critic.forward(joint_input(batch.obs, batch.actions))[:, 0]
+    q = critic.forward(batch.joint)[:, 0]
     err = q - targets
     loss = float(np.mean(err * err))
     if not math.isfinite(loss):
         raise FloatingPointError(f"critic loss is {loss}")
-    grads, _ = critic.backward((2.0 / s) * err.reshape(-1, 1), input_grad=False)
-    optimizer.step(grads)
+    grad, _ = critic.backward((2.0 / s) * err.reshape(-1, 1), input_grad=False)
+    optimizer.step(grad)
     return loss
 
 
 def actor_update(actor: Mlp, critic: Mlp, optimizer: Adam, batch: Batch, agent: int) -> float:
     """Ascend the critic value of the actor's own action; returns the gradient norm.
 
-    Peer actions come from the batch; only the focal agent's column is
-    replaced by the live policy output, and the chain rule runs through the
-    critic's input gradient into the actor; the critic's own parameter
-    gradients are never formed. The safety filter is not part of the
-    differentiated path.
+    Peer actions come from the batch; only the focal agent's columns of
+    the critic input are replaced by the live policy output, and the chain
+    rule runs through the critic's input gradient into the actor; the
+    critic's own parameter gradients are never formed. The safety filter is
+    not part of the differentiated path.
     """
-    s = batch.obs.shape[0]
+    s, _, a = batch.actions.shape
     a_i = actor.forward(batch.obs[:, agent])
-    actions = batch.actions.copy()
-    actions[:, agent] = a_i
-    critic.forward(joint_input(batch.obs, actions))
+    offset = batch.obs.shape[1] * batch.obs.shape[2] + agent * a
+    x = batch.joint.copy()
+    x[:, offset : offset + a] = a_i
+    critic.forward(x)
     _, g_input = critic.backward(np.full((s, 1), 1.0 / s), param_grads=False)
-    offset = batch.obs.shape[1] * batch.obs.shape[2] + agent * actions.shape[2]
-    g_action = g_input[:, offset : offset + actions.shape[2]]
-    grads, _ = actor.backward(g_action, input_grad=False)
-    norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    grad, _ = actor.backward(g_input[:, offset : offset + a], input_grad=False)
+    norm = math.sqrt(float(grad @ grad))
     if not math.isfinite(norm):
         raise FloatingPointError(f"actor gradient norm is {norm}")
-    optimizer.step([-g for g in grads])
+    optimizer.step(np.negative(grad, out=grad))
     return norm
 
 

@@ -8,8 +8,11 @@ that needs only one of the two can skip the other.
 
 All parameters of one Mlp live in a single flat float64 vector, `flat`, in
 declaration order (W0, b0, W1, b1, ...); `weights` and `biases` are views
-into it. Adam and soft_update therefore act on whole vectors, element by
-element, with the same arithmetic a per-tensor loop would do.
+into it. The parameter gradients live in a second preallocated vector of
+the same layout, `grad`, which backward() overwrites layer by layer through
+its own views and returns. Adam and soft_update therefore act on whole
+vectors, element by element, with the same arithmetic a per-tensor loop
+would do.
 `MlpStack` rebinds the `flat` of several nets to the rows of one matrix and
 runs net i on input row i for all of them in one stacked matmul per layer.
 
@@ -58,7 +61,13 @@ class Mlp:
                 w[...] = rng.uniform(-1e-3, 1e-3, size=w.shape)
             else:
                 w[...] = rng.normal(0.0, math.sqrt(2.0 / w.shape[0]), size=w.shape)
+        self._bind_grad()
         self._cache = None
+
+    def _bind_grad(self) -> None:
+        """A fresh zeroed `grad` laid out like `flat`, with the per-layer views backward() writes."""
+        self.grad = np.zeros_like(self.flat)
+        self._grad_weights, self._grad_biases = _views(self.grad, self.dims)
 
     @property
     def n_params(self) -> int:
@@ -79,6 +88,7 @@ class Mlp:
         clone.head_scale = self.head_scale
         clone.flat = self.flat.copy()
         clone.weights, clone.biases = _views(clone.flat, clone.dims)
+        clone._bind_grad()
         clone._cache = None
         return clone
 
@@ -108,12 +118,14 @@ class Mlp:
     def backward(self, grad_out, param_grads: bool = True, input_grad: bool = True):
         """Gradients of sum(grad_out * output) from the latest forward().
 
-        Returns (param_grads, grad_input): param_grads pairs up with
-        parameters(), or is None when called with param_grads=False, which
-        skips the weight and bias gradients; grad_input has the shape of the
-        forward input, or is None when called with input_grad=False, which
-        skips the first layer's g @ W0.T. Each flag leaves the other result
-        bit for bit unchanged. grad_out is never written.
+        Returns (grad, grad_input). grad is the net's own `grad` vector,
+        laid out like `flat` and overwritten by this call, so it is valid
+        until the next backward(); it is None, and `grad` is left as it
+        was, when called with param_grads=False, which skips the weight and
+        bias gradients. grad_input has the shape of the forward input, or
+        is None when called with input_grad=False, which skips the first
+        layer's g @ W0.T. Each flag leaves the other result bit for bit
+        unchanged. grad_out is never written.
         """
         if self._cache is None:
             raise RuntimeError("backward() requires a preceding forward()")
@@ -124,17 +136,17 @@ class Mlp:
         if self.head == "tanh":
             y = activations[-1]
             g = g * (self.head_scale - y * y / self.head_scale)
-        grads = [None] * (2 * len(self.weights)) if param_grads else None
+        grad = self.grad if param_grads else None
         for i in range(len(self.weights) - 1, -1, -1):
             if param_grads:
-                grads[2 * i] = activations[i].T @ g
-                grads[2 * i + 1] = g.sum(axis=0)
+                np.matmul(activations[i].T, g, out=self._grad_weights[i])
+                g.sum(axis=0, out=self._grad_biases[i])
             if i == 0 and not input_grad:
-                return grads, None
+                return grad, None
             g = g @ self.weights[i].T
             if i > 0:
                 g *= activations[i] > 0.0
-        return grads, (g[0] if squeeze else g)
+        return grad, (g[0] if squeeze else g)
 
 
 class MlpStack:
@@ -179,20 +191,16 @@ class Adam:
         self.m = np.zeros_like(net.flat)
         self.v = np.zeros_like(net.flat)
 
-    def step(self, grads) -> None:
-        """Descend along grads (pass negated gradients to ascend).
+    def step(self, g) -> None:
+        """Descend along g (pass a negated gradient to ascend).
 
-        grads pairs up with net.parameters(). Every shape and value is
-        checked before anything moves: a bad gradient leaves the
-        parameters, both moments and t as they were.
+        g is one array laid out like net.flat, such as the net's `grad`.
+        Its shape and values are checked before anything moves: a bad
+        gradient leaves the parameters, both moments and t as they were.
         """
-        params = self.net.parameters()
-        if len(grads) != len(params):
-            raise ValueError("gradient list does not match parameter list")
-        for p, g in zip(params, grads):
-            if np.shape(g) != p.shape:
-                raise ValueError(f"gradient shape {np.shape(g)} does not match parameter shape {p.shape}")
-        g = np.concatenate([np.ravel(x) for x in grads], dtype=float)
+        if not isinstance(g, np.ndarray) or g.shape != self.m.shape:
+            got = g.shape if isinstance(g, np.ndarray) else type(g).__name__
+            raise ValueError(f"gradient must be an array of shape {self.m.shape}, got {got}")
         if not np.isfinite(g).all():
             raise FloatingPointError("non-finite gradient")
         self.t += 1

@@ -1,9 +1,10 @@
 """Per-tensor reference for the learner: forward, backward, Adam, soft updates.
 
-Independent of the flat parameter vector: every function here reads and
-writes a net only through `weights`, `biases` and `parameters()`, one tensor
-at a time, allocating fresh arrays for every intermediate, and the actor
-step forms the critic's full parameter gradients before discarding them.
+Independent of the flat parameter and gradient vectors: every function
+here reads and writes a net only through `weights`, `biases` and
+`parameters()`, one tensor at a time, allocating fresh arrays for every
+intermediate, and the actor step forms the critic's full parameter
+gradients before discarding them.
 The arithmetic per element is the package's, so a learner round through
 `update_all` must leave parameters, moments and target nets bit-identical
 to `MaddpgTrainer._update_all` on an identically seeded trainer.

@@ -304,7 +304,7 @@ class TestQpCriteria:
 
 class TestGradientChecks:
     def test_gradients_match_finite_differences(self):
-        from test_nets import numeric_grads, rel_err
+        from test_nets import numeric_grads, rel_err, tensors
         from marlshield.maddpg import joint_input
         from marlshield.nets import Mlp
 
@@ -324,7 +324,7 @@ class TestGradientChecks:
 
             q = critic.forward(joint_input(obs, acts))[:, 0]
             analytic, _ = critic.backward((2.0 / 3) * (q - targets).reshape(-1, 1))
-            for a, n in zip(analytic, numeric_grads(critic, critic_loss)):
+            for a, n in zip(tensors(critic, analytic), numeric_grads(critic, critic_loss)):
                 assert rel_err(a, n) < 1e-4
 
             def actor_objective():
@@ -340,7 +340,7 @@ class TestGradientChecks:
             _, g_in = critic.backward(np.full((3, 1), 1.0 / 3))
             g_action = g_in[:, 2 * d : 2 * d + 2]
             analytic, _ = actor.backward(g_action)
-            for g_a, g_n in zip(analytic, numeric_grads(actor, actor_objective)):
+            for g_a, g_n in zip(tensors(actor, analytic), numeric_grads(actor, actor_objective)):
                 assert rel_err(g_a, g_n) < 1e-4
         _announce("gradient checks (20 random instances, critic and composed actor paths)")
 

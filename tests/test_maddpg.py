@@ -55,12 +55,14 @@ def stored(buf, k) -> dict:
 
 
 def random_batch(rng, s=6, n=2, d=4):
+    obs, actions = rng.normal(size=(s, n, d)), rng.uniform(-1, 1, size=(s, n, 2))
     return Batch(
-        obs=rng.normal(size=(s, n, d)),
-        actions=rng.uniform(-1, 1, size=(s, n, 2)),
+        obs=obs,
+        actions=actions,
         rewards=rng.normal(size=(s, n)),
         next_obs=rng.normal(size=(s, n, d)),
         done=np.zeros(s, dtype=bool),
+        joint=joint_input(obs, actions),
     )
 
 
@@ -85,11 +87,10 @@ class TestReplayBuffer:
         assert seen == set(range(cap))
 
     def test_unwritten_slots_are_never_read(self):
-        # the arrays start uninitialized; poison them so a read of an unwritten slot shows
+        # the row matrix starts uninitialized; poison it so a read of an unwritten slot shows
         cap, n, d = 7, 2, 3
         buf = ReplayBuffer(capacity=cap, n_agents=n, obs_dim=d)
-        for f in BUFFER_FIELDS[:4]:
-            getattr(buf, "_" + f).fill(np.nan)
+        buf._rows.fill(np.nan)
         rng = np.random.default_rng(78)
         added = []
         for k in range(2 * cap + 3):
@@ -98,13 +99,52 @@ class TestReplayBuffer:
             buf.add(*t)
             added.append(t)
             batch = buf.sample(16, rng)
-            for f in BUFFER_FIELDS[:4]:
+            for f in (*BUFFER_FIELDS[:4], "joint"):
                 assert np.isfinite(getattr(batch, f)).all()
             for age, t in enumerate(added[-len(buf):]):
                 got = stored(buf, age)
                 for f, v in zip(BUFFER_FIELDS, t):
                     assert np.array_equal(got[f], v)
         assert len(buf) == cap
+
+    def test_sampled_rows_keep_the_layout_across_wraparound(self):
+        cap, n, d = 7, 2, 3
+        buf = ReplayBuffer(capacity=cap, n_agents=n, obs_dim=d)
+        rng = np.random.default_rng(79)
+        for k in range(3 * cap + 2):
+            buf.add(rng.normal(size=(n, d)), rng.normal(size=(n, 2)), rng.normal(size=n),
+                    rng.normal(size=(n, d)), bool(k % 3 == 0))
+            replay = np.random.default_rng()
+            replay.bit_generator.state = rng.bit_generator.state
+            batch = buf.sample(9, rng)
+            ages = replay.integers(0, len(buf), size=9)
+            assert batch.joint.tobytes() == joint_input(batch.obs, batch.actions).tobytes()
+            assert np.shares_memory(batch.joint, batch.obs) and np.shares_memory(batch.joint, batch.actions)
+            for row, age in enumerate(ages):
+                want = stored(buf, int(age))
+                for f in BUFFER_FIELDS:
+                    assert np.asarray(getattr(batch, f)[row]).tobytes() == np.asarray(want[f]).tobytes()
+
+    @pytest.mark.parametrize(
+        "transition",
+        [
+            # the first would store one agent's row in both slots; each has one wrong shape after it
+            (np.arange(3.0), [0.5, -0.5], 1.0, np.arange(3.0), False),
+            (np.zeros((2, 3)), [0.5, -0.5], [1.0, 2.0], np.zeros((2, 3)), False),
+            (np.zeros((2, 3)), np.zeros((2, 2)), 1.0, np.zeros((2, 3)), False),
+            (np.zeros((2, 3)), np.zeros((2, 2)), [1.0, 2.0], np.zeros((1, 3)), False),
+            (np.zeros((2, 3)), np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((2, 3)), False),
+            (np.zeros((2, 3)), np.zeros((2, 3)), [1.0, 2.0], np.zeros((2, 3)), False),
+        ],
+    )
+    def test_broadcasting_transitions_rejected(self, transition):
+        buf = ReplayBuffer(capacity=4, n_agents=2, obs_dim=3)
+        buf.add(np.ones((2, 3)), np.ones((2, 2)), [1.0, 1.0], np.ones((2, 3)), True)
+        row = buf._rows[0].copy()
+        with pytest.raises(ValueError, match="transition shapes"):
+            buf.add(*transition)
+        assert buf._rows[0].tobytes() == row.tobytes()
+        assert (bool(buf._done[0]), buf._pos, len(buf)) == (True, 1, 1)
 
     def test_empty_sample_rejected(self):
         buf = ReplayBuffer(capacity=4, n_agents=1, obs_dim=1)
@@ -129,7 +169,7 @@ class TestTdTarget:
         rng = np.random.default_rng(41)
         actors, critic = self.build(rng)
         batch = random_batch(rng)
-        done = Batch(batch.obs, batch.actions, batch.rewards, batch.next_obs, np.ones(6, dtype=bool))
+        done = Batch(batch.obs, batch.actions, batch.rewards, batch.next_obs, np.ones(6, dtype=bool), batch.joint)
         y = td_target(done, 1, actors, critic, discount=0.95)
         np.testing.assert_array_equal(y, batch.rewards[:, 1])
 
@@ -153,6 +193,7 @@ class TestTdTarget:
             rewards=np.array([[1.5, -0.5]]),
             next_obs=obs,
             done=np.array([False]),
+            joint=joint_input(obs, np.zeros((1, 2, 2))),
         )
         a1 = math.tanh(0.3)
         a2 = math.tanh(0.2)
@@ -197,10 +238,10 @@ class TestCriticUpdate:
 
         q = critic.forward(x)[:, 0]
         analytic, _ = critic.backward((2.0 / 4) * (q - targets).reshape(-1, 1))
-        from test_nets import numeric_grads, rel_err
+        from test_nets import numeric_grads, rel_err, tensors
 
         numeric = numeric_grads(critic, loss)
-        for a, n in zip(analytic, numeric):
+        for a, n in zip(tensors(critic, analytic), numeric):
             assert rel_err(a, n) < 1e-4
 
 
@@ -273,10 +314,10 @@ class TestActorUpdate:
         _, g_in = critic.backward(np.full((5, 1), 1.0 / 5))
         g_action = g_in[:, 8:10]
         analytic, _ = actor.backward(g_action)
-        from test_nets import numeric_grads, rel_err
+        from test_nets import numeric_grads, rel_err, tensors
 
         numeric = numeric_grads(actor, objective)
-        for g_a, g_n in zip(analytic, numeric):
+        for g_a, g_n in zip(tensors(actor, analytic), numeric):
             assert rel_err(g_a, g_n) < 1e-4
 
 
@@ -453,24 +494,32 @@ class TestStackedPolicy:
 
 
 class TestLearnerOracle:
-    ROUNDS = 25
-
-    def seeded_trainer(self):
+    @staticmethod
+    def seeded_trainer(hidden, batch_size, episode_len):
         trainer = make_trainer(
-            shield=False, batch_size=32, warmup_transitions=32, episode_len=60,
-            actor_hidden=(16, 12), critic_hidden=(16, 12),
+            shield=False, batch_size=batch_size, warmup_transitions=batch_size, episode_len=episode_len,
+            actor_hidden=hidden, critic_hidden=hidden,
         )
         trainer.run_episode(reset_seed=5, sigma=0.3, learn=False)
         return trainer
 
     def test_rounds_match_per_tensor_reference(self):
-        trainer = self.seeded_trainer()
-        reference = self.seeded_trainer()
+        self.assert_rounds_match((16, 12), batch_size=32, episode_len=60, rounds=25)
+
+    @pytest.mark.parametrize("batch_size", [64, 256])
+    def test_rounds_match_at_benchmark_shapes(self, batch_size):
+        # the training workloads' nets and batches, so the BLAS kernels they run are the ones pinned
+        self.assert_rounds_match((64, 64), batch_size=batch_size, episode_len=300, rounds=6)
+
+    def assert_rounds_match(self, hidden, batch_size, episode_len, rounds):
+        trainer = self.seeded_trainer(hidden, batch_size, episode_len)
+        reference = self.seeded_trainer(hidden, batch_size, episode_len)
+        assert len(trainer.buffer) >= batch_size
         lr_a, lr_c = reference.config.lr_actor, reference.config.lr_critic
         actor_opts = [learner_oracle.TensorAdam(a, lr_a) for a in reference.actors]
         critic_opts = [learner_oracle.TensorAdam(c, lr_c) for c in reference.critics]
         start = [net.flat.copy() for net in trainer.actors + trainer.critics]
-        for _ in range(self.ROUNDS):
+        for _ in range(rounds):
             trainer._update_all()
             learner_oracle.update_all(reference, actor_opts, critic_opts)
 
@@ -483,7 +532,7 @@ class TestLearnerOracle:
         for net, ref in zip(nets(trainer), nets(reference)):
             assert net.flat.tobytes() == joined(ref.parameters())
         for opt, ref in zip(trainer.actor_opts + trainer.critic_opts, actor_opts + critic_opts):
-            assert opt.t == ref.t == self.ROUNDS
+            assert opt.t == ref.t == rounds
             assert opt.m.tobytes() == joined(ref.m)
             assert opt.v.tobytes() == joined(ref.v)
         for net, before in zip(trainer.actors + trainer.critics, start):
@@ -507,8 +556,7 @@ class TestLearnerOracle:
         assert skipped is None
         assert out.tobytes() == ref_out.tobytes()
         assert g_input.tobytes() == g_full.tobytes() == ref_g.tobytes()
-        for g, r in zip(grads, ref_grads):
-            assert g.tobytes() == r.tobytes()
+        assert grads is net.grad and grads.tobytes() == b"".join(r.tobytes() for r in ref_grads)
         assert grad_out.tobytes() == kept.tobytes()
 
     @pytest.mark.parametrize("head", ["linear", "tanh"])
@@ -521,9 +569,9 @@ class TestLearnerOracle:
         grad_out = rng.normal(size=out.shape)
         kept = grad_out.copy()
         grads, g_full = net.backward(grad_out)
+        grads = grads.copy()
+        net.grad.fill(np.nan)
         trimmed, g_input = net.backward(grad_out, input_grad=False)
         assert g_input is None and g_full.shape == np.shape(x)
-        assert len(trimmed) == len(grads) == len(net.parameters())
-        for g, t in zip(grads, trimmed):
-            assert g.tobytes() == t.tobytes()
+        assert trimmed is net.grad and trimmed.tobytes() == grads.tobytes()
         assert grad_out.tobytes() == kept.tobytes()

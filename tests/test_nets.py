@@ -14,6 +14,8 @@ from marlshield.maddpg import MaddpgTrainer, TrainerConfig
 from marlshield.nets import Adam, Mlp, soft_update
 from marlshield.patrol import PatrolEnv, default_world
 
+import learner_oracle
+
 
 def numeric_grads(net, loss_fn, eps=1e-5):
     """Central finite differences of loss_fn() w.r.t. every parameter entry."""
@@ -32,6 +34,15 @@ def numeric_grads(net, loss_fn, eps=1e-5):
             gflat[j] = (hi - lo) / (2 * eps)
         grads.append(g)
     return grads
+
+
+def tensors(net, flat):
+    """Per-tensor views of a vector laid out like net.flat (such as net.grad), in parameters() order."""
+    out, pos = [], 0
+    for p in net.parameters():
+        out.append(flat[pos : pos + p.size].reshape(p.shape))
+        pos += p.size
+    return out
 
 
 def rel_err(a, b):
@@ -88,7 +99,7 @@ class TestBackward:
         loss()
         analytic, _ = net.backward(c)
         numeric = numeric_grads(net, loss)
-        for a, n in zip(analytic, numeric):
+        for a, n in zip(tensors(net, analytic), numeric):
             assert rel_err(a, n) < 1e-4
 
     def test_input_gradient_matches_finite_differences(self):
@@ -111,6 +122,51 @@ class TestBackward:
         net = Mlp((2, 3, 1))
         with pytest.raises(RuntimeError):
             net.backward(np.ones((1, 1)))
+
+
+class TestGradBuffer:
+    """backward() writes the parameter gradients into the net's own `grad`, laid out like `flat`."""
+
+    @staticmethod
+    def net_and_input(seed):
+        rng = np.random.default_rng(seed)
+        net = Mlp((4, 6, 5, 2), head="tanh", head_scale=0.7, rng=rng)
+        return net, rng.normal(size=(3, 4)), rng
+
+    def test_backward_overwrites_and_returns_grad(self):
+        net, x, rng = self.net_and_input(12)
+        grad = net.grad
+        assert grad.shape == net.flat.shape and grad.dtype == np.float64
+        for input_grad in (True, False):
+            grad.fill(np.nan)
+            out = net.forward(x)
+            grad_out = rng.normal(size=out.shape)
+            got, _ = net.backward(grad_out, input_grad=input_grad)
+            assert got is grad and net.grad is grad
+            ref, _ = learner_oracle.backward(net, learner_oracle.forward(net, x)[1], grad_out)
+            assert got.tobytes() == b"".join(r.tobytes() for r in ref)
+
+    def test_param_grads_false_leaves_grad(self):
+        net, x, rng = self.net_and_input(13)
+        net.forward(x)
+        net.backward(np.ones((3, 2)))
+        kept = net.grad.copy()
+        net.forward(rng.normal(size=x.shape))
+        skipped, g_input = net.backward(rng.normal(size=(3, 2)), param_grads=False)
+        assert skipped is None and g_input.shape == x.shape
+        assert net.grad.tobytes() == kept.tobytes()
+
+    def test_copy_gets_its_own_grad(self):
+        net, x, _ = self.net_and_input(14)
+        net.forward(x)
+        net.backward(np.ones((3, 2)))
+        kept = net.grad.copy()
+        clone = net.copy()
+        assert clone.grad.shape == net.grad.shape and not np.shares_memory(clone.grad, net.grad)
+        clone.forward(2.0 * x)
+        got, _ = clone.backward(np.ones((3, 2)))
+        assert got is clone.grad and not np.array_equal(got, kept)
+        assert net.grad.tobytes() == kept.tobytes()
 
 
 class TestSoftUpdate:
@@ -162,7 +218,7 @@ class TestAdam:
         net = Mlp((2, 3, 1), rng=np.random.default_rng(30))
         opt = Adam(net, lr=1e-2)
         before = [p.copy() for p in net.parameters()]
-        opt.step([np.zeros_like(p) for p in net.parameters()])
+        opt.step(np.zeros_like(net.flat))
         for p, b in zip(net.parameters(), before):
             assert np.array_equal(p, b)
 
@@ -186,31 +242,33 @@ class TestAdam:
     def test_non_finite_gradient_rejected(self):
         net = Mlp((2, 3, 1))
         opt = Adam(net, lr=1e-3)
-        bad = [np.zeros_like(p) for p in net.parameters()]
-        bad[0][0, 0] = np.nan
+        bad = np.zeros_like(net.flat)
+        bad[0] = np.nan
         with pytest.raises(FloatingPointError):
             opt.step(bad)
 
+    # each `last` turns a valid flat gradient into a bad one, mostly by editing its tail
+    REJECTED = [
+        (lambda g: np.append(g[:-1], np.nan), FloatingPointError),
+        (lambda g: np.append(g[:-1], -np.inf), FloatingPointError),
+        (lambda g: np.append(g, 0.25), ValueError),
+        (lambda g: list(g), ValueError),
+        (lambda g: g.reshape(1, -1), ValueError),
+        (lambda g: tensors(Mlp((2, 3, 1)), g), ValueError),
+    ]
+
     @pytest.mark.parametrize(
-        "last,error",
-        [
-            (np.array([np.nan]), FloatingPointError),
-            (np.array([-np.inf]), FloatingPointError),
-            (np.zeros(2), ValueError),
-        ],
+        "last,error", REJECTED, ids=[f"last{k}-{e.__name__}" for k, (_, e) in enumerate(REJECTED)]
     )
     def test_rejected_step_moves_nothing(self, last, error):
         net = Mlp((2, 3, 1), rng=np.random.default_rng(32))
         opt = Adam(net, lr=1e-2)
-        opt.step([np.full_like(p, 0.5) for p in net.parameters()])
-        params = [p.copy() for p in net.parameters()]
+        opt.step(np.full_like(net.flat, 0.5))
+        flat = net.flat.copy()
         m, v, t = opt.m.copy(), opt.v.copy(), opt.t
-        bad = [np.full_like(p, 0.25) for p in net.parameters()]
-        bad[-1] = last
         with pytest.raises(error):
-            opt.step(bad)
-        for p, b in zip(net.parameters(), params):
-            assert np.array_equal(p, b)
+            opt.step(last(np.full_like(net.flat, 0.25)))
+        assert net.flat.tobytes() == flat.tobytes()
         assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v) and opt.t == t
 
 
@@ -314,7 +372,7 @@ class TestFlatStorage:
             for p in net.parameters():
                 assert p.base is net.flat
         before = [p.copy() for p in online.parameters()]
-        Adam(online, lr=1e-2).step([np.ones_like(p) for p in online.parameters()])
+        Adam(online, lr=1e-2).step(np.ones_like(online.flat))
         for p, b in zip(online.parameters(), before):
             assert np.all(p < b)
         differs = [t != o for t, o in zip(target.parameters(), online.parameters())]
