@@ -5,7 +5,7 @@ Run:  python demos/03_action_projection.py
 
 import numpy as np
 
-from marlshield.qp import QpProblem, solve
+from marlshield.qp import QpProblem, kkt_check, solve
 
 
 def row(nx, ny, b):
@@ -19,7 +19,7 @@ def show(label, problem):
     print(f"{label}")
     print(f"  nominal {problem.nominal} -> safe {np.round(sol.u_safe, 4)}")
     print(f"  status={sol.status}  |correction|={moved:.4f}  slack={sol.slack:.2e}  "
-          f"active={sol.active_set}  kkt={sol.kkt_residual:.1e}  candidates={sol.iterations}")
+          f"active={sol.active_set}  kkt={kkt_check(problem, sol):.1e}  candidates={sol.iterations}")
     print()
     return sol
 

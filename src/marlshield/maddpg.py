@@ -95,7 +95,7 @@ class Batch:
     rewards: np.ndarray  # (S, n)
     next_obs: np.ndarray
     done: np.ndarray  # (S,)
-    joint: np.ndarray  # (S, n*d + n*2): joint_input(obs, actions), the critic input
+    joint: np.ndarray  # (S, n*d + n*2): per-agent obs then per-agent actions, the critic input
 
 
 class ReplayBuffer:
@@ -105,7 +105,7 @@ class ReplayBuffer:
     rewards and next_obs, each flattened, in that order. `_obs`, `_actions`,
     `_rewards` and `_next_obs` are views of its columns, and a sampled
     Batch holds the same views of the gathered rows; its `joint` is the
-    leading obs-and-actions columns, which is joint_input's layout.
+    leading obs-and-actions columns, which is the critic input's layout.
     """
 
     def __init__(self, capacity: int, n_agents: int, obs_dim: int, act_dim: int = 2):
@@ -158,18 +158,14 @@ class ReplayBuffer:
         return Batch(obs, actions, rewards, next_obs, self._done[idx], joint)
 
 
-def joint_input(obs: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    """Critic input: per-agent observations then per-agent actions, ascending id."""
-    s = obs.shape[0]
-    return np.concatenate([obs.reshape(s, -1), actions.reshape(s, -1)], axis=1)
-
-
 def td_target(batch: Batch, agent: int, target_actors, target_critic: Mlp, discount: float) -> np.ndarray:
     """Bootstrap targets y = r + discount * Q'(x', target actions); y = r at terminals."""
-    next_actions = np.stack(
-        [ta.forward(batch.next_obs[:, i]) for i, ta in enumerate(target_actors)], axis=1
-    )
-    q_next = target_critic.forward(joint_input(batch.next_obs, next_actions))[:, 0]
+    (s, n, d), a = batch.next_obs.shape, batch.actions.shape[2]
+    x = np.empty((s, n * (d + a)))  # the critic input of next_obs and the target actions
+    x[:, : n * d] = batch.next_obs.reshape(s, n * d)
+    for i, ta in enumerate(target_actors):
+        x[:, n * d + i * a : n * d + (i + 1) * a] = ta.forward(batch.next_obs[:, i])
+    q_next = target_critic.forward(x)[:, 0]
     return batch.rewards[:, agent] + discount * np.where(batch.done, 0.0, q_next)
 
 

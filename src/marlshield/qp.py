@@ -25,7 +25,8 @@ Two phases:
    subset holding a row violated at the nominal.
 
 `QpProblem` takes its rows as `(ax, ay, b)` float triples and validates
-them once; both phases and `kkt_check` read that one list.
+them once; both phases and `kkt_check` read that one list. `kkt_check` is the
+one certificate: `solve` never runs it, reading `QpSolution.kkt_residual` does.
 `QpSolution.iterations` counts the candidates evaluated (pruned subsets do
 not count); it is 0 exactly when the box clip of the nominal is returned.
 """
@@ -99,13 +100,21 @@ class QpProblem:
 
 
 class QpSolution:
-    """Solver output: the action, shared slack, active rows, KKT residual, status, candidates."""
+    """Solver output: action, shared slack, active rows, problem, status, candidates.
 
-    __slots__ = _fields = ("u_safe", "slack", "active_set", "kkt_residual", "status", "iterations")
+    `kkt_residual` runs `kkt_check(problem, self)` on each read; `solve` never does.
+    """
 
-    def __init__(self, u_safe, slack, active_set, kkt_residual, status, iterations=0):
+    __slots__ = ("u_safe", "slack", "active_set", "problem", "status", "iterations")
+    _fields = ("u_safe", "slack", "active_set", "kkt_residual", "status", "iterations")
+
+    def __init__(self, u_safe, slack, active_set, problem, status, iterations=0):
         self.u_safe, self.slack, self.active_set = u_safe, slack, active_set
-        self.kkt_residual, self.status, self.iterations = kkt_residual, status, iterations
+        self.problem, self.status, self.iterations = problem, status, iterations
+
+    @property
+    def kkt_residual(self) -> float:
+        return kkt_check(self.problem, self)
 
     __repr__ = _fields_repr
 
@@ -301,8 +310,8 @@ def solve(problem: QpProblem) -> QpSolution:
 
     Returns the exact projection (status "optimal", slack 0) whenever the
     rows and box admit any action; otherwise minimizes the quadratic slack
-    penalty (status "relaxed"). Every solve except the untouched fast path
-    carries its KKT residual.
+    penalty (status "relaxed"). The solve does no certificate work: the
+    solution's `kkt_residual` runs `kkt_check` when it is read.
     """
     result = _solve_projection(problem)
     if result is None:
@@ -311,11 +320,7 @@ def solve(problem: QpProblem) -> QpSolution:
     else:
         (ux, uy), active, iters = result
         status, s = STATUS_OPTIMAL, 0.0
-    # fast path: nominal returned untouched with every row verified; the
-    # gradient is exactly zero, so the certificate is zero by construction
-    fast = status == STATUS_OPTIMAL and iters == 0 and not active
-    kkt = 0.0 if fast else _kkt_residual(problem, ux, uy, s, active, status)
-    return QpSolution(np.array([ux, uy]), s, active, kkt, status, iters)
+    return QpSolution(np.array([ux, uy]), s, active, problem, status, iters)
 
 
 def kkt_check(problem: QpProblem, solution: QpSolution) -> float:
@@ -326,21 +331,14 @@ def kkt_check(problem: QpProblem, solution: QpSolution) -> float:
     beyond that index set. Stationarity and complementarity are normalized
     by the multiplier scale: slack-penalty multipliers grow with the
     penalty weight, and the meaningful certificate at that scale is the
-    constraint residual itself, not its product with the multiplier.
+    constraint residual itself, not its product with the multiplier. A
+    nominal returned untouched (the fast path) reads exactly 0.
     """
     ux, uy = float(solution.u_safe[0]), float(solution.u_safe[1])
-    return _kkt_residual(
-        problem, ux, uy, float(solution.slack), solution.active_set, solution.status
-    )
+    s, active = float(solution.slack), solution.active_set
+    (hx, hy), base, m = problem.nominal.tolist(), problem.rows, len(problem.constraints)
 
-
-def _kkt_residual(problem: QpProblem, ux, uy, s, active, status) -> float:
-    """kkt_check on the solution's fields, before `solve` builds the QpSolution."""
-    hx, hy = problem.nominal.tolist()
-    base = problem.rows
-    m = len(problem.constraints)
-
-    if status == STATUS_OPTIMAL:
+    if solution.status == STATUS_OPTIMAL:
         gx, gy = ux - hx, uy - hy
         primal = 0.0
         for ax, ay, b in base:

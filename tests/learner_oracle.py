@@ -16,7 +16,11 @@ import math
 
 import numpy as np
 
-from marlshield.maddpg import joint_input
+
+def joint_input(obs, actions):
+    """Critic input: per-agent observations then per-agent actions, ascending id."""
+    s = obs.shape[0]
+    return np.concatenate([obs.reshape(s, -1), actions.reshape(s, -1)], axis=1)
 
 
 def forward(net, x):

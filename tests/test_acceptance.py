@@ -305,7 +305,7 @@ class TestQpCriteria:
 class TestGradientChecks:
     def test_gradients_match_finite_differences(self):
         from test_nets import numeric_grads, rel_err, tensors
-        from marlshield.maddpg import joint_input
+        from learner_oracle import joint_input
         from marlshield.nets import Mlp
 
         rng = np.random.default_rng(555)

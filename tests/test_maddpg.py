@@ -13,7 +13,6 @@ from marlshield.maddpg import (
     TrainingDivergenceError,
     actor_update,
     critic_update,
-    joint_input,
     td_target,
 )
 from marlshield.dynamics import AgentState
@@ -21,6 +20,7 @@ from marlshield.nets import Adam, Mlp, MlpStack
 from marlshield.patrol import EnvState, PatrolEnv, default_world
 
 import learner_oracle
+from learner_oracle import joint_input
 
 
 def tiny_config(**kwargs):

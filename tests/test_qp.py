@@ -89,7 +89,7 @@ class TestKktCheck:
             u_safe=sol.u_safe + np.array([1e-3, 0.0]),
             slack=0.0,
             active_set=sol.active_set,
-            kkt_residual=0.0,
+            problem=p,
             status=sol.status,
         )
         assert kkt_check(p, bad) > 1e-6
@@ -372,6 +372,42 @@ class TestCommonVertexCertificates:
         assert len(failures) <= 1, failures
 
 
+@pytest.fixture(scope="module")
+def large_weight_failures():
+    """(weight, residual, active rows) of each relaxed solve above 1e-9.
+
+    The problems are the conflicting ones of the seed-0 degenerate family
+    (`degenerate_problems`), re-solved at slack weights 1e9-1e12.
+    """
+    conflicting = [
+        p for p in degenerate_problems(np.random.default_rng(0), 20_000) if solve(p).status == STATUS_RELAXED
+    ]
+    assert len(conflicting) > 1000
+    failures = []
+    for w in (1e9, 1e10, 1e11, 1e12):
+        for p in conflicting:
+            sol = solve(QpProblem(p.nominal, p.constraints, p.box, w))
+            assert sol.status == STATUS_RELAXED
+            if not sol.kkt_residual <= 1e-9:
+                failures.append((w, sol.kkt_residual, sol.active_set))
+    return failures
+
+
+class TestLargeSlackWeightCertificates:
+    def test_only_three_row_winners_miss_the_bound(self, large_weight_failures):
+        # the shape of the open defect: a winner on three active rows whose
+        # lstsq re-derivation lands just above 1e-9; passes vacuously once mended
+        assert all(len(active) == 3 and r < 1e-8 for _, r, active in large_weight_failures)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="open defect: at slack_weight >= 1e9 the relaxed phase's lstsq re-derivation of a "
+        "degenerate three-active-row winner certifies at 1.0-1.5e-9 > 1e-9 (4 of these problems)",
+    )
+    def test_relaxed_degenerate_rows_certify_at_large_slack_weights(self, large_weight_failures):
+        assert large_weight_failures == []
+
+
 def relaxed_training_problems(calls):
     """The problems of recorded filter calls whose rows conflict."""
     problems = []
@@ -501,11 +537,13 @@ class TestContainers:
         assert p.box == 1.0 and len(p.rows) == 5
 
     def test_solution_order_defaults_and_repr(self):
-        sol = QpSolution(np.array([0.5, 0.0]), 0.0, (0,), 1e-16, STATUS_OPTIMAL)
-        assert sol.iterations == 0
+        solved = QpProblem(np.array([1.0, 0.0]), (row(1.0, 0.0, 0.5),))
+        sol = QpSolution(np.array([0.5, 0.0]), 0.0, (0,), solved, STATUS_OPTIMAL)
+        assert sol.iterations == 0 and sol.problem is solved
+        # the repr shows the residual, read from the solved problem, in place of the problem
         assert repr(sol) == (
             "QpSolution(u_safe=array([0.5, 0. ]), slack=0.0, active_set=(0,), "
-            "kkt_residual=1e-16, status='optimal', iterations=0)"
+            "kkt_residual=0.0, status='optimal', iterations=0)"
         )
         p = QpProblem(np.array([1.0, 0.0]), box=2.0)
         assert repr(p) == "QpProblem(nominal=array([1., 0.]), constraints=(), box=2.0, slack_weight=1000000.0)"

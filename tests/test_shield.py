@@ -236,7 +236,8 @@ def row_bits(rows):
 class TestHookContract:
     def test_one_solve_per_call_and_one_row_core_per_entity(self, monkeypatch):
         # the benchmark's tracer wraps qp.solve and shield._row_core by these
-        # names and reads kkt_residual from every solve
+        # names; once each qp.solve span has closed it reads kkt_residual,
+        # which runs kkt_check then, and gates the run on it
         solutions = []
         row_calls = []
         solve, row_core = marlshield.qp.solve, marlshield.shield._row_core
@@ -268,6 +269,26 @@ class TestHookContract:
             assert sol.kkt_residual == kkt_check(problem, sol)
             certified += 1
         assert certified > 100
+
+    def test_shielded_training_does_no_certificate_work(self, monkeypatch):
+        # solve leaves the certificate to whoever reads kkt_residual: a
+        # shielded training run calls kkt_check never, and each read once
+        solutions, checks = [], []
+        solve, check = marlshield.qp.solve, marlshield.qp.kkt_check
+        monkeypatch.setattr(marlshield.qp, "solve", lambda p: solutions.append(solve(p)) or solutions[-1])
+        monkeypatch.setattr(marlshield.qp, "kkt_check", lambda p, s: checks.append(p) or check(p, s))
+        cfg = TrainerConfig(
+            episodes=3, episode_len=40, batch_size=4, warmup_transitions=4, update_every=2,
+            buffer_capacity=64, actor_hidden=(8, 8), critic_hidden=(8, 8), seed=3,
+        )
+        MaddpgTrainer(PatrolEnv(default_world(), PARAMS, episode_len=40), cfg).train()
+        assert len(solutions) == 240 and checks == []
+        corrected = [sol for sol in solutions if sol.iterations > 0]
+        assert len(corrected) > 10
+        for n, sol in enumerate(corrected, 1):
+            first, second = sol.kkt_residual, sol.kkt_residual
+            assert len(checks) == 2 * n and checks[-1] is checks[-2] is sol.problem
+            assert first == second <= 1e-9
 
 
 class TestForwardInvarianceSmoke:
