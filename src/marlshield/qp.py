@@ -22,7 +22,8 @@ Two phases:
    safety-margin erosion instead of crashing. The same pruned scan runs in
    the three variables (u, s*sqrt(2w)): the projection onto each violated
    row, onto the line of each pair, then each vertex of three rows, every
-   subset holding a row violated at the nominal.
+   subset holding a row violated at the nominal. The winning candidate is
+   returned as computed; the solve path uses no numpy linear algebra.
 
 `QpProblem` takes its rows as `(ax, ay, b)` float triples and validates
 them once; both phases and `kkt_check` read that one list. `kkt_check` is the
@@ -239,8 +240,9 @@ def _solve_relaxed(problem: QpProblem):
     penalties. The optimum lies on at most three independent active rows,
     so the projections onto one row, onto the line of two rows, then the
     vertices of three rows are scanned, and the first candidate that is
-    feasible with nonnegative multipliers is the optimum. The s >= 0 row is
-    left out: this phase runs only when the rows conflict, so s > 0.
+    feasible with nonnegative multipliers is the optimum, returned as the
+    scan computed it. The s >= 0 row is left out: this phase runs only when
+    the rows conflict, so s > 0.
 
     Only subsets holding a row violated at c (phase 1's violated rows, as
     c's slack is 0) are tried. At the optimum z, c - z = sum(l_i * r_i) with
@@ -257,8 +259,11 @@ def _solve_relaxed(problem: QpProblem):
     ux = min(max(hx, -box), box)
     uy = min(max(hy, -box), box)
     if w == 0.0:
-        # Penalty-free slack absorbs every row; only the box binds the action.
-        return (ux, uy, max(0.0, max(ax * ux + ay * uy - b for ax, ay, b in base[:m]))), (), 0
+        # Penalty-free slack absorbs every row; only the box binds the action,
+        # through the box rows the clip binds (as in phase 1's fast path).
+        active = [m if hx > 0 else m + 1] if ux != hx else []
+        active += [m + 2 if hy > 0 else m + 3] if uy != hy else []
+        return (ux, uy, max(0.0, max(ax * ux + ay * uy - b for ax, ay, b in base[:m]))), tuple(active), 0
 
     scale = math.sqrt(2.0 * w)  # the third variable holds s * scale
     sz = -1.0 / scale
@@ -292,17 +297,8 @@ def _solve_relaxed(problem: QpProblem):
         if all(l >= -1e-10 for l in lam) and all(
             ax * x + ay * y + az * t <= b + _FEAS_TOL for ax, ay, az, b in rows
         ):
-            break
-    else:
-        raise RuntimeError("no KKT point among the relaxed candidates")
-
-    # re-derive the winner by lstsq so active rows hold with equality to
-    # machine precision
-    A, bw = np.array([rows[i][:3] for i in active]), np.array([rows[i][3] for i in active])
-    c = np.array([hx, hy, 0.0])
-    correction, *_ = np.linalg.lstsq(A, bw - A @ c, rcond=None)
-    z = c + correction
-    return (float(z[0]), float(z[1]), float(z[2]) / scale), active, tried
+            return (x, y, t / scale), active, tried
+    raise RuntimeError("no KKT point among the relaxed candidates")
 
 
 def solve(problem: QpProblem) -> QpSolution:

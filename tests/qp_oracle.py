@@ -183,18 +183,24 @@ def _cross(a, b):
     )
 
 
+def _dot3(a, b):
+    """Dot products along the last axis, summed left to right as the solver sums them."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
 def _vertices(M, rhs, c):
     """Solve M[t] z = rhs[t] for stacked 3x3 systems; multipliers of c - z.
 
     Cramer's rule, whose adjugate columns are cross products of the rows,
     keeps the conditioning of M; normal equations would square it, which
-    the tiny slack column cannot afford. Returns (z, lam, det); det ~ 0
-    flags dependent rows.
+    the tiny slack column cannot afford. Every sum is written out in the
+    solver's order, so each candidate matches the solver's bit for bit.
+    Returns (z, lam, det); det ~ 0 flags dependent rows.
     """
     adj = _cross(M[:, [1, 2, 0]], M[:, [2, 0, 1]])
-    det = np.einsum("ti,ti->t", M[:, 0], adj[:, 0])
-    z = np.einsum("tk,tki->ti", rhs, adj) / det[:, None]
-    lam = np.einsum("tki,ti->tk", adj, c - z) / det[:, None]
+    det = _dot3(M[:, 0], adj[:, 0])
+    z = (rhs[:, 0, None] * adj[:, 0] + rhs[:, 1, None] * adj[:, 1] + rhs[:, 2, None] * adj[:, 2]) / det[:, None]
+    lam = _dot3(adj, (c - z)[:, None, :]) / det[:, None]
     return z, lam, det
 
 
@@ -205,9 +211,10 @@ def full_relaxed_scan(problem):
     violated row, kept as the unpruned reference: the projection of
     c = (nominal, 0) in (u, s * sqrt(2w)) onto each row's plane, then onto
     each pair's line, then each triple's vertex, the first that is
-    feasible with multipliers >= -1e-10 winning, re-derived by lstsq. Rows
-    are read from `problem.constraints`. Returns ((x, y, s), active rows,
-    candidates evaluated: every row, pair and triple of the batch that ran).
+    feasible with multipliers >= -1e-10 winning and returned as computed.
+    Rows are read from `problem.constraints`. Returns ((x, y, s), active
+    rows, candidates evaluated: every row, pair and triple of the batch
+    that ran).
     """
     hx, hy = problem.nominal.tolist()
     box = float(problem.box)
@@ -219,8 +226,14 @@ def full_relaxed_scan(problem):
     ux = min(max(hx, -box), box)
     uy = min(max(hy, -box), box)
     if w == 0.0:
-        # Penalty-free slack absorbs every row; only the box binds the action.
-        return (ux, uy, max(0.0, max(ax * ux + ay * uy - b for ax, ay, b in base[:m]))), (), 0
+        # Penalty-free slack absorbs every row; only the box binds the action,
+        # through the box rows the clip binds.
+        active = []
+        if ux != hx:
+            active.append(m if hx > 0 else m + 1)
+        if uy != hy:
+            active.append(m + 2 if hy > 0 else m + 3)
+        return (ux, uy, max(0.0, max(ax * ux + ay * uy - b for ax, ay, b in base[:m]))), tuple(active), 0
 
     scale = math.sqrt(2.0 * w)  # z[2] holds s * scale
     rows3 = np.array(base)
@@ -233,7 +246,7 @@ def full_relaxed_scan(problem):
         """Index of the first feasible candidate with nonnegative multipliers, or -1."""
         ok = (
             (np.abs(det) > _ZERO_TOL)
-            & np.all(z @ rows3.T <= bounds3 + _FEAS_TOL, axis=1)
+            & np.all(_dot3(z[:, None, :], rows3) <= bounds3 + _FEAS_TOL, axis=1)
             & np.all(lam >= -1e-10, axis=1)
         )
         return int(np.argmax(ok)) if ok.any() else -1
@@ -244,9 +257,10 @@ def full_relaxed_scan(problem):
     # fail every comparison in first_kkt.
     with np.errstate(divide="ignore", invalid="ignore"):
         # one row: the projection of c onto the row's plane
-        rr = np.einsum("ti,ti->t", rows3, rows3)
-        lam = ((rows3 @ c - bounds3) / rr)[:, None]
-        best = first_kkt(c - lam * rows3, lam, rr)
+        rr = _dot3(rows3, rows3)
+        lam = (rows3[:, 0] * hx + rows3[:, 1] * hy - bounds3) / rr
+        z = np.stack([hx - lam * rows3[:, 0], hy - lam * rows3[:, 1], -lam * rows3[:, 2]], axis=1)
+        best = first_kkt(z, lam[:, None], rr)
         active = (best,)
         if best < 0:
             # Two and three rows as one batch of 3x3 vertices, pairs first.
@@ -255,9 +269,9 @@ def full_relaxed_scan(problem):
             pairs, triples = _subsets(n, 2), _subsets(n, 3)
             ri, rj = rows3[pairs[:, 0]], rows3[pairs[:, 1]]
             d = _cross(ri, rj)
-            d /= np.sqrt(np.einsum("ti,ti->t", d, d))[:, None]
+            d /= np.sqrt(_dot3(d, d))[:, None]
             M = np.concatenate([np.stack([ri, rj, d], axis=1), rows3[triples]])
-            pair_rhs = np.stack([bounds3[pairs[:, 0]], bounds3[pairs[:, 1]], d @ c], axis=1)
+            pair_rhs = np.stack([bounds3[pairs[:, 0]], bounds3[pairs[:, 1]], d[:, 0] * hx + d[:, 1] * hy], axis=1)
             rhs = np.concatenate([pair_rhs, bounds3[triples]])
             z, lam, det = _vertices(M, rhs, c)
             lam[: len(pairs), 2] = 0.0  # the pinned direction is not a constraint
@@ -266,10 +280,5 @@ def full_relaxed_scan(problem):
             if best < 0:
                 raise RuntimeError("no KKT point among the relaxed candidates")
             active = tuple(pairs[best] if best < len(pairs) else triples[best - len(pairs)])
-
-    # re-derive the winner by lstsq so active rows hold with equality to
-    # machine precision
-    A, bw = rows3[list(active)], bounds3[list(active)]
-    correction, *_ = np.linalg.lstsq(A, bw - A @ c, rcond=None)
-    z = c + correction
-    return (float(z[0]), float(z[1]), float(z[2]) / scale), tuple(int(i) for i in active), tried
+    x, y, t = z[best].tolist()
+    return (x, y, t / scale), tuple(int(i) for i in active), tried
