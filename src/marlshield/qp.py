@@ -15,7 +15,9 @@ Two phases:
    nominal, the projection onto each violated row, then each pairwise
    vertex with at least one row violated at the nominal (no other vertex
    can be the projection); the first feasible one with nonnegative
-   multipliers wins. When none qualifies the set is empty.
+   multipliers wins and is reported with the row or pair the scan
+   accepted, even where 3+ rows meet at it. When none qualifies the set
+   is empty.
 2. Slack phase. Only when the rows conflict outright, one shared
    nonnegative slack s relaxes every row (a.u <= b + s) under a quadratic
    penalty, which is always solvable; status "relaxed" reports the
@@ -27,7 +29,8 @@ Two phases:
 
 `QpProblem` takes its rows as `(ax, ay, b)` float triples and validates
 them once; both phases and `kkt_check` read that one list. `kkt_check` is the
-one certificate: `solve` never runs it, reading `QpSolution.kkt_residual` does.
+one certificate, for both phases under one multiplier-normalized rule:
+`solve` never runs it, reading `QpSolution.kkt_residual` does.
 `QpSolution.iterations` counts the candidates evaluated (pruned subsets do
 not count); it is 0 exactly when the box clip of the nominal is returned.
 """
@@ -124,10 +127,22 @@ def _feasible(rows, x, y) -> bool:
     return all(ax * x + ay * y <= b + _FEAS_TOL for ax, ay, b in rows)
 
 
+def _box_clip(hx, hy, box, m):
+    """The nominal clipped to the box, and the box rows the clip binds (+x, -x, +y, -y are m..m+3)."""
+    # conditionals, not min/max: the builtins cost several times more on this hot path
+    cx = hx if -box <= hx <= box else (box if hx > 0 else -box)
+    cy = hy if -box <= hy <= box else (box if hy > 0 else -box)
+    active = (m if hx > 0 else m + 1,) if cx != hx else ()
+    if cy != hy:
+        active += (m + 2 if hy > 0 else m + 3,)
+    return (cx, cy), active
+
+
 def _solve_projection(problem: QpProblem):
     """Phase 1: exact projection onto rows + box; None when rows conflict.
 
-    Returns ((x, y), active rows, candidates evaluated).
+    Returns ((x, y), active rows, candidates evaluated); the active rows
+    are the clip's box rows, the violated row or the pair the scan accepted.
     """
     hx, hy = problem.nominal.tolist()
     box = float(problem.box)
@@ -138,18 +153,12 @@ def _solve_projection(problem: QpProblem):
     # Fast path: the box clip of the nominal already satisfies every row.
     # An inactive clip returns the nominal bit-exactly; an active clip is
     # the projection onto the box and a fortiori onto the region inside it.
-    cx = hx if -box <= hx <= box else (box if hx > 0 else -box)
-    cy = hy if -box <= hy <= box else (box if hy > 0 else -box)
+    (cx, cy), active = _box_clip(hx, hy, box, m)
     for ax, ay, b in rows:
         if not ax * cx + ay * cy <= b:
             break
     else:
-        active = []
-        if cx != hx:
-            active.append(m if hx > 0 else m + 1)
-        if cy != hy:
-            active.append(m + 2 if hy > 0 else m + 3)
-        return (cx, cy), tuple(active), 0
+        return (cx, cy), active, 0
 
     # A feasible projection onto one violated row is optimal: the polygon
     # lies inside that row's halfplane.
@@ -189,25 +198,8 @@ def _solve_projection(problem: QpProblem):
                 and (a1x * gy - a1y * gx) / det >= -1e-10
                 and _feasible(rows, zx, zy)
             ):
-                return (zx, zy), _best_pair(rows, zx, zy, gx, gy, (i, j)), tried
+                return (zx, zy), (i, j), tried
     return None
-
-
-def _best_pair(rows, zx, zy, gx, gy, found):
-    """The best-conditioned pair of rows tight at vertex z whose multipliers for g are >= 0.
-
-    Where 3+ rows meet at z, the scan's first pair can be nearly parallel, and
-    its large multipliers would spoil the certificate of a correct vertex.
-    """
-    tight = [k for k, (ax, ay, b) in enumerate(rows) if abs(ax * zx + ay * zy - b) <= _FEAS_TOL]
-    best, best_sin = found, 0.0
-    for i, j in itertools.combinations(tight, 2) if len(tight) > 2 else ():
-        (a1x, a1y, _), (a2x, a2y, _) = rows[i], rows[j]
-        det = a1x * a2y - a1y * a2x
-        sin = abs(det) / (math.hypot(a1x, a1y) * math.hypot(a2x, a2y))
-        if sin > best_sin and min((gx * a2y - gy * a2x) / det, (a1x * gy - a1y * gx) / det) >= -1e-10:
-            best, best_sin = (i, j), sin
-    return best
 
 
 def _cramer(p, q, r, c):
@@ -256,14 +248,10 @@ def _solve_relaxed(problem: QpProblem):
     m = len(problem.constraints)
     base = problem.rows
 
-    ux = min(max(hx, -box), box)
-    uy = min(max(hy, -box), box)
     if w == 0.0:
-        # Penalty-free slack absorbs every row; only the box binds the action,
-        # through the box rows the clip binds (as in phase 1's fast path).
-        active = [m if hx > 0 else m + 1] if ux != hx else []
-        active += [m + 2 if hy > 0 else m + 3] if uy != hy else []
-        return (ux, uy, max(0.0, max(ax * ux + ay * uy - b for ax, ay, b in base[:m]))), tuple(active), 0
+        # Penalty-free slack absorbs every row; only the box binds the action.
+        (ux, uy), active = _box_clip(hx, hy, box, m)
+        return (ux, uy, max(0.0, max(ax * ux + ay * uy - b for ax, ay, b in base[:m]))), active, 0
 
     scale = math.sqrt(2.0 * w)  # the third variable holds s * scale
     sz = -1.0 / scale
@@ -324,10 +312,11 @@ def kkt_check(problem: QpProblem, solution: QpSolution) -> float:
 
     Multipliers are reconstructed from the solution's active set, so the
     residual certifies the returned point without trusting solver internals
-    beyond that index set. Stationarity and complementarity are normalized
-    by the multiplier scale: slack-penalty multipliers grow with the
-    penalty weight, and the meaningful certificate at that scale is the
-    constraint residual itself, not its product with the multiplier. A
+    beyond that index set. One rule serves both phases: stationarity and
+    complementarity are divided by 1 + max|multiplier|, so a vertex of
+    nearly parallel rows or a large slack weight, whose multipliers are
+    large, is judged by its constraint residuals rather than their products
+    with the multipliers. Primal and dual feasibility stay absolute. A
     nominal returned untouched (the fast path) reads exactly 0.
     """
     ux, uy = float(solution.u_safe[0]), float(solution.u_safe[1])
@@ -336,47 +325,41 @@ def kkt_check(problem: QpProblem, solution: QpSolution) -> float:
 
     if solution.status == STATUS_OPTIMAL:
         gx, gy = ux - hx, uy - hy
-        primal = 0.0
-        for ax, ay, b in base:
-            v = ax * ux + ay * uy - b
-            if v > primal:
-                primal = v
+        primal = max(0.0, max(ax * ux + ay * uy - b for ax, ay, b in base))
         if not active:
-            return max(abs(gx), abs(gy), primal)
-        if len(active) == 1:
+            lam, r = [], (gx, gy)
+        elif len(active) == 1:
             ax, ay, _ = base[active[0]]
             lam = [-(ax * gx + ay * gy) / (ax * ax + ay * ay)]
-            sx, sy = gx + lam[0] * ax, gy + lam[0] * ay
+            r = (gx + lam[0] * ax, gy + lam[0] * ay)
         else:
             (a1x, a1y, _), (a2x, a2y, _) = base[active[0]], base[active[1]]
             det = a1x * a2y - a1y * a2x
             if abs(det) <= _ZERO_TOL:
                 return math.inf
             lam = [(-gx * a2y + gy * a2x) / det, (-a1x * gy + a1y * gx) / det]
-            sx = gx + lam[0] * a1x + lam[1] * a2x
-            sy = gy + lam[0] * a1y + lam[1] * a2y
-        stationarity = max(abs(sx), abs(sy))
-        dual = max(0.0, -min(lam))
-        comp = max(
-            abs(l * (base[i][2] - base[i][0] * ux - base[i][1] * uy)) for l, i in zip(lam, active)
-        )
-        return max(stationarity, primal, dual, comp)
+            r = (gx + lam[0] * a1x + lam[1] * a2x, gy + lam[0] * a1y + lam[1] * a2y)
+        gaps = [base[i][2] - base[i][0] * ux - base[i][1] * uy for i in active]
+    else:
+        # Relaxed phase: variables (u, s), gradient (u - nominal, 2*w*s).
+        w = float(problem.slack_weight)
+        z = np.array([ux, uy, s])
+        grad = np.array([ux - hx, uy - hy, 2.0 * w * s])
+        rows3 = [np.array([ax, ay, -1.0]) for ax, ay, _ in base[:m]]
+        rows3 += [np.array([ax, ay, 0.0]) for ax, ay, _ in base[m:]]
+        rows3.append(np.array([0.0, 0.0, -1.0]))
+        bounds3 = [b for _, _, b in base] + [0.0]
+        primal = max([0.0] + [float(r @ z) - b for r, b in zip(rows3, bounds3)])
+        if active:
+            A = np.stack([rows3[i] for i in active], axis=1)
+            lam, *_ = np.linalg.lstsq(A, -grad, rcond=None)
+            lam, r = lam.tolist(), (grad + A @ lam).tolist()
+        else:
+            lam, r = [], grad.tolist()
+        gaps = [bounds3[i] - float(rows3[i] @ z) for i in active]
 
-    # Relaxed phase: variables (u, s), gradient (u - nominal, 2*w*s).
-    w = float(problem.slack_weight)
-    z = np.array([ux, uy, s])
-    grad = np.array([ux - hx, uy - hy, 2.0 * w * s])
-    rows3 = [np.array([ax, ay, -1.0]) for ax, ay, _ in base[:m]]
-    rows3 += [np.array([ax, ay, 0.0]) for ax, ay, _ in base[m:]]
-    rows3.append(np.array([0.0, 0.0, -1.0]))
-    bounds3 = [b for _, _, b in base] + [0.0]
-    primal = max([0.0] + [float(r @ z) - b for r, b in zip(rows3, bounds3)])
-    if not active:
-        return max(float(np.max(np.abs(grad))), primal)
-    A = np.stack([rows3[i] for i in active], axis=1)
-    lam, *_ = np.linalg.lstsq(A, -grad, rcond=None)
-    denom = 1.0 + float(np.max(np.abs(lam)))
-    stationarity = float(np.max(np.abs(grad + A @ lam))) / denom
-    dual = max(0.0, float(-np.min(lam)))
-    comp = max(abs(float(l) * (bounds3[i] - float(rows3[i] @ z))) for l, i in zip(lam, active)) / denom
+    denom = 1.0 + max(map(abs, lam), default=0.0)
+    stationarity = max(map(abs, r)) / denom
+    dual = max(0.0, -min(lam, default=0.0))
+    comp = max((abs(l * gap) for l, gap in zip(lam, gaps)), default=0.0) / denom
     return max(stationarity, primal, dual, comp)

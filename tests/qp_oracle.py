@@ -96,9 +96,10 @@ def full_pair_scan(problem, feas_tol: float = 1e-9, zero_tol: float = 1e-12):
     Same candidates and arithmetic as the solver's projection phase, with
     no pruning: box clip, then the projection onto each violated row, then
     each pairwise vertex of constraint and box rows whose multipliers are
-    >= -1e-10, reported through `reported_pair`. Rows are read from `problem.constraints`, not from the
-    solver's cached row list. Returns ((x, y), active rows, candidates
-    evaluated), or None when the rows conflict.
+    >= -1e-10, reported as the pair that found it. Rows are read from
+    `problem.constraints`, not from the solver's cached row list. Returns
+    ((x, y), active rows, candidates evaluated), or None when the rows
+    conflict.
     """
     hx, hy = float(problem.nominal[0]), float(problem.nominal[1])
     box = float(problem.box)
@@ -140,27 +141,8 @@ def full_pair_scan(problem, feas_tol: float = 1e-9, zero_tol: float = 1e-12):
                 and (a1x * gy - a1y * gx) / det >= -1e-10
                 and feasible(zx, zy)
             ):
-                return (zx, zy), reported_pair(rows, zx, zy, gx, gy, (i, j)), tried
+                return (zx, zy), (i, j), tried
     return None
-
-
-def reported_pair(rows, zx, zy, gx, gy, found, tight_tol: float = 1e-9):
-    """The pair a vertex solution reports: among all pairs of rows within
-    tight_tol of z (only when three or more are), the first in (i, j) order
-    with the largest |sin| between the normals and both multipliers of
-    g = nominal - z >= -1e-10; the pair that found the vertex otherwise."""
-    tight = [k for k, (ax, ay, b) in enumerate(rows) if abs(ax * zx + ay * zy - b) <= tight_tol]
-    if len(tight) < 3:
-        return found
-    scored = []
-    for i, j in itertools.combinations(tight, 2):
-        (a1x, a1y, _), (a2x, a2y, _) = rows[i], rows[j]
-        det = a1x * a2y - a1y * a2x
-        if det == 0.0:
-            continue
-        if (gx * a2y - gy * a2x) / det >= -1e-10 and (a1x * gy - a1y * gx) / det >= -1e-10:
-            scored.append((-abs(det) / (math.hypot(a1x, a1y) * math.hypot(a2x, a2y)), (i, j)))
-    return min(scored)[1] if scored else found
 
 
 @functools.cache

@@ -14,7 +14,7 @@ from marlshield.qp import (
 )
 from marlshield.shield import filter_action
 
-from qp_oracle import full_pair_scan, full_relaxed_scan, grid_project, grid_relaxed, reported_pair
+from qp_oracle import full_pair_scan, full_relaxed_scan, grid_project, grid_relaxed
 
 
 def row(nx, ny, b):
@@ -93,6 +93,19 @@ class TestKktCheck:
             status=sol.status,
         )
         assert kkt_check(p, bad) > 1e-6
+
+    def test_nearly_parallel_vertex_certifies_and_displacement_is_flagged(self, common_vertex):
+        # seed 0 #16088: rows 0 and 1, nearly antiparallel, certify the vertex
+        # with multipliers ~6.4e3 and ~2.5e4. Normalized by 1 + max|lam|, the
+        # vertex reads <= 1e-9, and a 1e-7 step off it still reads > 1e-9.
+        p = common_vertex[0][16088]
+        sol = solve(p)
+        assert sol.status == STATUS_OPTIMAL and sol.active_set == (0, 1)
+        assert sin_between(p, sol.active_set) < 1e-3
+        assert sol.kkt_residual <= 1e-9
+        for step in ((1e-7, 0.0), (-1e-7, 0.0), (0.0, 1e-7), (0.0, -1e-7)):
+            moved = QpSolution(sol.u_safe + np.array(step), 0.0, sol.active_set, p, sol.status)
+            assert kkt_check(p, moved) > 1e-9, step
 
 
 class TestProjectionProperties:
@@ -367,49 +380,50 @@ def sin_between(problem, pair):
     return abs(a1x * a2y - a1y * a2x) / (math.hypot(a1x, a1y) * math.hypot(a2x, a2y))
 
 
+@pytest.fixture(scope="module")
+def common_vertex():
+    """`common_vertex_problems` of seeds 0 and 1, indexed [seed][k]."""
+    return [list(common_vertex_problems(seed)) for seed in (0, 1)]
+
+
 class TestCommonVertexCertificates:
-    def test_vertex_certified_from_best_conditioned_pair(self):
-        # Where 3+ rows meet at the projection, the first qualifying pair of
-        # the scan can be nearly parallel; a correct vertex must then still
-        # certify at 1e-9 through a well-conditioned tight pair. Left over:
-        # vertices where every certifying pair is nearly parallel.
+    def test_common_vertices_certify(self, common_vertex):
+        # Where 3+ rows meet at the projection, the pair the scan accepted can
+        # be nearly parallel, with large multipliers; the certificate
+        # normalizes by them, so every vertex must read <= 1e-9.
         failures = []
-        for seed in (0, 1):
-            for k, p in enumerate(common_vertex_problems(seed)):
+        for seed, problems in enumerate(common_vertex):
+            for k, p in enumerate(problems):
                 sol = solve(p)
-                if sol.kkt_residual <= 1e-9:
-                    continue
-                (zx, zy), (hx, hy) = sol.u_safe.tolist(), p.nominal.tolist()
-                best = reported_pair(list(p.rows), zx, zy, hx - zx, hy - zy, sol.active_set)
-                failures.append((seed, k, sol.kkt_residual, sol.active_set, best, sin_between(p, best)))
-        assert all(f[3] == f[4] and f[5] < 1e-3 for f in failures), failures
-        assert len(failures) <= 1, failures
+                if not sol.kkt_residual <= 1e-9:
+                    failures.append((seed, k, sol.kkt_residual, sol.active_set))
+        assert failures == []
 
 
 @pytest.fixture(scope="module")
-def relaxed_stress(recorded_calls):
-    """Conflicting problems: (the degenerate families of seeds 0 and 1, the training-shaped ones).
+def stress(recorded_calls):
+    """Stress problems as (optimal, relaxed degenerate, relaxed training-shaped).
 
-    The degenerate ones come from `degenerate_problems`; the training-shaped
-    ones from `training_shaped_problems` and from a recorded training run.
+    The degenerate ones come from `degenerate_problems` of seeds 0 and 1; the
+    training-shaped ones from `training_shaped_problems` and, relaxed only,
+    from a recorded training run.
     """
-    degenerate = [
-        p
-        for seed in (0, 1)
-        for p in degenerate_problems(np.random.default_rng(seed), 20_000)
-        if solve(p).status == STATUS_RELAXED
-    ]
-    training = [p for p in training_shaped_problems(np.random.default_rng(36), 400) if solve(p).status == STATUS_RELAXED]
+    optimal, degenerate, training = [], [], []
+    for seed in (0, 1):
+        for p in degenerate_problems(np.random.default_rng(seed), 20_000):
+            (degenerate if solve(p).status == STATUS_RELAXED else optimal).append(p)
+    for p in training_shaped_problems(np.random.default_rng(36), 400):
+        (training if solve(p).status == STATUS_RELAXED else optimal).append(p)
     training += relaxed_training_problems(recorded_calls["training"])
-    assert len(degenerate) > 3000 and len(training) > 200
-    return degenerate, training
+    assert len(degenerate) > 3000 and len(training) > 200 and len(optimal) > 30_000
+    return optimal, degenerate, training
 
 
 class TestLargeSlackWeightCertificates:
-    def test_relaxed_degenerate_rows_certify_at_large_slack_weights(self, relaxed_stress):
+    def test_relaxed_degenerate_rows_certify_at_large_slack_weights(self, stress):
         # the relaxed phase returns the candidate its scan accepted, whose
         # active rows hold to the last bits at any slack weight
-        degenerate, training = relaxed_stress
+        _, degenerate, training = stress
         cases = [(10.0**e, degenerate) for e in range(3, 13)] + [(w, training) for w in (1e9, 1e12)]
         failures = []
         for w, family in cases:
@@ -420,15 +434,21 @@ class TestLargeSlackWeightCertificates:
                     failures.append((w, sol.kkt_residual, sol.active_set))
         assert failures == []
 
-    def test_solve_uses_no_numpy_linear_algebra(self, relaxed_stress, monkeypatch):
+    def test_solve_uses_no_numpy_linear_algebra(self, stress, common_vertex, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("np.linalg.lstsq called on the solve path")
+            raise AssertionError("numpy linear algebra called on the solve path")
 
-        monkeypatch.setattr(np.linalg, "lstsq", refuse)
-        degenerate, training = relaxed_stress
+        for name in ("lstsq", "solve", "inv", "pinv"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        optimal, degenerate, training = stress
+        # kkt_residual is not read: the certificate may use numpy
         for p in degenerate + training:
-            sol = solve(p)  # kkt_residual is not read: the certificate may use numpy
+            sol = solve(p)
             assert sol.status == STATUS_RELAXED and sol.slack > 0.0 and sol.active_set
+            assert np.all(np.abs(sol.u_safe) <= p.box + 1e-9)
+        for p in optimal + common_vertex[0] + common_vertex[1]:
+            sol = solve(p)
+            assert sol.status == STATUS_OPTIMAL and len(sol.active_set) <= 2
             assert np.all(np.abs(sol.u_safe) <= p.box + 1e-9)
 
 
