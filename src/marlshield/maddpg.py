@@ -3,9 +3,10 @@
 Centralized training, decentralized execution: each agent owns an actor fed
 by its local observation and a critic fed by the joint observation/action
 vector; the online actors share one `nets.MlpStack`, so the per-step policy
-is one pass. A shared FIFO replay buffer stores the executed (post-shield)
-actions, so critics always score the behavior that actually happened. Each
-transition is one row of the buffer's matrix with the critic input (joint
+is one pass through the same forward the learner's per-net calls use. A
+shared FIFO replay buffer stores the executed (post-shield) actions, so
+critics always score the behavior that actually happened. Each transition
+is one row of the buffer's matrix with the critic input (joint
 observation, then joint action) at its front, so a minibatch is one row
 gather and the critic reads its input as a view of the gathered rows.
 Gradients arrive as each net's flat `grad` vector and go to Adam whole.

@@ -13,8 +13,11 @@ the same layout, `grad`, which backward() overwrites layer by layer through
 its own views and returns. Adam and soft_update therefore act on whole
 vectors, element by element, with the same arithmetic a per-tensor loop
 would do.
-`MlpStack` rebinds the `flat` of several nets to the rows of one matrix and
-runs net i on input row i for all of them in one stacked matmul per layer.
+
+One forward and one backward, generic over leading axes, hold the layer
+loop, and Mlp is their 2-D case. `MlpStack` rebinds the `flat` of several
+nets to the rows of one matrix and runs net i on input row i for all of
+them through that forward, one stacked matmul per layer.
 
 Hidden layers are rectified-linear; the output head is either linear (value
 estimates) or a saturating tanh scaled to the action box (policies).
@@ -42,6 +45,42 @@ def _views(flat, dims):
     return weights, biases
 
 
+def _forward(x, weights, biases, nets):
+    """Every layer's activation on x, net k's head on leading row k of the output: x (B, d_in)
+    through one net, or (n, B, d_in) through n nets' stacked (n, d, d') weights and (n, 1, d') biases."""
+    a, activations = x, [x]
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        if i:  # every activation after x is a fresh product, so it is rectified in place
+            np.maximum(a, 0.0, out=a)
+        a = np.matmul(a, w)
+        a += b
+        activations.append(a)
+    for row, net in zip(a if a.ndim > 2 else (a,), nets):
+        if net.head == "tanh":
+            np.tanh(row, out=row)
+            row *= net.head_scale
+    return activations
+
+
+def _backward(activations, g, weights, grad_views, nets, input_grad):
+    """Input gradient of sum(g * output) through _forward's layers, None without input_grad; g is
+    overwritten. Parameter gradients go into grad_views, (weight views, bias views), unless None."""
+    rows = (g, activations[-1]) if g.ndim > 2 else ((g,), (activations[-1],))
+    for row, y, net in zip(*rows, nets):
+        if net.head == "tanh":
+            row *= net.head_scale - y * y / net.head_scale
+    for i in range(len(weights) - 1, -1, -1):
+        if grad_views is not None:
+            np.matmul(activations[i].swapaxes(-1, -2), g, out=grad_views[0][i])
+            g.sum(axis=-2, out=grad_views[1][i])
+        if i == 0 and not input_grad:
+            return None
+        g = np.matmul(g, weights[i].swapaxes(-1, -2))
+        if i > 0:
+            g *= activations[i] > 0.0
+    return g
+
+
 class Mlp:
     """Feed-forward net over float64 arrays; single sample or batch inputs."""
 
@@ -54,20 +93,18 @@ class Mlp:
         self.head = head
         self.head_scale = float(head_scale)
         rng = rng if rng is not None else np.random.default_rng(0)
-        self.flat = np.zeros(flat_size(self.dims))
-        self.weights, self.biases = _views(self.flat, self.dims)
-        for i, w in enumerate(self.weights):
-            if i == len(self.weights) - 1:
-                w[...] = rng.uniform(-1e-3, 1e-3, size=w.shape)
-            else:
-                w[...] = rng.normal(0.0, math.sqrt(2.0 / w.shape[0]), size=w.shape)
-        self._bind_grad()
-        self._cache = None
+        self._bind(np.zeros(flat_size(self.dims)))
+        for w in self.weights[:-1]:
+            w[...] = rng.normal(0.0, math.sqrt(2.0 / w.shape[0]), size=w.shape)
+        self.weights[-1][...] = rng.uniform(-1e-3, 1e-3, size=self.weights[-1].shape)
 
-    def _bind_grad(self) -> None:
-        """A fresh zeroed `grad` laid out like `flat`, with the per-layer views backward() writes."""
-        self.grad = np.zeros_like(self.flat)
-        self._grad_weights, self._grad_biases = _views(self.grad, self.dims)
+    def _bind(self, flat) -> None:
+        """Make flat the parameters, with their views and a fresh zeroed `grad` laid out like them."""
+        self.flat = flat
+        self.grad = np.zeros_like(flat)
+        self.weights, self.biases = _views(flat, self.dims)
+        self._grad_views = _views(self.grad, self.dims)
+        self._cache = None
 
     @property
     def n_params(self) -> int:
@@ -86,34 +123,18 @@ class Mlp:
         clone.dims = self.dims
         clone.head = self.head
         clone.head_scale = self.head_scale
-        clone.flat = self.flat.copy()
-        clone.weights, clone.biases = _views(clone.flat, clone.dims)
-        clone._bind_grad()
-        clone._cache = None
+        clone._bind(self.flat.copy())
         return clone
 
     def forward(self, x) -> np.ndarray:
-        """Run the net, caching activations for a subsequent backward()."""
+        """Run the net on one (d_in,) sample or a (B, d_in) batch, caching activations for backward()."""
         arr = np.asarray(x, dtype=float)
+        if arr.ndim not in (1, 2) or arr.shape[-1] != self.dims[0]:
+            raise ValueError(f"expected input ({self.dims[0]},) or (B, {self.dims[0]}), got {arr.shape}")
         squeeze = arr.ndim == 1
-        a = arr.reshape(1, -1) if squeeze else arr
-        if a.shape[1] != self.dims[0]:
-            raise ValueError(f"expected input width {self.dims[0]}, got {a.shape[1]}")
-        activations = [a]
-        n_layers = len(self.weights)
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            # z is a fresh product, so the bias add and activation can run in place
-            z = a @ w
-            z += b
-            if i < n_layers - 1:
-                np.maximum(z, 0.0, out=z)
-            elif self.head == "tanh":
-                np.tanh(z, out=z)
-                z *= self.head_scale
-            a = z
-            activations.append(a)
+        activations = _forward(arr.reshape(1, -1) if squeeze else arr, self.weights, self.biases, (self,))
         self._cache = (activations, squeeze)
-        return a[0] if squeeze else a
+        return activations[-1][0] if squeeze else activations[-1]
 
     def backward(self, grad_out, param_grads: bool = True, input_grad: bool = True):
         """Gradients of sum(grad_out * output) from the latest forward().
@@ -125,28 +146,17 @@ class Mlp:
         bias gradients. grad_input has the shape of the forward input, or
         is None when called with input_grad=False, which skips the first
         layer's g @ W0.T. Each flag leaves the other result bit for bit
-        unchanged. grad_out is never written.
+        unchanged. grad_out, shaped like that forward's output, is never written.
         """
         if self._cache is None:
             raise RuntimeError("backward() requires a preceding forward()")
         activations, squeeze = self._cache
-        g = np.asarray(grad_out, dtype=float)
-        if squeeze:
-            g = g.reshape(1, -1)
-        if self.head == "tanh":
-            y = activations[-1]
-            g = g * (self.head_scale - y * y / self.head_scale)
-        grad = self.grad if param_grads else None
-        for i in range(len(self.weights) - 1, -1, -1):
-            if param_grads:
-                np.matmul(activations[i].T, g, out=self._grad_weights[i])
-                g.sum(axis=0, out=self._grad_biases[i])
-            if i == 0 and not input_grad:
-                return grad, None
-            g = g @ self.weights[i].T
-            if i > 0:
-                g *= activations[i] > 0.0
-        return grad, (g[0] if squeeze else g)
+        y = activations[-1]
+        if np.shape(grad_out) != y.shape[squeeze:]:
+            raise ValueError(f"grad_out must have the output shape {y.shape[squeeze:]}, got {np.shape(grad_out)}")
+        g = np.array(grad_out, dtype=float).reshape(y.shape)
+        g = _backward(activations, g, self.weights, self._grad_views if param_grads else None, (self,), input_grad)
+        return (self.grad if param_grads else None), (g[0] if squeeze and input_grad else g)
 
 
 class MlpStack:
@@ -155,27 +165,18 @@ class MlpStack:
     def __init__(self, nets):
         self.nets = list(nets)
         (dims,) = {net.dims for net in self.nets}  # ValueError unless every net has the same dims
-        self.in_shape = (len(self.nets), 1, dims[0])
         self.flat = np.stack([net.flat for net in self.nets])
         for row, net in zip(self.flat, self.nets):
-            net.flat = row
-            net.weights, net.biases = _views(row, dims)
+            net._bind(row)
         self.weights, biases = _views(self.flat, dims)
         self.biases = [b[:, None] for b in biases]
 
     def forward(self, x) -> np.ndarray:
-        """Row i of the (n, dims[-1]) output is net i, with its head as set now, on row i of x."""
-        z = np.asarray(x, dtype=float).reshape(self.in_shape)  # ValueError unless n rows of dims[0]
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if i:  # rectify the previous hidden layer in place
-                np.maximum(z, 0.0, out=z)
-            z = np.matmul(z, w)
-            z += b
-        for row, net in zip(z, self.nets):
-            if net.head == "tanh":
-                np.tanh(row, out=row)
-                row *= net.head_scale
-        return z[:, 0, :]
+        """Row i of the (n, dims[-1]) output is net i, with its head as set now, on row i of the (n, dims[0]) x."""
+        arr = np.asarray(x, dtype=float)
+        if arr.shape != self.weights[0].shape[:2]:
+            raise ValueError(f"expected input of shape {self.weights[0].shape[:2]}, got {arr.shape}")
+        return _forward(arr.reshape(len(arr), 1, -1), self.weights, self.biases, self.nets)[-1][:, 0, :]
 
 
 class Adam:

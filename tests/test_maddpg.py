@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -403,6 +405,22 @@ class TestTrainerLoop:
             trainer.train()
         assert err.value.episode == 0
 
+    def test_dropped_trainer_is_freed_without_the_cycle_collector(self):
+        """No net, stack or buffer refers back to itself or its trainer, so a dropped trainer's
+        nets and cached activations go at once, not at the next cyclic collection."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            trainer = make_trainer(episodes=2)
+            trainer.train()
+            refs = [weakref.ref(obj) for obj in (trainer, trainer.actors[0], trainer.critics[0],
+                                                 trainer.target_actors[0], trainer.policy, trainer.buffer)]
+            del trainer
+            assert [ref() is None for ref in refs] == [True] * len(refs)
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_update_changes_networks(self):
         trainer = make_trainer(episodes=1)
         before = [p.copy() for p in trainer.actors[0].parameters()]
@@ -415,12 +433,12 @@ class TestTrainerLoop:
 
 
 class TestStackedPolicy:
-    """nominal_actions runs the actors as one MlpStack; the per-net forward is the reference."""
+    """nominal_actions runs the actors as one MlpStack; the per-tensor learner oracle, net by net, is the reference."""
 
     @staticmethod
     def per_net(trainer, obs, sigma, rng):
         a_max = trainer.env.world.a_max
-        acts = np.stack([actor.forward(o) for actor, o in zip(trainer.actors, obs)])
+        acts = np.concatenate([learner_oracle.forward(actor, o[None])[0] for actor, o in zip(trainer.actors, obs)])
         if sigma > 0.0:
             acts = acts + rng.normal(0.0, sigma, size=acts.shape)
         return np.clip(acts, -a_max, a_max)
@@ -488,7 +506,7 @@ class TestStackedPolicy:
         with pytest.raises(ValueError):
             MlpStack([Mlp((4, 3, 2)), Mlp((4, 5, 2))])
         stack = MlpStack([Mlp((4, 3, 2)), Mlp((4, 3, 2))])
-        for x in (np.zeros((1, 4)), np.zeros((3, 4)), np.zeros((2, 5)), np.zeros(4)):
+        for x in (np.zeros((1, 4)), np.zeros((3, 4)), np.zeros((2, 5)), np.zeros(4), np.zeros((4, 2)), np.zeros(8)):
             with pytest.raises(ValueError):
                 stack.forward(x)
 

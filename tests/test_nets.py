@@ -83,6 +83,8 @@ class TestForward:
         net = Mlp((3, 4, 1))
         with pytest.raises(ValueError):
             net.forward(np.zeros(5))
+        with pytest.raises(ValueError):
+            Mlp((4, 3, 2)).forward(np.zeros((2, 4, 4)))
 
 
 class TestBackward:
@@ -117,6 +119,19 @@ class TestBackward:
                 xm[i, j] -= eps
                 fd = (np.sum(net.forward(xp)) - np.sum(net.forward(xm))) / (2 * eps)
                 assert math.isclose(fd, g_in[i, j], rel_tol=1e-4, abs_tol=1e-7)
+
+    @pytest.mark.parametrize("head", ["linear", "tanh"])
+    def test_grad_out_must_match_the_output_shape(self, head):
+        net = Mlp((4, 3, 2), head=head, head_scale=0.7, rng=np.random.default_rng(15))
+        net.forward(np.ones((5, 4)))
+        for bad in (np.ones((1, 2)), np.ones(2), np.ones((5, 1)), np.ones((5, 2, 1))):
+            with pytest.raises(ValueError):
+                net.backward(bad)
+        assert net.backward(np.ones((5, 2)))[1].shape == (5, 4)
+        net.forward(np.ones(4))
+        with pytest.raises(ValueError):
+            net.backward(np.ones((1, 2)))
+        assert net.backward(np.ones(2))[1].shape == (4,)
 
     def test_backward_requires_forward(self):
         net = Mlp((2, 3, 1))
