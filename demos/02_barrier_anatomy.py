@@ -29,7 +29,7 @@ print("\n== the emitted rows ==")
 a = AgentState([0.0, 0.0], [0.6, 0.0])
 b = AgentState([0.5, 0.0], [-0.6, 0.0])
 # each row is an (ax, ay, b) triple: the focal acceleration u must keep ax*ux + ay*uy <= b
-rows, _, _, _ = local_rows(0, a, [(1, b)], [], world, params)
+rows, _, _, _, _ = local_rows(0, a, [(1, b)], [], world, params)
 ax, ay, bound = rows[0]
 normal = np.array([ax, ay])
 print(f"  pair row: normal={normal}, bound={bound:.4f} (half of the pairwise budget)")
@@ -38,7 +38,7 @@ print(f"  full-throttle approach u=(1,0): lhs={float(normal @ [1, 0]):+.4f} "
 
 obs = ObstacleSpec([0.4, 0.0])
 agent = AgentState([0.0, 0.0], [0.7, 0.0])
-rows, _, _, _ = local_rows(0, agent, [], [obs], world, params)
+rows, _, _, _, _ = local_rows(0, agent, [], [obs], world, params)
 ax, ay, bound = rows[0]
 print(f"  obstacle row: normal={np.array([ax, ay])}, bound={bound:.4f} (no split, obstacle will not help)")
 

@@ -40,7 +40,6 @@ class AgentState:
     __setattr__ = _read_only
     position = property(lambda self: np.array((self.px, self.py)))
     velocity = property(lambda self: np.array((self.vx, self.vy)))
-    speed = property(lambda self: math.hypot(self.vx, self.vy))
 
     def __new__(cls, position, velocity):
         return _state_unchecked(*_as_vec2(position, "position"), *_as_vec2(velocity, "velocity"))

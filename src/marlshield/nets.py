@@ -106,10 +106,6 @@ class Mlp:
         self._grad_views = _views(self.grad, self.dims)
         self._cache = None
 
-    @property
-    def n_params(self) -> int:
-        return self.flat.size
-
     def parameters(self):
         """Parameter arrays in declaration order (W0, b0, W1, b1, ...), views into flat."""
         out = []

@@ -27,8 +27,13 @@ Two phases:
    subset holding a row violated at the nominal. The winning candidate is
    returned as computed; the solve path uses no numpy linear algebra.
 
-`QpProblem` takes its rows as `(ax, ay, b)` float triples and validates
-them once; both phases and `kkt_check` read that one list. `kkt_check` is the
+`QpProblem` takes its rows as `(ax, ay, b)` float triples, its box as
+per-axis limits `(lo_x, hi_x, lo_y, hi_y)` (a scalar box is symmetric)
+and axis-aligned rows as `bounds`, and validates them once. The
+projection phase folds the bounds into the box, so it scans only the
+constraints and the four box rows; the slack phase relaxes the bounds
+as rows with the constraints, under the box, which is hard in both
+phases. Each phase and `kkt_check` read one row list. `kkt_check` is the
 one certificate, for both phases under one multiplier-normalized rule:
 `solve` never runs it, reading `QpSolution.kkt_residual` does.
 `QpSolution.iterations` counts the candidates evaluated (pruned subsets do
@@ -57,48 +62,117 @@ def _fields_repr(obj) -> str:
     return f"{type(obj).__name__}({fields})"
 
 
+def _floats(*values):
+    """The values as floats, or ValueError unless each is a real number."""
+    if not all(isinstance(v, _REAL) for v in values):
+        raise ValueError
+    return tuple(map(float, values))
+
+
 class QpProblem:
-    """Projection instance: nominal action, halfplane rows, box, slack penalty.
+    """Projection instance: nominal action, halfplane rows, action box, slack penalty, axis rows.
 
     `constraints` are rows ax*ux + ay*uy <= b as `(ax, ay, b)` triples (as
     `shield.local_rows` builds them), each validated once: 3 finite real
     numbers, (ax, ay) nonzero, or ValueError. They are kept as float
-    triples, and `rows` is `constraints` followed by the +x, -x, +y, -y box
-    rows. That index scheme is used everywhere (active sets, KKT checks);
-    the slack nonnegativity row of the relaxed phase sits one past the box
-    rows. Fields are read-only.
+    triples. `box` bounds each action component and is hard in both
+    phases: a positive scalar means [-box, box] on both axes, and
+    `(lo_x, hi_x, lo_y, hi_y)` gives the intervals themselves, 4 finite
+    real numbers with lo <= hi on each axis (an interval may exclude 0),
+    or ValueError.
+
+    `bounds` are axis-aligned rows, `(ax, 0, b)` or `(0, ay, b)`, validated
+    like `constraints` with exactly one coefficient nonzero. The projection
+    phase folds each into the box as ux <= b/ax (ax > 0) or ux >= b/ax
+    (ax < 0), so it never scans them; `limits` reads the folded intervals,
+    and an empty one means the rows conflict. The slack phase relaxes them
+    as rows, with the constraints.
+
+    `rows`, the projection phase's list, is `constraints` followed by the
+    +x, -x, +y, -y rows of `limits`; `relaxed_rows`, the slack phase's, is
+    `constraints`, `bounds`, then the rows of `box` (the same list when
+    there are no bounds). Active sets and KKT checks index the list of
+    their phase; the slack nonnegativity row of the relaxed phase sits one
+    past its last row. Fields are read-only.
     """
 
-    __slots__ = ("_nominal", "_constraints", "_box", "_slack_weight", "_rows")
-    _fields = ("nominal", "constraints", "box", "slack_weight")
-    nominal, constraints, box, slack_weight, rows = (property(attrgetter(n)) for n in __slots__)
+    __slots__ = ("_nominal", "_constraints", "_box", "_slack_weight", "_bounds", "_rows", "_limits", "_box_limits")
+    _fields = ("nominal", "constraints", "box", "slack_weight", "bounds")
+    nominal, constraints, box, slack_weight, bounds, rows, limits = (property(attrgetter(n)) for n in __slots__[:7])
 
-    def __init__(self, nominal, constraints=(), box=1.0, slack_weight=1e6):
+    def __init__(self, nominal, constraints=(), box=1.0, slack_weight=1e6, bounds=()):
         u = nominal
         if not (type(u) is np.ndarray and u.shape == (2,) and u.dtype is _FLOAT64):
             u = np.asarray(u, dtype=float).reshape(2)
         hx, hy = u.tolist()
         if not (math.isfinite(hx) and math.isfinite(hy)):
             raise ValueError(f"nominal action must be finite, got {nominal!r}")
-        if not (isinstance(box, _REAL) and math.isfinite(box) and box > 0):
-            raise ValueError("box must be a positive finite scalar")
         if not (isinstance(slack_weight, _REAL) and math.isfinite(slack_weight) and slack_weight >= 0):
             raise ValueError("slack_weight must be >= 0")
-        isfinite, cons = math.isfinite, list(constraints)
+        isfinite = math.isfinite
+        if isinstance(box, _REAL):
+            if not (isfinite(box) and box > 0):
+                raise ValueError("box must be a positive finite scalar or (lo_x, hi_x, lo_y, hi_y)")
+            b = float(box)
+            limits = (-b, b, -b, b)
+        else:
+            try:
+                lox, hix, loy, hiy = limits = box = _floats(*box)
+                if not (isfinite(lox) and isfinite(hix) and isfinite(loy) and isfinite(hiy)
+                        and lox <= hix and loy <= hiy):
+                    raise ValueError
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"box {box!r} is not a positive scalar or finite (lo_x, hi_x, lo_y, hi_y) with lo <= hi"
+                ) from None
+        cons = list(constraints)
         for i, row in enumerate(cons):
             try:
                 ax, ay, b = row
                 if not (type(row) is tuple and type(ax) is type(ay) is type(b) is float):
-                    if not (isinstance(ax, _REAL) and isinstance(ay, _REAL) and isinstance(b, _REAL)):
-                        raise ValueError
-                    ax, ay, b = cons[i] = float(ax), float(ay), float(b)
+                    ax, ay, b = cons[i] = _floats(ax, ay, b)
                 if not (isfinite(ax) and isfinite(ay) and isfinite(b) and (ax != 0.0 or ay != 0.0)):
                     raise ValueError
             except (TypeError, ValueError):
                 raise ValueError(f"constraint row {row!r} is not a finite (ax, ay, b) with (ax, ay) != 0") from None
         self._nominal, self._constraints, self._box, self._slack_weight = u, tuple(cons), box, slack_weight
-        b = float(box)
-        self._rows = self._constraints + ((1.0, 0.0, b), (-1.0, 0.0, b), (0.0, 1.0, b), (0.0, -1.0, b))
+        self._box_limits = self._limits = limits
+        self._bounds = ()
+        lox, hix, loy, hiy = limits
+        if bounds:
+            bnds = list(bounds)
+            for i, row in enumerate(bnds):
+                try:
+                    ax, ay, b = row
+                    if not (type(row) is tuple and type(ax) is type(ay) is type(b) is float):
+                        ax, ay, b = bnds[i] = _floats(ax, ay, b)
+                    if not (isfinite(ax) and isfinite(ay) and isfinite(b) and (ax == 0.0) != (ay == 0.0)):
+                        raise ValueError
+                except (TypeError, ValueError):
+                    raise ValueError(f"bound row {row!r} is not a finite (ax, ay, b) with one of ax, ay zero") from None
+                # fold it into the box; conditionals, not min/max, on this hot path
+                if ay == 0.0:
+                    v = b / ax
+                    if ax > 0.0:
+                        hix = v if v < hix else hix
+                    elif v > lox:
+                        lox = v
+                else:
+                    v = b / ay
+                    if ay > 0.0:
+                        hiy = v if v < hiy else hiy
+                    elif v > loy:
+                        loy = v
+            self._bounds, self._limits = tuple(bnds), (lox, hix, loy, hiy)
+        self._rows = self._constraints + ((1.0, 0.0, hix), (-1.0, 0.0, -lox), (0.0, 1.0, hiy), (0.0, -1.0, -loy))
+
+    @property
+    def relaxed_rows(self) -> tuple:
+        if not self._bounds:
+            return self._rows
+        lox, hix, loy, hiy = self._box_limits
+        box_rows = (1.0, 0.0, hix), (-1.0, 0.0, -lox), (0.0, 1.0, hiy), (0.0, -1.0, -loy)
+        return self._constraints + self._bounds + box_rows
 
     __repr__ = _fields_repr
 
@@ -127,14 +201,15 @@ def _feasible(rows, x, y) -> bool:
     return all(ax * x + ay * y <= b + _FEAS_TOL for ax, ay, b in rows)
 
 
-def _box_clip(hx, hy, box, m):
-    """The nominal clipped to the box, and the box rows the clip binds (+x, -x, +y, -y are m..m+3)."""
+def _box_clip(hx, hy, limits, m):
+    """The nominal clipped to the box limits, and the box rows the clip binds (+x, -x, +y, -y are m..m+3)."""
+    lox, hix, loy, hiy = limits
     # conditionals, not min/max: the builtins cost several times more on this hot path
-    cx = hx if -box <= hx <= box else (box if hx > 0 else -box)
-    cy = hy if -box <= hy <= box else (box if hy > 0 else -box)
-    active = (m if hx > 0 else m + 1,) if cx != hx else ()
+    cx = hx if lox <= hx <= hix else (hix if hx > hix else lox)
+    cy = hy if loy <= hy <= hiy else (hiy if hy > hiy else loy)
+    active = (m if hx > hix else m + 1,) if cx != hx else ()
     if cy != hy:
-        active += (m + 2 if hy > 0 else m + 3,)
+        active += (m + 2 if hy > hiy else m + 3,)
     return (cx, cy), active
 
 
@@ -145,7 +220,9 @@ def _solve_projection(problem: QpProblem):
     are the clip's box rows, the violated row or the pair the scan accepted.
     """
     hx, hy = problem.nominal.tolist()
-    box = float(problem.box)
+    lox, hix, loy, hiy = limits = problem.limits
+    if lox > hix or loy > hiy:
+        return None  # the bounds leave no action in the box
     rows = problem.rows
     n = len(rows)
     m = n - 4
@@ -153,7 +230,7 @@ def _solve_projection(problem: QpProblem):
     # Fast path: the box clip of the nominal already satisfies every row.
     # An inactive clip returns the nominal bit-exactly; an active clip is
     # the projection onto the box and a fortiori onto the region inside it.
-    (cx, cy), active = _box_clip(hx, hy, box, m)
+    (cx, cy), active = _box_clip(hx, hy, limits, m)
     for ax, ay, b in rows:
         if not ax * cx + ay * cy <= b:
             break
@@ -236,21 +313,23 @@ def _solve_relaxed(problem: QpProblem):
     scan computed it. The s >= 0 row is left out: this phase runs only when
     the rows conflict, so s > 0.
 
-    Only subsets holding a row violated at c (phase 1's violated rows, as
+    The rows are `problem.relaxed_rows`: the bounds come back as rows, and
+    only the box stays hard. Only subsets holding a row violated at c (as
     c's slack is 0) are tried. At the optimum z, c - z = sum(l_i * r_i) with
     l >= 0, so sum(l_i * (r_i.c - b_i)) = |c - z|^2 > 0, because c is
     infeasible when the rows conflict: some active row is violated at c.
     Returns ((x, y, s), active rows, candidates evaluated).
     """
     hx, hy = problem.nominal.tolist()
-    box = float(problem.box)
     w = float(problem.slack_weight)
-    m = len(problem.constraints)
-    base = problem.rows
+    m = len(problem.constraints) + len(problem.bounds)
+    base = problem.relaxed_rows
 
     if w == 0.0:
-        # Penalty-free slack absorbs every row; only the box binds the action.
-        (ux, uy), active = _box_clip(hx, hy, box, m)
+        # Penalty-free slack absorbs every row; only the box binds the action,
+        # read back from the box rows that close `relaxed_rows`.
+        (_, _, hix), (_, _, nlox), (_, _, hiy), (_, _, nloy) = base[m:]
+        (ux, uy), active = _box_clip(hx, hy, (-nlox, hix, -nloy, hiy), m)
         return (ux, uy, max(0.0, max(ax * ux + ay * uy - b for ax, ay, b in base[:m]))), active, 0
 
     scale = math.sqrt(2.0 * w)  # the third variable holds s * scale
@@ -317,13 +396,16 @@ def kkt_check(problem: QpProblem, solution: QpSolution) -> float:
     nearly parallel rows or a large slack weight, whose multipliers are
     large, is judged by its constraint residuals rather than their products
     with the multipliers. Primal and dual feasibility stay absolute. A
-    nominal returned untouched (the fast path) reads exactly 0.
+    nominal returned untouched (the fast path) reads exactly 0. An optimal
+    solution is checked against `problem.rows`, a relaxed one against
+    `problem.relaxed_rows`.
     """
     ux, uy = float(solution.u_safe[0]), float(solution.u_safe[1])
     s, active = float(solution.slack), solution.active_set
-    (hx, hy), base, m = problem.nominal.tolist(), problem.rows, len(problem.constraints)
+    hx, hy = problem.nominal.tolist()
 
     if solution.status == STATUS_OPTIMAL:
+        base = problem.rows
         gx, gy = ux - hx, uy - hy
         primal = max(0.0, max(ax * ux + ay * uy - b for ax, ay, b in base))
         if not active:
@@ -342,6 +424,7 @@ def kkt_check(problem: QpProblem, solution: QpSolution) -> float:
         gaps = [base[i][2] - base[i][0] * ux - base[i][1] * uy for i in active]
     else:
         # Relaxed phase: variables (u, s), gradient (u - nominal, 2*w*s).
+        base, m = problem.relaxed_rows, len(problem.constraints) + len(problem.bounds)
         w = float(problem.slack_weight)
         z = np.array([ux, uy, s])
         grad = np.array([ux - hx, uy - hy, 2.0 * w * s])

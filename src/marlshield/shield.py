@@ -4,7 +4,10 @@ For one focal agent the filter builds one linear row per entity it senses
 (peers, obstacles, wall faces within sensing range), stacks them into a
 single projection QP, and returns the filtered action plus a diagnostics
 report. Stacking enforces membership in the intersection of all
-per-entity safe sets, so one solve covers every nearby hazard at once.
+per-entity safe sets, so one solve covers every nearby hazard at once. A
+wall face's row is axis-aligned, so it reaches the QP as a bound: the
+projection folds it into the action box as a limit on one action
+component and never scans it; only the slack phase treats it as a row.
 
 When any entity is already at or below the safe distance, or its barrier
 value is nonpositive, no constraint exists for it; the filter then swaps
@@ -16,8 +19,9 @@ entity cannot ram another.
 `local_rows` is the one place rows are built: a single pass over peers,
 obstacles and wall faces that applies the range rule and calls
 `_row_core` once per in-range entity. Each row goes from there to
-`qp.QpProblem` as an `(ax, ay, b)` float triple; no per-row object is
-built. `filter_action` adds the projection: the fallback nominal, one
+`qp.QpProblem` as an `(ax, ay, b)` float triple, peer and obstacle rows
+as constraints and face rows as bounds; no per-row object is built.
+`filter_action` adds the projection: the fallback nominal, one
 `qp.solve`, the status and the `ShieldReport`.
 """
 
@@ -30,7 +34,7 @@ import numpy as np
 
 from . import qp
 from .barriers import ShieldParams, _row_core
-from .dynamics import AgentState, WorldConfig, face_clearances
+from .dynamics import AgentState, WorldConfig
 
 STATUS_PASSTHROUGH = "passthrough"
 STATUS_CORRECTED = "corrected"
@@ -58,8 +62,8 @@ class ShieldReport:
 
 def local_rows(
     agent_id, self_state: AgentState, neighbors, obstacles, world: WorldConfig, params: ShieldParams
-) -> tuple[list, dict, list, float]:
-    """The focal agent's barrier rows from what it senses: `(rows, built, violated, min_h)`.
+) -> tuple[list, list, dict, list, float]:
+    """The focal agent's rows from what it senses: `(rows, bounds, built, violated, min_h)`.
 
     Entities are in range when their center-to-center distance is at most
     `r_sense` (inclusive). `neighbors` is the full (id, AgentState) list;
@@ -68,11 +72,17 @@ def local_rows(
     order; faces are measured only when half_extent - max(|x|, |y|) <=
     r_sense, and outside or non-finite positions then raise ValueError.
 
-    `rows` holds one `(ax, ay, b)` float triple per in-range entity in that
-    order (peers, obstacles, walls), or a unit recovery row for a violated
-    one; `built` counts them by kind. `violated` lists `(h, dpx, dpy)` per
-    violated entity in row order, and `min_h` is the smallest barrier value
-    seen (inf when nothing is in range).
+    `rows` holds one `(ax, ay, b)` float triple per in-range peer and
+    obstacle in that order, or a unit recovery row for a violated one.
+    `bounds` holds one axis-aligned row per in-range face, the +x
+    face's (e - x) * ux <= b say, for `qp.QpProblem` to fold into its box
+    as ux <= b / (e - x); a violated face, even one the agent touches, has
+    the unit recovery row ux <= -a_max_self, braking inward at the cap.
+    `built` counts the rows and bounds by kind. `violated` lists
+    `(h, dx, dy)` per violated entity in order, (dx, dy) the direction to
+    brake along: the offset from the entity for peers and obstacles, the
+    inward unit axis for faces. `min_h` is the smallest barrier value seen
+    (inf when nothing is in range).
     """
     sx, sy, vx, vy = self_state.px, self_state.py, self_state.vx, self_state.vy
     gamma_non, a_self, d_s, margin = params.gamma_non, params.a_max_self, params.d_s, params.margin
@@ -98,20 +108,29 @@ def local_rows(
         if hypot(dpx, dpy) <= r_sense:
             core = _row_core(dpx, dpy, vx, vy, gamma_non, a_self, d_s + obs.radius, margin)
             min_h = min(min_h, _append_row(rows, violated, dpx, dpy, core, a_self))
-    n_obs = len(rows) - n_peer
+    bounds = []
     e = world.wall_half_extent  # no face is nearer than e - max(|x|, |y|)
     if not (e - abs(sx) > r_sense and e - abs(sy) > r_sense):
-        for face, (px, py), dist in face_clearances((sx, sy), e):
-            if dist <= r_sense:
-                # A face is a line, not a point: only the normal velocity
-                # component matters; the full vector would credit motion along
-                # the wall as curvature away from it.
-                dpx, dpy = sx - px, sy - py
-                nvx, nvy = (vx, 0.0) if face in ("+x", "-x") else (0.0, vy)
-                core = _row_core(dpx, dpy, nvx, nvy, gamma_non, a_self, d_s, margin)
-                min_h = min(min_h, _append_row(rows, violated, dpx, dpy, core, a_self))
-    built = {"cooperative": n_peer, "non-cooperative": n_obs, "wall": len(rows) - n_peer - n_obs}
-    return rows, built, violated, min_h
+        if not (abs(sx) <= e and abs(sy) <= e):
+            raise ValueError(f"position ({sx}, {sy}) is outside the wall square (half extent {e})")
+        # Each face: the offset from it, the normal velocity (a face is a
+        # line, not a point: the full vector would credit motion along the
+        # wall as curvature away from it) and the inward unit axis.
+        for dpx, dpy, wx, wy, nx, ny in (
+            (sx - e, 0.0, vx, 0.0, -1.0, 0.0), (sx + e, 0.0, vx, 0.0, 1.0, 0.0),
+            (0.0, sy - e, 0.0, vy, 0.0, -1.0), (0.0, sy + e, 0.0, vy, 0.0, 1.0),
+        ):
+            if abs(dpx + dpy) <= r_sense:
+                full, h = _row_core(dpx, dpy, wx, wy, gamma_non, a_self, d_s, margin)
+                min_h = min(min_h, h)
+                if full is None:
+                    # violated, even on the face itself: brake inward at the cap
+                    violated.append((h, nx, ny))
+                    bounds.append((-nx, -ny, -a_self))
+                else:
+                    bounds.append((-dpx, -dpy, full))
+    built = {"cooperative": n_peer, "non-cooperative": len(rows) - n_peer, "wall": len(bounds)}
+    return rows, bounds, built, violated, min_h
 
 
 def filter_action(
@@ -125,15 +144,17 @@ def filter_action(
 ) -> tuple[np.ndarray, ShieldReport]:
     """Filter one nominal action through the stacked-constraint QP.
 
-    Takes the arguments of `local_rows` plus the nominal action; the rows
-    apply its range rule, so the output provably depends only on local
-    information.
+    Takes the arguments of `local_rows` plus the nominal action, and
+    projects it onto `local_rows`' peer and obstacle rows inside the action
+    box [-a_max_self, a_max_self] per axis, narrowed by the face bounds.
+    The rows apply its range rule, so the output provably depends only on
+    local information.
     """
     u_hat = np.asarray(u_nominal, dtype=float).reshape(2)
     hx, hy = u_hat.tolist()
     if not (math.isfinite(hx) and math.isfinite(hy)):
         raise ValueError(f"nominal action must be finite, got {u_nominal!r}")
-    rows, built, violated, min_h = local_rows(agent_id, self_state, neighbors, obstacles, world, params)
+    rows, bounds, built, violated, min_h = local_rows(agent_id, self_state, neighbors, obstacles, world, params)
 
     # Violated-set fallback: swap the nominal for maximal braking away from
     # the most imminent violator (the first with the smallest h); the
@@ -146,7 +167,7 @@ def filter_action(
         r = math.hypot(wx, wy)
         nominal_used = np.array([a_self * wx / r, a_self * wy / r] if r > 1e-12 else [a_self, 0.0])
 
-    sol = qp.solve(qp.QpProblem(nominal_used, rows, a_self, params.slack_weight))
+    sol = qp.solve(qp.QpProblem(nominal_used, rows, a_self, params.slack_weight, bounds))
 
     u_safe = sol.u_safe
     if violated:

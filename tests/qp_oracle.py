@@ -4,7 +4,12 @@ Independent of the solver: feasibility is a direct row check on grid
 points, the optimum is located by repeatedly shrinking the grid window
 around the best point found. Used by unit and acceptance tests.
 `full_pair_scan` and `full_relaxed_scan` are the unpruned references for
-the solver's projection and relaxed phases.
+the solver's projection and relaxed phases. Each reads the box from
+`problem.box` itself: a scalar b is [-b, b] on both axes, a 4-sequence
+the intervals (lo_x, hi_x, lo_y, hi_y). The grid oracles check the
+axis-aligned `problem.bounds` as rows over that box, in both phases;
+`full_pair_scan` folds them into the box as the bounds they are, and
+`full_relaxed_scan` relaxes them as rows.
 """
 
 from __future__ import annotations
@@ -19,10 +24,43 @@ _FEAS_TOL = 1e-9
 _ZERO_TOL = 1e-12
 
 
+def _limits(problem):
+    """(lo_x, hi_x, lo_y, hi_y) of the problem's box."""
+    box = problem.box
+    if np.ndim(box) == 0:
+        return -float(box), float(box), -float(box), float(box)
+    return tuple(float(v) for v in box)
+
+
+def _folded_limits(problem):
+    """The box limits with each bound row ax*ux <= b (or ay*uy <= b) divided through; may be empty."""
+    lim = list(_limits(problem))
+    for ax, ay, b in problem.bounds:
+        k, a = (0, ax) if ay == 0.0 else (2, ay)
+        if a > 0.0:
+            lim[k + 1] = min(lim[k + 1], b / a)
+        else:
+            lim[k] = max(lim[k], b / a)
+    return tuple(lim)
+
+
+def _box_rows(limits):
+    """The +x, -x, +y, -y box rows ux <= hi_x, -ux <= -lo_x, ..."""
+    lox, hix, loy, hiy = limits
+    return [(1.0, 0.0, hix), (-1.0, 0.0, -lox), (0.0, 1.0, hiy), (0.0, -1.0, -loy)]
+
+
+def _grid_window(problem):
+    """Center and half-widths of the box, per axis: the first grid window."""
+    lox, hix, loy, hiy = _limits(problem)
+    return (lox + hix) / 2.0, (loy + hiy) / 2.0, (hix - lox) / 2.0, (hiy - loy) / 2.0
+
+
 def _row_arrays(problem):
-    if problem.constraints:
-        A = np.array([[ax, ay] for ax, ay, _ in problem.constraints])
-        b = np.array([bound for _, _, bound in problem.constraints])
+    rows = [*problem.constraints, *problem.bounds]
+    if rows:
+        A = np.array([[ax, ay] for ax, ay, _ in rows])
+        b = np.array([bound for _, _, bound in rows])
     else:
         A = np.zeros((0, 2))
         b = np.zeros(0)
@@ -33,21 +71,20 @@ def grid_project(problem, levels: int = 12, n: int = 33):
     """Approximate projection of the nominal onto rows + box, or None if no
     feasible grid point is ever seen."""
     A, b = _row_arrays(problem)
-    box = problem.box
-    cx, cy = 0.0, 0.0
-    half = box
+    lox, hix, loy, hiy = _limits(problem)
+    cx, cy, half_x, half_y = _grid_window(problem)
     best = None
     best_obj = np.inf
     for _ in range(levels):
-        xs = np.linspace(max(cx - half, -box), min(cx + half, box), n)
-        ys = np.linspace(max(cy - half, -box), min(cy + half, box), n)
+        xs = np.linspace(max(cx - half_x, lox), min(cx + half_x, hix), n)
+        ys = np.linspace(max(cy - half_y, loy), min(cy + half_y, hiy), n)
         gx, gy = np.meshgrid(xs, ys)
         pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
         feas = np.ones(len(pts), dtype=bool)
         if len(A):
             feas = np.all(pts @ A.T <= b + 1e-12, axis=1)
         if not np.any(feas):
-            half /= 2.0
+            half_x, half_y = half_x / 2.0, half_y / 2.0
             continue
         obj = 0.5 * np.sum((pts - problem.nominal) ** 2, axis=1)
         obj[~feas] = np.inf
@@ -56,7 +93,7 @@ def grid_project(problem, levels: int = 12, n: int = 33):
             best_obj = float(obj[k])
             best = pts[k]
         cx, cy = float(pts[k][0]), float(pts[k][1])
-        half /= 2.0
+        half_x, half_y = half_x / 2.0, half_y / 2.0
     return (best, best_obj) if best is not None else None
 
 
@@ -65,14 +102,13 @@ def grid_relaxed(problem, levels: int = 12, n: int = 33):
     0.5|u - nominal|^2 + w * max(0, max violation)^2 over the box."""
     A, b = _row_arrays(problem)
     w = problem.slack_weight
-    box = problem.box
-    cx, cy = 0.0, 0.0
-    half = box
+    lox, hix, loy, hiy = _limits(problem)
+    cx, cy, half_x, half_y = _grid_window(problem)
     best_obj = np.inf
     best = None
     for _ in range(levels):
-        xs = np.linspace(max(cx - half, -box), min(cx + half, box), n)
-        ys = np.linspace(max(cy - half, -box), min(cy + half, box), n)
+        xs = np.linspace(max(cx - half_x, lox), min(cx + half_x, hix), n)
+        ys = np.linspace(max(cy - half_y, loy), min(cy + half_y, hiy), n)
         gx, gy = np.meshgrid(xs, ys)
         pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
         if len(A):
@@ -86,7 +122,7 @@ def grid_relaxed(problem, levels: int = 12, n: int = 33):
             best_obj = float(obj[k])
             best = pts[k]
         cx, cy = float(pts[k][0]), float(pts[k][1])
-        half /= 2.0
+        half_x, half_y = half_x / 2.0, half_y / 2.0
     return best, best_obj
 
 
@@ -97,26 +133,29 @@ def full_pair_scan(problem, feas_tol: float = 1e-9, zero_tol: float = 1e-12):
     no pruning: box clip, then the projection onto each violated row, then
     each pairwise vertex of constraint and box rows whose multipliers are
     >= -1e-10, reported as the pair that found it. Rows are read from
-    `problem.constraints`, not from the solver's cached row list. Returns
+    `problem.constraints`, not from the solver's cached row list, and the
+    box rows from the box with `problem.bounds` folded in. Returns
     ((x, y), active rows, candidates evaluated), or None when the rows
-    conflict.
+    conflict or the folded box is empty.
     """
     hx, hy = float(problem.nominal[0]), float(problem.nominal[1])
-    box = float(problem.box)
+    lox, hix, loy, hiy = limits = _folded_limits(problem)
+    if lox > hix or loy > hiy:
+        return None
     rows = [(float(ax), float(ay), float(b)) for ax, ay, b in problem.constraints]
     m = len(rows)
-    rows += [(1.0, 0.0, box), (-1.0, 0.0, box), (0.0, 1.0, box), (0.0, -1.0, box)]
+    rows += _box_rows(limits)
 
     def feasible(x, y):
         return all(ax * x + ay * y <= b + feas_tol for ax, ay, b in rows)
 
-    cx, cy = min(max(hx, -box), box), min(max(hy, -box), box)
+    cx, cy = min(max(hx, lox), hix), min(max(hy, loy), hiy)
     if all(ax * cx + ay * cy <= b for ax, ay, b in rows):
         active = []
         if cx != hx:
-            active.append(m if hx > 0 else m + 1)
+            active.append(m if hx > hix else m + 1)
         if cy != hy:
-            active.append(m + 2 if hy > 0 else m + 3)
+            active.append(m + 2 if hy > hiy else m + 3)
         return (cx, cy), tuple(active), 0
     tried = 0
     for i, (ax, ay, b) in enumerate(rows):
@@ -194,27 +233,28 @@ def full_relaxed_scan(problem):
     c = (nominal, 0) in (u, s * sqrt(2w)) onto each row's plane, then onto
     each pair's line, then each triple's vertex, the first that is
     feasible with multipliers >= -1e-10 winning and returned as computed.
-    Rows are read from `problem.constraints`. Returns ((x, y, s), active
+    Rows are read from `problem.constraints` and `problem.bounds`, both
+    relaxed, then the box rows. Returns ((x, y, s), active
     rows, candidates evaluated: every row, pair and triple of the batch
     that ran).
     """
     hx, hy = problem.nominal.tolist()
-    box = float(problem.box)
+    lox, hix, loy, hiy = limits = _limits(problem)
     w = float(problem.slack_weight)
-    m = len(problem.constraints)
-    base = [(float(ax), float(ay), float(b)) for ax, ay, b in problem.constraints]
-    base += [(1.0, 0.0, box), (-1.0, 0.0, box), (0.0, 1.0, box), (0.0, -1.0, box)]
+    base = [(float(ax), float(ay), float(b)) for ax, ay, b in (*problem.constraints, *problem.bounds)]
+    m = len(base)
+    base += _box_rows(limits)
 
-    ux = min(max(hx, -box), box)
-    uy = min(max(hy, -box), box)
+    ux = min(max(hx, lox), hix)
+    uy = min(max(hy, loy), hiy)
     if w == 0.0:
         # Penalty-free slack absorbs every row; only the box binds the action,
         # through the box rows the clip binds.
         active = []
         if ux != hx:
-            active.append(m if hx > 0 else m + 1)
+            active.append(m if hx > hix else m + 1)
         if uy != hy:
-            active.append(m + 2 if hy > 0 else m + 3)
+            active.append(m + 2 if hy > hiy else m + 3)
         return (ux, uy, max(0.0, max(ax * ux + ay * uy - b for ax, ay, b in base[:m]))), tuple(active), 0
 
     scale = math.sqrt(2.0 * w)  # z[2] holds s * scale

@@ -5,10 +5,16 @@ in a frozen dataclass, the problem is a frozen dataclass that unboxes the
 normals again with `tolist()`, the report is a frozen dataclass, and the
 neighborhood builds all four wall faces on every call before the range
 test. The barrier arithmetic (`_row_core`) and the solver (`qp.solve`) are
-the package's, so `shield.local_rows` must return the same row bytes,
-kinds, violated entities and `min_h` as `local_rows` here, and
-`shield.filter_action` the same `u_safe` bytes, status, `min_h`, slack and
-`constraints_built` as `filter_action` here, on every input.
+the package's; each wall face is a plain row of the QP here, in both
+phases, where the package folds it into the box for the projection
+phase. `shield.local_rows` must
+return the same row bytes (peer and obstacle rows as its rows, face rows
+as its bounds), kinds, violated entities (up to the length of their
+brake direction) and `min_h` as `local_rows` here, and
+`shield.filter_action` the same status, `min_h` and `constraints_built`
+as `filter_action` here on every input, with `u_safe` bit-identical when
+no face is in range and within 1e-12 of it otherwise when both solves
+are optimal.
 """
 
 from __future__ import annotations
@@ -23,6 +29,9 @@ from marlshield.barriers import _row_core
 from marlshield.dynamics import face_clearances
 
 
+FACE_INWARD = {"+x": (-1.0, 0.0), "-x": (1.0, 0.0), "+y": (0.0, -1.0), "-y": (0.0, 1.0)}
+
+
 @dataclass(frozen=True, eq=False)
 class ArrayRow:
     normal: np.ndarray
@@ -33,13 +42,15 @@ class ArrayRow:
 
 @dataclass(frozen=True, eq=False)
 class FrozenProblem:
-    """Duck-types `qp.QpProblem` for `qp.solve`: same fields, same `rows`."""
+    """Duck-types `qp.QpProblem` for `qp.solve`: same fields, same `rows`, no bounds."""
 
     nominal: np.ndarray
     constraints: tuple = ()
     box: float = 1.0
     slack_weight: float = 1e6
+    bounds: tuple = ()
     rows: tuple = field(init=False, repr=False)
+    limits: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         box = float(self.box)
@@ -47,6 +58,11 @@ class FrozenProblem:
         rows += [(1.0, 0.0, box), (-1.0, 0.0, box), (0.0, 1.0, box), (0.0, -1.0, box)]
         object.__setattr__(self, "constraints", tuple(self.constraints))
         object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "limits", (-box, box, -box, box))
+
+    @property
+    def relaxed_rows(self):
+        return self.rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,8 +123,11 @@ def local_rows(agent_id, self_state, neighbors, obstacles, world, params):
     for dpx, dpy, full, h, kind, cid in found:
         min_h = min(min_h, h)
         if full is None:
-            violated.append((h, dpx, dpy))
             r = math.hypot(dpx, dpy)
+            if r <= 1e-9 and kind == "wall":
+                # on the face itself: brake along the face's inward normal
+                dpx, dpy, r = *FACE_INWARD[cid[1]], 1.0
+            violated.append((h, dpx, dpy))
             if r <= 1e-9:
                 continue
             rows.append(ArrayRow(np.array((-dpx / r, -dpy / r)), -a_self, kind, cid))

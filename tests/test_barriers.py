@@ -30,8 +30,8 @@ class Row:
 
 def only_row(self_state, peers, obstacles, params):
     """The row `local_rows` builds for the one entity in range; None if it is violated."""
-    rows, built, violated, _ = local_rows(0, self_state, peers, obstacles, OPEN, params)
-    assert len(rows) == 1 and built["wall"] == 0
+    rows, bounds, built, violated, _ = local_rows(0, self_state, peers, obstacles, OPEN, params)
+    assert len(rows) == 1 and built["wall"] == 0 and bounds == []
     return None if violated else Row(rows[0])
 
 

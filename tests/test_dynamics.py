@@ -64,7 +64,7 @@ class TestStepAgent:
         dt = 0.1
         for _ in range(n):
             s = step_agent(s, [0, 0], dt)
-        assert math.isclose(s.speed, math.hypot(0.4, -0.3), rel_tol=0, abs_tol=1e-12)
+        assert math.isclose(math.hypot(s.vx, s.vy), math.hypot(0.4, -0.3), rel_tol=0, abs_tol=1e-12)
         assert np.allclose(s.position, [0.1 + 0.4 * n * dt, 0.2 - 0.3 * n * dt], atol=1e-12)
 
     def test_deterministic_trajectories(self):
@@ -208,7 +208,7 @@ class TestFloatRecords:
         s = AgentState([1, 2], np.array([3, 4], dtype=np.int64))
         assert all(type(v) is float for v in (s.px, s.py, s.vx, s.vy))
         assert s.position.dtype == s.velocity.dtype == np.float64
-        assert s.speed == 5.0
+        assert math.hypot(s.vx, s.vy) == 5.0
         assert repr(s) == "AgentState(position=array([1., 2.]), velocity=array([3., 4.]))"
         assert type(ObstacleSpec((1, 0)).px) is float
 

@@ -11,7 +11,7 @@ from marlshield.checkpoint import (
     save_checkpoint,
 )
 from marlshield.maddpg import MaddpgTrainer, TrainerConfig
-from marlshield.nets import Adam, Mlp, soft_update
+from marlshield.nets import Adam, Mlp, flat_size, soft_update
 from marlshield.patrol import PatrolEnv, default_world
 
 import learner_oracle
@@ -296,7 +296,7 @@ class TestFlatStorage:
             assert p.base is net.flat
             assert p.__array_interface__["data"][0] == base + 8 * pos
             pos += p.size
-        assert pos == net.flat.size == net.n_params
+        assert pos == net.flat.size == flat_size(net.dims)
         assert net.flat.dtype == np.float64
 
     def test_draw_order_unchanged(self):

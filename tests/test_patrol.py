@@ -203,7 +203,7 @@ class TestRewards:
             state = state_at(p0, p1)
             agents = list(enumerate(state.agents))
             for i in range(2):
-                _, built, _, _ = local_rows(i, state.agents[i], agents, env.world.obstacles, env.world, PARAMS)
+                _, _, built, _, _ = local_rows(i, state.agents[i], agents, env.world.obstacles, env.world, PARAMS)
                 near_agents, near_obs, _ = shield_oracle.neighborhood(
                     i, agents, env.world.obstacles, env.world, PARAMS.r_sense
                 )

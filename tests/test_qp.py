@@ -278,6 +278,20 @@ def training_shaped_problems(rng, count):
         yield QpProblem(nominal=rng.uniform(-1, 1, 2), constraints=tuple(rows), box=1.0)
 
 
+def face_bounds(p):
+    """A `training_shaped_problems` problem with its 4 wall-face rows as `bounds`, as the shield hands them over."""
+    return QpProblem(p.nominal, p.constraints[:4], p.box, p.slack_weight, p.constraints[4:])
+
+
+def per_axis_problems(rng, count):
+    """Training-shaped problems with the faces as bounds, then the same with a nonempty folded box as `box`."""
+    problems = [face_bounds(p) for p in training_shaped_problems(rng, count)]
+    boxed = [QpProblem(p.nominal, p.constraints, p.limits, p.slack_weight) for p in problems
+             if p.limits[0] <= p.limits[1] and p.limits[2] <= p.limits[3]]
+    assert len(boxed) > count // 4
+    return problems + boxed
+
+
 def degenerate_problems(rng, count):
     """Fixed degenerate shapes, then `count` random ones of four kinds."""
     problems = [
@@ -428,7 +442,7 @@ class TestLargeSlackWeightCertificates:
         failures = []
         for w, family in cases:
             for p in family:
-                sol = solve(QpProblem(p.nominal, p.constraints, p.box, w))
+                sol = solve(QpProblem(p.nominal, p.constraints, p.box, w, p.bounds))
                 assert sol.status == STATUS_RELAXED
                 if not sol.kkt_residual <= 1e-9:
                     failures.append((w, sol.kkt_residual, sol.active_set))
@@ -473,8 +487,9 @@ class TestPrunedPairScan:
         ]
         problems += degenerate_problems(np.random.default_rng(35), 300)
         problems += training_shaped_problems(np.random.default_rng(36), 400)
+        problems += per_axis_problems(np.random.default_rng(37), 400)
         relaxed = [p for p in problems if full_pair_scan(p) is None]
-        problems += [QpProblem(p.nominal, p.constraints, p.box, w) for w in (1e3, 1e9, 1e12) for p in relaxed]
+        problems += [QpProblem(p.nominal, p.constraints, p.box, w, p.bounds) for w in (1e3, 1e9, 1e12) for p in relaxed]
         problems += relaxed_training_problems(recorded_calls["training"])
         pruned = pruned_relaxed = 0
         for p in problems:
@@ -498,6 +513,76 @@ class TestPrunedPairScan:
         assert pruned > 100 and pruned_relaxed > 100
 
 
+class TestPerAxisLimits:
+    def test_bounds_fold_into_the_box_of_the_projection_phase(self):
+        b = (row(2.0, 0.0, 1.0), row(-0.5, 0.0, 0.25), row(0.0, -4.0, 2.0))
+        p = QpProblem(np.array([0.9, -0.9]), (row(1.0, 1.0, 0.5),), 0.75, 1e6, b)
+        assert p.bounds == b and p.limits == (-0.5, 0.5, -0.5, 0.75)
+        assert p.rows == (row(1.0, 1.0, 0.5), row(1, 0, 0.5), row(-1, 0, 0.5), row(0, 1, 0.75), row(0, -1, 0.5))
+        assert p.relaxed_rows == (row(1.0, 1.0, 0.5), *b, row(1, 0, 0.75), row(-1, 0, 0.75), row(0, 1, 0.75),
+                                  row(0, -1, 0.75))
+        unbounded = QpProblem(p.nominal, p.constraints, p.box)
+        assert unbounded.relaxed_rows is unbounded.rows
+        sol = solve(p)
+        assert sol.status == STATUS_OPTIMAL and sol.u_safe.tolist() == [0.5, -0.5]
+        assert sol.active_set == (1, 4) and sol.kkt_residual == 0.0
+
+    def test_faces_as_bounds_match_faces_as_rows(self):
+        # the projection phase is the same set either way, so status agrees and an
+        # optimal point moves in the last bits at most; the slack phase relaxes the
+        # bounds as rows, so it returns the rows' answer bit for bit
+        optimal = relaxed = 0
+        for p in training_shaped_problems(np.random.default_rng(38), 600):
+            ref, sol = solve(p), solve(face_bounds(p))
+            assert sol.status == ref.status
+            assert sol.kkt_residual <= 1e-9
+            if sol.status == STATUS_OPTIMAL:
+                assert np.max(np.abs(sol.u_safe - ref.u_safe)) <= 1e-12
+                optimal += 1
+            else:
+                assert sol.u_safe.tobytes() == ref.u_safe.tobytes() and sol.active_set == ref.active_set
+                relaxed += 1
+        assert optimal > 100 and relaxed > 100
+
+    def test_empty_folded_interval_relaxes(self):
+        # opposite bounds that cross leave no action: the rows conflict outright
+        b = (row(1.0, 0.0, -0.5), row(-2.0, 0.0, -1.0))
+        p = QpProblem(np.array([0.1, 0.2]), (), 1.0, 1e6, b)
+        assert p.limits == (0.5, -0.5, -1.0, 1.0)
+        sol = solve(p)
+        assert sol.status == STATUS_RELAXED and sol.slack > 0.0 and sol.kkt_residual <= 1e-9
+        ref = solve(QpProblem(p.nominal, b, 1.0, 1e6))
+        assert sol.u_safe.tobytes() == ref.u_safe.tobytes() and sol.active_set == ref.active_set
+
+    def test_box_clip_and_zero_slack_weight_with_an_interval_that_excludes_zero(self):
+        box = (0.2, 0.6, -1.0, -0.3)
+        for nominal, u, active in (
+            ((0.0, 0.0), (0.2, -0.3), (2, 3)),
+            ((0.9, -2.0), (0.6, -1.0), (1, 4)),
+            ((0.4, -0.5), (0.4, -0.5), ()),
+        ):
+            p = QpProblem(np.array(nominal), (row(1, 1, 5.0),), box)
+            sol = solve(p)
+            assert sol.status == STATUS_OPTIMAL and sol.iterations == 0
+            assert (tuple(sol.u_safe.tolist()), sol.active_set) == (u, active)
+            assert sol.kkt_residual <= 1e-9
+            assert full_pair_scan(p) == (u, active, 0)
+            # a row no box action meets, at zero slack weight: the slack absorbs it
+            p = QpProblem(np.array(nominal), (row(1, 0, -2.0),), box, 0.0)
+            sol = solve(p)
+            assert sol.status == STATUS_RELAXED
+            assert (tuple(sol.u_safe.tolist()), sol.active_set) == (u, active)
+            assert sol.slack == u[0] + 2.0 and sol.kkt_residual <= 1e-9
+            assert full_relaxed_scan(p) == ((*u, u[0] + 2.0), active, 0)
+
+    def test_kkt_and_grid_oracles_on_training_shaped_problems(self):
+        problems = per_axis_problems(np.random.default_rng(39), 300)
+        for p in problems:
+            assert solve(p).kkt_residual <= 1e-9
+        for p in problems[::6]:
+            assert_matches_oracles(p, solve(p))
+
+
 class TestValidation:
     def test_problem_rejects_bad_box_and_weight(self):
         u = np.array([0.1, 0.2])
@@ -518,6 +603,29 @@ class TestValidation:
                 QpProblem(np.zeros(2), **kwargs)
         with pytest.raises(ValueError):
             QpProblem(np.zeros(2), ((1.0, 0.0, value),))
+
+    def test_problem_rejects_bad_per_axis_limits(self):
+        bad = [
+            (np.nan, 1.0, -1.0, 1.0), (-1.0, np.inf, -1.0, 1.0), (-np.inf, 1.0, -1.0, 1.0),
+            (0.5, 0.4, -1.0, 1.0), (-1.0, 1.0, 0.3, -0.3),
+            (-1.0, 1.0, -1.0), (-1.0, 1.0, -1.0, 1.0, 0.0), (), 0.5j,
+            ("-1", 1.0, -1.0, 1.0), (None, 1.0, -1.0, 1.0), (object(),) * 4, "abcd", {"lo_x": -1.0},
+        ]
+        for box in bad + [np.array(b) for b in bad[:5]] + [list(b) for b in bad[:5]]:
+            with pytest.raises(ValueError):
+                QpProblem(np.zeros(2), (), box)
+        for box in ((-1, 2, 0, 0), [-1.0, 2.0, 0.0, 0.0], np.array([-1.0, 2.0, 0.0, 0.0])):
+            p = QpProblem(np.zeros(2), (), box)
+            assert p.limits == p.box == (-1.0, 2.0, 0.0, 0.0) and all(type(v) is float for v in p.limits)
+
+    def test_problem_rejects_bad_bounds(self):
+        u = np.array([0.1, 0.2])
+        bad = [(1.0, 1.0, 0.5), (0.0, 0.0, 1.0), (np.nan, 0.0, 0.5), (0.0, 1.0, np.inf), (1.0, 0.0), "abc", None]
+        for b in bad:
+            with pytest.raises(ValueError):
+                QpProblem(u, (), 1.0, 1e6, (row(1.0, 0.0, 0.5), b))
+        p = QpProblem(u, (), 1.0, 1e6, [(2, 0, 1), np.array([0.0, -0.5, 0.25])])
+        assert p.bounds == ((2.0, 0.0, 1.0), (0.0, -0.5, 0.25)) and p.limits == (-1.0, 0.5, -0.5, 1.0)
 
     def test_rows_are_constraints_then_box(self):
         cons = (row(1.0, -2.0, 0.5), row(-0.25, 3.0, -1.5))
@@ -575,7 +683,8 @@ class TestContainers:
 
     def test_problem_fields_are_read_only(self):
         p = QpProblem(np.array([0.1, 0.2]), (row(1.0, 0.0, 0.5),))
-        for name in ("nominal", "constraints", "box", "slack_weight", "rows", "extra"):
+        for name in ("nominal", "constraints", "box", "slack_weight", "bounds", "rows", "limits", "relaxed_rows",
+                     "extra"):
             with pytest.raises(AttributeError):
                 setattr(p, name, None)
         assert p.box == 1.0 and len(p.rows) == 5
@@ -590,4 +699,6 @@ class TestContainers:
             "kkt_residual=0.0, status='optimal', iterations=0)"
         )
         p = QpProblem(np.array([1.0, 0.0]), box=2.0)
-        assert repr(p) == "QpProblem(nominal=array([1., 0.]), constraints=(), box=2.0, slack_weight=1000000.0)"
+        assert repr(p) == (
+            "QpProblem(nominal=array([1., 0.]), constraints=(), box=2.0, slack_weight=1000000.0, bounds=())"
+        )

@@ -49,7 +49,7 @@ class TestNeighborhood:
         agents = agents_pair([0, 0], [0, 0], [0.5, 0], [0, 0])
         obstacles = [ObstacleSpec([0.2, 0.2]), ObstacleSpec([-0.7, 0.1])]
         params = ShieldParams(r_sense=1000.0)
-        _, built, _, _ = local_rows(0, agents[0][1], agents, obstacles, SMALL_WORLD, params)
+        _, _, built, _, _ = local_rows(0, agents[0][1], agents, obstacles, SMALL_WORLD, params)
         assert built == {"cooperative": 1, "non-cooperative": 2, "wall": 4}
         assert built == kinds_in_range(0, agents, obstacles, SMALL_WORLD, params)
 
@@ -60,16 +60,16 @@ class TestNeighborhood:
     def test_center_sees_all_faces_at_exactly_one(self):
         agents = [(0, AgentState([0, 0], [0, 0]))]
         params = ShieldParams(r_sense=1.0)
-        rows, built, _, _ = local_rows(0, agents[0][1], agents, [], SMALL_WORLD, params)
+        _, bounds, built, _, _ = local_rows(0, agents[0][1], agents, [], SMALL_WORLD, params)
         assert built == {"cooperative": 0, "non-cooperative": 0, "wall": 4}
         assert built == kinds_in_range(0, agents, [], SMALL_WORLD, params)
         # each wall row's normal points from the agent to its face, at distance 1
-        assert [r[:2] for r in rows] == [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
+        assert [r[:2] for r in bounds] == [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
 
     def test_deterministic_order(self):
         agents = [(2, AgentState([0.1, 0], [0, 0])), (0, AgentState([0, 0], [0, 0])), (1, AgentState([0, 0.1], [0, 0]))]
         params = ShieldParams(r_sense=5.0)
-        rows, built, _, _ = local_rows(0, agents[1][1], agents, [], BIG_WORLD, params)
+        rows, _, built, _, _ = local_rows(0, agents[1][1], agents, [], BIG_WORLD, params)
         assert built == {"cooperative": 2, "non-cooperative": 0, "wall": 0}
         # peers ascend by id: the row of peer 1 (at +y) comes before that of peer 2 (at +x)
         near, _, _ = shield_oracle.neighborhood(0, agents, [], BIG_WORLD, params.r_sense)
@@ -157,11 +157,12 @@ class TestFilterAction:
             u_safe, report = filter_action(0, u, s0, [(0, s0), (1, s1)], obstacles, world, PARAMS)
             if report.status not in (STATUS_PASSTHROUGH, STATUS_CORRECTED):
                 continue
-            # every row of the stack, one per entity in range, holds at the returned action
-            rows, built, violated, _ = local_rows(0, s0, [(0, s0), (1, s1)], obstacles, world, PARAMS)
+            # every row of the stack, one per entity in range, holds at the returned action,
+            # the face rows the QP folds into its box as bounds included
+            rows, bounds, built, violated, _ = local_rows(0, s0, [(0, s0), (1, s1)], obstacles, world, PARAMS)
             assert not violated
             assert built == kinds_in_range(0, [(0, s0), (1, s1)], obstacles, world, PARAMS)
-            for ax, ay, bound in rows:
+            for ax, ay, bound in rows + bounds:
                 assert float(np.array([ax, ay]) @ u_safe) <= bound + 1e-6
             done += 1
 
@@ -283,7 +284,8 @@ class TestHookContract:
         )
         MaddpgTrainer(PatrolEnv(default_world(), PARAMS, episode_len=40), cfg).train()
         assert len(solutions) == 240 and checks == []
-        corrected = [sol for sol in solutions if sol.iterations > 0]
+        # a face bound corrects through the box clip, which scans no candidate
+        corrected = [sol for sol in solutions if sol.iterations > 0 or sol.active_set]
         assert len(corrected) > 10
         for n, sol in enumerate(corrected, 1):
             first, second = sol.kkt_residual, sol.kkt_residual
@@ -362,24 +364,65 @@ def bits(x):
     return np.float64(x).tobytes()
 
 
+def directions(violated):
+    """`(h, dx, dy)` entries with the direction scaled to unit length: faces record the inward axis."""
+    out = []
+    for h, dx, dy in violated:
+        r = math.hypot(dx, dy)
+        out.append((h, dx / r, dy / r) if r > 0.0 else (h, dx, dy))
+    return out
+
+
+def split_rows(ref_rows):
+    """The reference's rows as `shield.local_rows` returns them: peer and obstacle rows, then face bounds."""
+    rows = [(*r.normal.tolist(), r.bound) for r in ref_rows if r.kind != "wall"]
+    return rows, [(*r.normal.tolist(), r.bound) for r in ref_rows if r.kind == "wall"]
+
+
+def compare_filters(args, stats):
+    """One call through the filter and the row-wall reference; tally optimal and relaxed solves.
+
+    Status, `min_h` bytes and the kinds built are equal. An optimal `u_safe`
+    is within 1e-12 (bit-identical when no face is in range) and meets each
+    of the reference's face rows within the QP's feasibility tolerance; a
+    relaxed one is counted with its |du| and meets them relaxed by its slack.
+    """
+    u, report = filter_action(*args)
+    u_ref, ref = shield_oracle.filter_action(*args)
+    assert report.status == ref.status
+    assert bits(report.min_h) == bits(ref.min_h)
+    assert report.constraints_built == ref.constraints_built
+    du = float(np.max(np.abs(u - u_ref)))
+    if report.slack == 0.0 and ref.slack == 0.0:  # both solves optimal
+        assert du <= 1e-12
+        stats["qp_optimal"] = stats.get("qp_optimal", 0) + 1
+        stats["bit_identical"] = stats.get("bit_identical", 0) + (u.tobytes() == u_ref.tobytes())
+        if report.constraints_built["wall"] == 0:
+            assert u.tobytes() == u_ref.tobytes()
+    else:
+        stats["qp_relaxed"] = stats.get("qp_relaxed", 0) + 1
+        stats["relaxed_max_du"] = max(stats.get("relaxed_max_du", 0.0), du)
+    for r in shield_oracle.local_rows(*args[:1], *args[2:])[0]:
+        if r.kind == "wall":
+            (ax, ay), b = r.normal.tolist(), r.bound
+            assert ax * u[0] + ay * u[1] <= b + report.slack + marlshield.qp._FEAS_TOL
+    return u, report
+
+
 def check_against_oracle(args, counts):
     """Run one call through the package and the reference, rows first; tally what the call exercised."""
     row_args = args[:1] + args[2:]  # local_rows takes no nominal action
-    rows, built, violated, min_h = local_rows(*row_args)
+    rows, bounds, built, violated, min_h = local_rows(*row_args)
     ref_rows, ref_built, ref_violated, ref_min_h = shield_oracle.local_rows(*row_args)
-    assert all(type(v) is float for r in rows for v in r)
-    assert row_bits(rows) == row_bits([(*r.normal.tolist(), r.bound) for r in ref_rows])
+    assert all(type(v) is float for r in rows + bounds for v in r)
+    ref_kept, ref_bounds = split_rows(ref_rows)
+    assert row_bits(rows) == row_bits(ref_kept)
+    assert row_bits(bounds) == row_bits(ref_bounds)
     assert [r.kind for r in ref_rows] == [k for k, n in built.items() for _ in range(n)]
     assert built == ref_built
-    assert row_bits(violated) == row_bits(ref_violated)
+    assert row_bits(directions(violated)) == row_bits(directions(ref_violated))
     assert bits(min_h) == bits(ref_min_h)
-    u, report = filter_action(*args)
-    u_ref, ref = shield_oracle.filter_action(*args)
-    assert u.tobytes() == u_ref.tobytes()
-    assert report.status == ref.status
-    assert bits(report.min_h) == bits(ref.min_h)
-    assert bits(report.slack) == bits(ref.slack)
-    assert report.constraints_built == ref.constraints_built
+    u, report = compare_filters(args, counts)
     counts[report.status] = counts.get(report.status, 0) + 1
     for kind, n in report.constraints_built.items():
         counts[kind] = counts.get(kind, 0) + n
@@ -503,6 +546,78 @@ class TestShieldOracle:
         )
 
 
+def narrow_arena_calls(rng, count):
+    """filter_action inputs in arenas of half extent 0.06 to 0.3: 1-2 agents, 0-1 obstacles.
+
+    Both faces of an axis are in range and often violated, so their
+    bounds cross and the folded box is empty.
+    """
+    calls = []
+    for _ in range(count):
+        e = float(rng.uniform(0.06, 0.3))
+        agents = [(aid, AgentState(rng.uniform(-e, e, 2), rng.uniform(-1, 1, 2))) for aid in range(rng.integers(1, 3))]
+        obstacles = [ObstacleSpec(rng.uniform(-0.9 * e, 0.9 * e, 2)) for _ in range(rng.integers(0, 2))]
+        world = WorldConfig(wall_half_extent=e)
+        calls.append((0, rng.uniform(-1.2, 1.2, 2), agents[0][1], agents, obstacles, world, PARAMS))
+    return calls
+
+
+class TestWallBounds:
+    """Faces as bounds of the QP against the reference's faces as rows.
+
+    Status and `min_h` are equal call by call, an optimal `u_safe` is within
+    1e-12 and meets every face row, and relaxed solves are counted with their
+    largest |du| (`pytest -s` prints the tallies).
+    """
+
+    def test_recorded_calls(self, recorded_calls):
+        stats = {}
+        for args in recorded_calls["training"] + recorded_calls["adversarial"]:
+            compare_filters(args, stats)
+        print(f"\nrecorded calls, faces as bounds vs rows: {stats}")
+        assert stats["qp_optimal"] + stats["qp_relaxed"] == 2 * 12 * 100 + 2 * 10 * 100
+        assert stats["qp_optimal"] > 3000 and stats["qp_relaxed"] > 100
+        assert stats["bit_identical"] > 2000
+        # the slack phase relaxes the faces as rows, as the reference does
+        assert stats["relaxed_max_du"] == 0.0
+
+    def test_narrow_arenas(self):
+        counts, empty = {}, 0
+        for args in narrow_arena_calls(np.random.default_rng(63), 1500):
+            rows, bounds, _, _, _ = local_rows(*args[:1], *args[2:])
+            lox, hix, loy, hiy = marlshield.qp.QpProblem(np.zeros(2), rows, PARAMS.a_max_self, 1e6, bounds).limits
+            check_against_oracle(args, counts)
+            if lox > hix or loy > hiy:
+                # crossed faces leave no action in the box: the slack phase arbitrates them
+                empty += 1
+                assert filter_action(*args)[1].slack > 0.0
+        print(f"\nnarrow arenas, faces as bounds vs rows: {counts}, empty folded box: {empty}")
+        assert empty > 100 and counts["qp_optimal"] > 100 and counts[STATUS_FALLBACK] > 500
+        assert counts["relaxed_max_du"] == 0.0
+
+    @pytest.mark.parametrize("face", ["+x", "-x", "+y", "-y"])
+    def test_agent_on_a_face_brakes_off_it(self, face):
+        # exactly on a face the offset to it is (0, 0): the violated face still
+        # gets its recovery bound, and the fallback brakes along its inward axis
+        # instead of along +x, which drove the agent through the +x face
+        e, a = SMALL_WORLD.wall_half_extent, PARAMS.a_max_self
+        inward = {"+x": (-1.0, 0.0), "-x": (1.0, 0.0), "+y": (0.0, -1.0), "-y": (0.0, 1.0)}[face]
+        along = (-inward[1], inward[0])
+        position = [-e * c + 0.3 * t for c, t in zip(inward, along)]
+        velocity = [-0.05 * c + 0.4 * t for c, t in zip(inward, along)]  # slightly outward, mostly along
+        state = AgentState(position, velocity)
+        args = (0, np.zeros(2), state, [(0, state)], [], SMALL_WORLD, PARAMS)
+        rows, bounds, built, violated, _ = local_rows(*args[:1], *args[2:])
+        assert built["wall"] == 4 and [(dx, dy) for _, dx, dy in violated] == [inward]
+        assert (-inward[0], -inward[1], -a) in bounds
+        u, report = compare_filters(args, {})
+        assert report.status == STATUS_FALLBACK and float(u @ inward) == a  # full braking off the face
+        for _ in range(5):
+            state = step_agent(state, u, SMALL_WORLD.dt, SMALL_WORLD.v_max)
+            assert max(abs(state.px), abs(state.py)) < e
+            u, _ = filter_action(0, np.zeros(2), state, [(0, state)], [], SMALL_WORLD, PARAMS)
+
+
 class TestWallFaceSkip:
     E, R = 50.0, 2.5
 
@@ -513,9 +628,9 @@ class TestWallFaceSkip:
         """The wall rows `local_rows` builds, as (normal, distance) pairs."""
         world = WorldConfig(wall_half_extent=self.E)
         state = AgentState(position, [0.0, 0.0])
-        rows, built, _, _ = local_rows(0, state, [(0, state)], [], world, PARAMS)
-        assert built["wall"] == len(rows)
-        return [((ax, ay), math.hypot(ax, ay)) for ax, ay, _ in rows]
+        rows, bounds, built, _, _ = local_rows(0, state, [(0, state)], [], world, PARAMS)
+        assert built["wall"] == len(bounds) and rows == []
+        return [((ax, ay), math.hypot(ax, ay)) for ax, ay, _ in bounds]
 
     def expected(self, position):
         return [((px - position[0], py - position[1]), dist) for _, (px, py), dist in self.unpruned(position)]
