@@ -27,11 +27,11 @@ Two phases:
    subset holding a row violated at the nominal. The winning candidate is
    returned as computed; the solve path uses no numpy linear algebra.
 
-`QpProblem` takes its rows as `(ax, ay, b)` float triples, its box as
-per-axis limits `(lo_x, hi_x, lo_y, hi_y)` (a scalar box is symmetric)
-and axis-aligned rows as `bounds`, and validates them once. The
-projection phase folds the bounds into the box, so it scans only the
-constraints and the four box rows; the slack phase relaxes the bounds
+`QpProblem` takes its rows as `(ax, ay, b)` float triples, a symmetric
+box and axis-aligned rows as `bounds`, and validates them once. The
+projection phase folds the bounds into per-axis limits of the box (an
+interval may then exclude 0), so it scans only the constraints and the
+four rows of those limits; the slack phase relaxes the bounds
 as rows with the constraints, under the box, which is hard in both
 phases. Each phase and `kkt_check` read one row list. `kkt_check` is the
 one certificate, for both phases under one multiplier-normalized rule:
@@ -70,23 +70,20 @@ def _floats(*values):
 
 
 class QpProblem:
-    """Projection instance: nominal action, halfplane rows, action box, slack penalty, axis rows.
+    """Projection instance: nominal action, halfplane rows, symmetric action box, slack penalty, axis rows.
 
     `constraints` are rows ax*ux + ay*uy <= b as `(ax, ay, b)` triples (as
     `shield.local_rows` builds them), each validated once: 3 finite real
     numbers, (ax, ay) nonzero, or ValueError. They are kept as float
-    triples. `box` bounds each action component and is hard in both
-    phases: a positive scalar means [-box, box] on both axes, and
-    `(lo_x, hi_x, lo_y, hi_y)` gives the intervals themselves, 4 finite
-    real numbers with lo <= hi on each axis (an interval may exclude 0),
-    or ValueError.
+    triples. `box`, a positive finite scalar, bounds each action component
+    to [-box, box] and is hard in both phases.
 
     `bounds` are axis-aligned rows, `(ax, 0, b)` or `(0, ay, b)`, validated
     like `constraints` with exactly one coefficient nonzero. The projection
     phase folds each into the box as ux <= b/ax (ax > 0) or ux >= b/ax
-    (ax < 0), so it never scans them; `limits` reads the folded intervals,
-    and an empty one means the rows conflict. The slack phase relaxes them
-    as rows, with the constraints.
+    (ax < 0), so it never scans them; `limits` reads the folded intervals
+    `(lo_x, hi_x, lo_y, hi_y)`, and an empty one means the rows conflict.
+    The slack phase relaxes them as rows, with the constraints.
 
     `rows`, the projection phase's list, is `constraints` followed by the
     +x, -x, +y, -y rows of `limits`; `relaxed_rows`, the slack phase's, is
@@ -96,7 +93,7 @@ class QpProblem:
     past its last row. Fields are read-only.
     """
 
-    __slots__ = ("_nominal", "_constraints", "_box", "_slack_weight", "_bounds", "_rows", "_limits", "_box_limits")
+    __slots__ = ("_nominal", "_constraints", "_box", "_slack_weight", "_bounds", "_rows", "_limits")
     _fields = ("nominal", "constraints", "box", "slack_weight", "bounds")
     nominal, constraints, box, slack_weight, bounds, rows, limits = (property(attrgetter(n)) for n in __slots__[:7])
 
@@ -107,24 +104,11 @@ class QpProblem:
         hx, hy = u.tolist()
         if not (math.isfinite(hx) and math.isfinite(hy)):
             raise ValueError(f"nominal action must be finite, got {nominal!r}")
+        if not (isinstance(box, _REAL) and math.isfinite(box) and box > 0):
+            raise ValueError("box must be a positive finite scalar")
         if not (isinstance(slack_weight, _REAL) and math.isfinite(slack_weight) and slack_weight >= 0):
             raise ValueError("slack_weight must be >= 0")
         isfinite = math.isfinite
-        if isinstance(box, _REAL):
-            if not (isfinite(box) and box > 0):
-                raise ValueError("box must be a positive finite scalar or (lo_x, hi_x, lo_y, hi_y)")
-            b = float(box)
-            limits = (-b, b, -b, b)
-        else:
-            try:
-                lox, hix, loy, hiy = limits = box = _floats(*box)
-                if not (isfinite(lox) and isfinite(hix) and isfinite(loy) and isfinite(hiy)
-                        and lox <= hix and loy <= hiy):
-                    raise ValueError
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"box {box!r} is not a positive scalar or finite (lo_x, hi_x, lo_y, hi_y) with lo <= hi"
-                ) from None
         cons = list(constraints)
         for i, row in enumerate(cons):
             try:
@@ -136,9 +120,9 @@ class QpProblem:
             except (TypeError, ValueError):
                 raise ValueError(f"constraint row {row!r} is not a finite (ax, ay, b) with (ax, ay) != 0") from None
         self._nominal, self._constraints, self._box, self._slack_weight = u, tuple(cons), box, slack_weight
-        self._box_limits = self._limits = limits
         self._bounds = ()
-        lox, hix, loy, hiy = limits
+        hix = hiy = float(box)
+        lox = loy = -hix
         if bounds:
             bnds = list(bounds)
             for i, row in enumerate(bnds):
@@ -163,15 +147,16 @@ class QpProblem:
                         hiy = v if v < hiy else hiy
                     elif v > loy:
                         loy = v
-            self._bounds, self._limits = tuple(bnds), (lox, hix, loy, hiy)
+            self._bounds = tuple(bnds)
+        self._limits = lox, hix, loy, hiy
         self._rows = self._constraints + ((1.0, 0.0, hix), (-1.0, 0.0, -lox), (0.0, 1.0, hiy), (0.0, -1.0, -loy))
 
     @property
     def relaxed_rows(self) -> tuple:
         if not self._bounds:
             return self._rows
-        lox, hix, loy, hiy = self._box_limits
-        box_rows = (1.0, 0.0, hix), (-1.0, 0.0, -lox), (0.0, 1.0, hiy), (0.0, -1.0, -loy)
+        b = float(self._box)
+        box_rows = (1.0, 0.0, b), (-1.0, 0.0, b), (0.0, 1.0, b), (0.0, -1.0, b)
         return self._constraints + self._bounds + box_rows
 
     __repr__ = _fields_repr

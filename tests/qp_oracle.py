@@ -4,9 +4,8 @@ Independent of the solver: feasibility is a direct row check on grid
 points, the optimum is located by repeatedly shrinking the grid window
 around the best point found. Used by unit and acceptance tests.
 `full_pair_scan` and `full_relaxed_scan` are the unpruned references for
-the solver's projection and relaxed phases. Each reads the box from
-`problem.box` itself: a scalar b is [-b, b] on both axes, a 4-sequence
-the intervals (lo_x, hi_x, lo_y, hi_y). The grid oracles check the
+the solver's projection and relaxed phases. Each reads the box
+[-b, b] from `problem.box` itself. The grid oracles check the
 axis-aligned `problem.bounds` as rows over that box, in both phases;
 `full_pair_scan` folds them into the box as the bounds they are, and
 `full_relaxed_scan` relaxes them as rows.
@@ -24,17 +23,10 @@ _FEAS_TOL = 1e-9
 _ZERO_TOL = 1e-12
 
 
-def _limits(problem):
-    """(lo_x, hi_x, lo_y, hi_y) of the problem's box."""
-    box = problem.box
-    if np.ndim(box) == 0:
-        return -float(box), float(box), -float(box), float(box)
-    return tuple(float(v) for v in box)
-
-
 def _folded_limits(problem):
-    """The box limits with each bound row ax*ux <= b (or ay*uy <= b) divided through; may be empty."""
-    lim = list(_limits(problem))
+    """The box as (lo_x, hi_x, lo_y, hi_y), each bound ax*ux <= b or ay*uy <= b divided in; may be empty."""
+    box = float(problem.box)
+    lim = [-box, box, -box, box]
     for ax, ay, b in problem.bounds:
         k, a = (0, ax) if ay == 0.0 else (2, ay)
         if a > 0.0:
@@ -42,18 +34,6 @@ def _folded_limits(problem):
         else:
             lim[k] = max(lim[k], b / a)
     return tuple(lim)
-
-
-def _box_rows(limits):
-    """The +x, -x, +y, -y box rows ux <= hi_x, -ux <= -lo_x, ..."""
-    lox, hix, loy, hiy = limits
-    return [(1.0, 0.0, hix), (-1.0, 0.0, -lox), (0.0, 1.0, hiy), (0.0, -1.0, -loy)]
-
-
-def _grid_window(problem):
-    """Center and half-widths of the box, per axis: the first grid window."""
-    lox, hix, loy, hiy = _limits(problem)
-    return (lox + hix) / 2.0, (loy + hiy) / 2.0, (hix - lox) / 2.0, (hiy - loy) / 2.0
 
 
 def _row_arrays(problem):
@@ -71,20 +51,21 @@ def grid_project(problem, levels: int = 12, n: int = 33):
     """Approximate projection of the nominal onto rows + box, or None if no
     feasible grid point is ever seen."""
     A, b = _row_arrays(problem)
-    lox, hix, loy, hiy = _limits(problem)
-    cx, cy, half_x, half_y = _grid_window(problem)
+    box = problem.box
+    cx, cy = 0.0, 0.0
+    half = box
     best = None
     best_obj = np.inf
     for _ in range(levels):
-        xs = np.linspace(max(cx - half_x, lox), min(cx + half_x, hix), n)
-        ys = np.linspace(max(cy - half_y, loy), min(cy + half_y, hiy), n)
+        xs = np.linspace(max(cx - half, -box), min(cx + half, box), n)
+        ys = np.linspace(max(cy - half, -box), min(cy + half, box), n)
         gx, gy = np.meshgrid(xs, ys)
         pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
         feas = np.ones(len(pts), dtype=bool)
         if len(A):
             feas = np.all(pts @ A.T <= b + 1e-12, axis=1)
         if not np.any(feas):
-            half_x, half_y = half_x / 2.0, half_y / 2.0
+            half /= 2.0
             continue
         obj = 0.5 * np.sum((pts - problem.nominal) ** 2, axis=1)
         obj[~feas] = np.inf
@@ -93,7 +74,7 @@ def grid_project(problem, levels: int = 12, n: int = 33):
             best_obj = float(obj[k])
             best = pts[k]
         cx, cy = float(pts[k][0]), float(pts[k][1])
-        half_x, half_y = half_x / 2.0, half_y / 2.0
+        half /= 2.0
     return (best, best_obj) if best is not None else None
 
 
@@ -102,13 +83,14 @@ def grid_relaxed(problem, levels: int = 12, n: int = 33):
     0.5|u - nominal|^2 + w * max(0, max violation)^2 over the box."""
     A, b = _row_arrays(problem)
     w = problem.slack_weight
-    lox, hix, loy, hiy = _limits(problem)
-    cx, cy, half_x, half_y = _grid_window(problem)
+    box = problem.box
+    cx, cy = 0.0, 0.0
+    half = box
     best_obj = np.inf
     best = None
     for _ in range(levels):
-        xs = np.linspace(max(cx - half_x, lox), min(cx + half_x, hix), n)
-        ys = np.linspace(max(cy - half_y, loy), min(cy + half_y, hiy), n)
+        xs = np.linspace(max(cx - half, -box), min(cx + half, box), n)
+        ys = np.linspace(max(cy - half, -box), min(cy + half, box), n)
         gx, gy = np.meshgrid(xs, ys)
         pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
         if len(A):
@@ -122,7 +104,7 @@ def grid_relaxed(problem, levels: int = 12, n: int = 33):
             best_obj = float(obj[k])
             best = pts[k]
         cx, cy = float(pts[k][0]), float(pts[k][1])
-        half_x, half_y = half_x / 2.0, half_y / 2.0
+        half /= 2.0
     return best, best_obj
 
 
@@ -139,12 +121,12 @@ def full_pair_scan(problem, feas_tol: float = 1e-9, zero_tol: float = 1e-12):
     conflict or the folded box is empty.
     """
     hx, hy = float(problem.nominal[0]), float(problem.nominal[1])
-    lox, hix, loy, hiy = limits = _folded_limits(problem)
+    lox, hix, loy, hiy = _folded_limits(problem)
     if lox > hix or loy > hiy:
         return None
     rows = [(float(ax), float(ay), float(b)) for ax, ay, b in problem.constraints]
     m = len(rows)
-    rows += _box_rows(limits)
+    rows += [(1.0, 0.0, hix), (-1.0, 0.0, -lox), (0.0, 1.0, hiy), (0.0, -1.0, -loy)]
 
     def feasible(x, y):
         return all(ax * x + ay * y <= b + feas_tol for ax, ay, b in rows)
@@ -239,22 +221,22 @@ def full_relaxed_scan(problem):
     that ran).
     """
     hx, hy = problem.nominal.tolist()
-    lox, hix, loy, hiy = limits = _limits(problem)
+    box = float(problem.box)
     w = float(problem.slack_weight)
     base = [(float(ax), float(ay), float(b)) for ax, ay, b in (*problem.constraints, *problem.bounds)]
     m = len(base)
-    base += _box_rows(limits)
+    base += [(1.0, 0.0, box), (-1.0, 0.0, box), (0.0, 1.0, box), (0.0, -1.0, box)]
 
-    ux = min(max(hx, lox), hix)
-    uy = min(max(hy, loy), hiy)
+    ux = min(max(hx, -box), box)
+    uy = min(max(hy, -box), box)
     if w == 0.0:
         # Penalty-free slack absorbs every row; only the box binds the action,
         # through the box rows the clip binds.
         active = []
         if ux != hx:
-            active.append(m if hx > hix else m + 1)
+            active.append(m if hx > 0 else m + 1)
         if uy != hy:
-            active.append(m + 2 if hy > hiy else m + 3)
+            active.append(m + 2 if hy > 0 else m + 3)
         return (ux, uy, max(0.0, max(ax * ux + ay * uy - b for ax, ay, b in base[:m]))), tuple(active), 0
 
     scale = math.sqrt(2.0 * w)  # z[2] holds s * scale

@@ -9,12 +9,13 @@ the package's; each wall face is a plain row of the QP here, in both
 phases, where the package folds it into the box for the projection
 phase. `shield.local_rows` must
 return the same row bytes (peer and obstacle rows as its rows, face rows
-as its bounds), kinds, violated entities (up to the length of their
-brake direction) and `min_h` as `local_rows` here, and
-`shield.filter_action` the same status, `min_h` and `constraints_built`
-as `filter_action` here on every input, with `u_safe` bit-identical when
-no face is in range and within 1e-12 of it otherwise when both solves
-are optimal.
+as its bounds), kinds, violated entities and `min_h` as `local_rows`
+here, a violated face's brake direction up to its length (each violated
+entry here carries its kind as a fourth field), and
+`shield.filter_action` the same status, `min_h`, slack and
+`constraints_built` as `filter_action` here on every input, with
+`u_safe` bit-identical when the solve is relaxed or no face is in range,
+and within 1e-12 of it otherwise.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def neighborhood(self_id, all_agents, obstacles, world, r_sense):
 
 
 def local_rows(agent_id, self_state, neighbors, obstacles, world, params):
-    """Same inputs and outputs as `shield.local_rows`, with `ArrayRow` rows."""
+    """Same inputs and outputs as `shield.local_rows`, with `ArrayRow` rows (faces among them) and kinds in `violated`."""
     agents = list(neighbors)
     if agent_id not in [aid for aid, _ in agents]:
         agents.append((agent_id, self_state))
@@ -127,7 +128,7 @@ def local_rows(agent_id, self_state, neighbors, obstacles, world, params):
             if r <= 1e-9 and kind == "wall":
                 # on the face itself: brake along the face's inward normal
                 dpx, dpy, r = *FACE_INWARD[cid[1]], 1.0
-            violated.append((h, dpx, dpy))
+            violated.append((h, dpx, dpy, kind))
             if r <= 1e-9:
                 continue
             rows.append(ArrayRow(np.array((-dpx / r, -dpy / r)), -a_self, kind, cid))
@@ -144,7 +145,7 @@ def filter_action(agent_id, u_nominal, self_state, neighbors, obstacles, world, 
     rows, built, violated, min_h = local_rows(agent_id, self_state, neighbors, obstacles, world, params)
     a_self = params.a_max_self
     worst = None
-    for h, dpx, dpy in violated:
+    for h, dpx, dpy, _ in violated:
         if worst is None or h < worst[0]:
             worst = (h, dpx, dpy)
 

@@ -283,15 +283,6 @@ def face_bounds(p):
     return QpProblem(p.nominal, p.constraints[:4], p.box, p.slack_weight, p.constraints[4:])
 
 
-def per_axis_problems(rng, count):
-    """Training-shaped problems with the faces as bounds, then the same with a nonempty folded box as `box`."""
-    problems = [face_bounds(p) for p in training_shaped_problems(rng, count)]
-    boxed = [QpProblem(p.nominal, p.constraints, p.limits, p.slack_weight) for p in problems
-             if p.limits[0] <= p.limits[1] and p.limits[2] <= p.limits[3]]
-    assert len(boxed) > count // 4
-    return problems + boxed
-
-
 def degenerate_problems(rng, count):
     """Fixed degenerate shapes, then `count` random ones of four kinds."""
     problems = [
@@ -487,7 +478,7 @@ class TestPrunedPairScan:
         ]
         problems += degenerate_problems(np.random.default_rng(35), 300)
         problems += training_shaped_problems(np.random.default_rng(36), 400)
-        problems += per_axis_problems(np.random.default_rng(37), 400)
+        problems += [face_bounds(p) for p in training_shaped_problems(np.random.default_rng(37), 400)]
         relaxed = [p for p in problems if full_pair_scan(p) is None]
         problems += [QpProblem(p.nominal, p.constraints, p.box, w, p.bounds) for w in (1e3, 1e9, 1e12) for p in relaxed]
         problems += relaxed_training_problems(recorded_calls["training"])
@@ -513,7 +504,7 @@ class TestPrunedPairScan:
         assert pruned > 100 and pruned_relaxed > 100
 
 
-class TestPerAxisLimits:
+class TestFaceBounds:
     def test_bounds_fold_into_the_box_of_the_projection_phase(self):
         b = (row(2.0, 0.0, 1.0), row(-0.5, 0.0, 0.25), row(0.0, -4.0, 2.0))
         p = QpProblem(np.array([0.9, -0.9]), (row(1.0, 1.0, 0.5),), 0.75, 1e6, b)
@@ -554,29 +545,32 @@ class TestPerAxisLimits:
         ref = solve(QpProblem(p.nominal, b, 1.0, 1e6))
         assert sol.u_safe.tobytes() == ref.u_safe.tobytes() and sol.active_set == ref.active_set
 
-    def test_box_clip_and_zero_slack_weight_with_an_interval_that_excludes_zero(self):
-        box = (0.2, 0.6, -1.0, -0.3)
-        for nominal, u, active in (
-            ((0.0, 0.0), (0.2, -0.3), (2, 3)),
-            ((0.9, -2.0), (0.6, -1.0), (1, 4)),
-            ((0.4, -0.5), (0.4, -0.5), ()),
+    def test_box_clip_and_zero_slack_weight_with_bounds_that_exclude_zero(self):
+        # the bounds narrow the box [-1, 1]^2 to [0.2, 0.6] x [-1, -0.3]
+        b = (row(1, 0, 0.6), row(-1, 0, -0.2), row(0, 1, -0.3))
+        for nominal, u, active, u_relaxed, active_relaxed in (
+            ((0.0, 0.0), (0.2, -0.3), (2, 3), (0.0, 0.0), ()),
+            ((0.9, -2.0), (0.6, -1.0), (1, 4), (0.9, -1.0), (7,)),
+            ((0.4, -0.5), (0.4, -0.5), (), (0.4, -0.5), ()),
         ):
-            p = QpProblem(np.array(nominal), (row(1, 1, 5.0),), box)
+            p = QpProblem(np.array(nominal), (row(1, 1, 5.0),), 1.0, 1e6, b)
+            assert p.limits == (0.2, 0.6, -1.0, -0.3)
             sol = solve(p)
             assert sol.status == STATUS_OPTIMAL and sol.iterations == 0
             assert (tuple(sol.u_safe.tolist()), sol.active_set) == (u, active)
             assert sol.kkt_residual <= 1e-9
             assert full_pair_scan(p) == (u, active, 0)
-            # a row no box action meets, at zero slack weight: the slack absorbs it
-            p = QpProblem(np.array(nominal), (row(1, 0, -2.0),), box, 0.0)
+            # a row no bounded action meets, at zero slack weight: the slack absorbs
+            # it and the bounds alike, so only the box binds the action
+            p = QpProblem(np.array(nominal), (row(1, 0, -2.0),), 1.0, 0.0, b)
             sol = solve(p)
             assert sol.status == STATUS_RELAXED
-            assert (tuple(sol.u_safe.tolist()), sol.active_set) == (u, active)
-            assert sol.slack == u[0] + 2.0 and sol.kkt_residual <= 1e-9
-            assert full_relaxed_scan(p) == ((*u, u[0] + 2.0), active, 0)
+            assert (tuple(sol.u_safe.tolist()), sol.active_set) == (u_relaxed, active_relaxed)
+            assert sol.slack == u_relaxed[0] + 2.0 and sol.kkt_residual <= 1e-9
+            assert full_relaxed_scan(p) == ((*u_relaxed, u_relaxed[0] + 2.0), active_relaxed, 0)
 
     def test_kkt_and_grid_oracles_on_training_shaped_problems(self):
-        problems = per_axis_problems(np.random.default_rng(39), 300)
+        problems = [face_bounds(p) for p in training_shaped_problems(np.random.default_rng(39), 300)]
         for p in problems:
             assert solve(p).kkt_residual <= 1e-9
         for p in problems[::6]:
@@ -590,6 +584,7 @@ class TestValidation:
             {"box": 0.0},
             {"box": -1.0},
             {"box": np.inf},
+            {"box": (-1.0, 1.0, -1.0, 1.0)},
             {"slack_weight": -1.0},
             {"slack_weight": np.nan},
         ):
@@ -603,20 +598,6 @@ class TestValidation:
                 QpProblem(np.zeros(2), **kwargs)
         with pytest.raises(ValueError):
             QpProblem(np.zeros(2), ((1.0, 0.0, value),))
-
-    def test_problem_rejects_bad_per_axis_limits(self):
-        bad = [
-            (np.nan, 1.0, -1.0, 1.0), (-1.0, np.inf, -1.0, 1.0), (-np.inf, 1.0, -1.0, 1.0),
-            (0.5, 0.4, -1.0, 1.0), (-1.0, 1.0, 0.3, -0.3),
-            (-1.0, 1.0, -1.0), (-1.0, 1.0, -1.0, 1.0, 0.0), (), 0.5j,
-            ("-1", 1.0, -1.0, 1.0), (None, 1.0, -1.0, 1.0), (object(),) * 4, "abcd", {"lo_x": -1.0},
-        ]
-        for box in bad + [np.array(b) for b in bad[:5]] + [list(b) for b in bad[:5]]:
-            with pytest.raises(ValueError):
-                QpProblem(np.zeros(2), (), box)
-        for box in ((-1, 2, 0, 0), [-1.0, 2.0, 0.0, 0.0], np.array([-1.0, 2.0, 0.0, 0.0])):
-            p = QpProblem(np.zeros(2), (), box)
-            assert p.limits == p.box == (-1.0, 2.0, 0.0, 0.0) and all(type(v) is float for v in p.limits)
 
     def test_problem_rejects_bad_bounds(self):
         u = np.array([0.1, 0.2])
