@@ -157,7 +157,8 @@ def _row_core(dpx, dpy, wx, wy, gamma, dacc, d_s_true, margin):
     if gap_true <= 0.0:
         return None, radial - math.sqrt(-2.0 * dacc * gap_true)
     in_band = gap_true - margin <= GAP_FLOOR
-    gap = max(gap_true if in_band else gap_true - margin, GAP_FLOOR)
+    gap = gap_true if in_band else gap_true - margin
+    gap = GAP_FLOOR if GAP_FLOOR > gap else gap  # max(gap, GAP_FLOOR) without the builtin call
     brake = math.sqrt(2.0 * dacc * gap)
     h = radial + brake
     if h <= 0.0:

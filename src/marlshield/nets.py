@@ -17,7 +17,11 @@ would do.
 One forward and one backward, generic over leading axes, hold the layer
 loop, and Mlp is their 2-D case. `MlpStack` rebinds the `flat` of several
 nets to the rows of one matrix and runs net i on input row i for all of
-them through that forward, one stacked matmul per layer.
+them through that forward, one stacked matmul per layer. Given one net,
+the forward applies its head to the whole output at once; given several,
+one head per leading row. The stack passes its first net alone whenever
+every net has the same head and scale, which the trainer's actors do, and
+all of them only when a checkpoint has given them different heads.
 
 Hidden layers are rectified-linear; the output head is either linear (value
 estimates) or a saturating tanh scaled to the action box (policies).
@@ -46,8 +50,9 @@ def _views(flat, dims):
 
 
 def _forward(x, weights, biases, nets):
-    """Every layer's activation on x, net k's head on leading row k of the output: x (B, d_in)
-    through one net, or (n, B, d_in) through n nets' stacked (n, d, d') weights and (n, 1, d') biases."""
+    """Every layer's activation on x: (B, d_in) through one net's weights, or (n, B, d_in) through
+    n nets' stacked (n, d, d') weights and (n, 1, d') biases. Given one net, its head acts on the
+    whole output; given several, net k's head acts on leading row k."""
     a, activations = x, [x]
     for i, (w, b) in enumerate(zip(weights, biases)):
         if i:  # every activation after x is a fresh product, so it is rectified in place
@@ -55,7 +60,7 @@ def _forward(x, weights, biases, nets):
         a = np.matmul(a, w)
         a += b
         activations.append(a)
-    for row, net in zip(a if a.ndim > 2 else (a,), nets):
+    for row, net in zip((a,) if len(nets) == 1 else a, nets):
         if net.head == "tanh":
             np.tanh(row, out=row)
             row *= net.head_scale
@@ -64,8 +69,9 @@ def _forward(x, weights, biases, nets):
 
 def _backward(activations, g, weights, grad_views, nets, input_grad):
     """Input gradient of sum(g * output) through _forward's layers, None without input_grad; g is
-    overwritten. Parameter gradients go into grad_views, (weight views, bias views), unless None."""
-    rows = (g, activations[-1]) if g.ndim > 2 else ((g,), (activations[-1],))
+    overwritten. Parameter gradients go into grad_views, (weight views, bias views), unless None.
+    Heads are undone as _forward applied them: one net's on all of g, or net k's on row k."""
+    rows = ((g,), (activations[-1],)) if len(nets) == 1 else (g, activations[-1])
     for row, y, net in zip(*rows, nets):
         if net.head == "tanh":
             row *= net.head_scale - y * y / net.head_scale
@@ -172,7 +178,15 @@ class MlpStack:
         arr = np.asarray(x, dtype=float)
         if arr.shape != self.weights[0].shape[:2]:
             raise ValueError(f"expected input of shape {self.weights[0].shape[:2]}, got {arr.shape}")
-        return _forward(arr.reshape(len(arr), 1, -1), self.weights, self.biases, self.nets)[-1][:, 0, :]
+        nets = self.nets
+        first = nets[0]
+        head, scale = first.head, first.head_scale
+        for net in nets:  # one head pass for the whole output when every net has the same head
+            if net.head != head or net.head_scale != scale:
+                break
+        else:
+            nets = (first,)
+        return _forward(arr.reshape(len(arr), 1, -1), self.weights, self.biases, nets)[-1][:, 0, :]
 
 
 class Adam:

@@ -147,16 +147,15 @@ class PatrolEnv:
         then the offsets of the peer, each obstacle and the target (zeros for patrolman I).
         """
         tx, ty = self._targets[state.checkin_index]
-        rows = []
+        values = []  # both rows in one flat list, shaped once
         for i, agent in enumerate(state.agents):
             x, y = agent.px, agent.py
             other = state.agents[1 - i]
-            row = [x, y, agent.vx, agent.vy, other.px - x, other.py - y]
+            values += (x, y, agent.vx, agent.vy, other.px - x, other.py - y)
             for ox, oy, _ in self._obstacles:
-                row += (ox - x, oy - y)
-            row += (tx - x, ty - y) if i == PATROLMAN_II else (0.0, 0.0)
-            rows.append(row)
-        return np.array(rows)
+                values += (ox - x, oy - y)
+            values += (tx - x, ty - y) if i == PATROLMAN_II else (0.0, 0.0)
+        return np.array(values).reshape(N_AGENTS, -1)
 
     def entity_distances(self, state: EnvState, agent_idx: int) -> list[float]:
         """Clearances to every entity within sensing range (same range the shield uses)."""
@@ -179,14 +178,22 @@ class PatrolEnv:
     def step(self, state: EnvState, actions) -> tuple[EnvState, np.ndarray, np.ndarray, bool]:
         """Integrate both agents, score rewards as floats (one array at the end), advance the circuit.
 
-        Actions: (n_agents, 2), finite, within +-a_max. Returns (state, `observe` rows, rewards, done).
+        Actions: shape (n_agents, 2), finite, within +-a_max. Returns (state, `observe` rows, rewards, done).
         """
         world = self.world
-        rows = np.asarray(actions, dtype=float).reshape(N_AGENTS, 2).tolist()
-        if not all(map(math.isfinite, rows[0] + rows[1])):
-            raise ValueError("actions must be finite")
-        if max(map(abs, rows[0] + rows[1])) > world.a_max + 1e-9:
-            raise ValueError(f"action components must lie within +-{world.a_max}, got {rows!r}")
+        acts = np.asarray(actions, dtype=float)
+        rows = acts.reshape(N_AGENTS, 2).tolist()
+        if acts.shape != (N_AGENTS, 2):
+            raise ValueError(f"actions must have shape ({N_AGENTS}, 2), got {acts.shape}")
+        (x0, y0), (x1, y1) = rows
+        lim = world.a_max + 1e-9
+        # one chained test accepts finite in-box actions (NaN fails it); only a failing
+        # action runs the checks that pick the message
+        if not (-lim <= x0 <= lim and -lim <= y0 <= lim and -lim <= x1 <= lim and -lim <= y1 <= lim):
+            if not all(map(math.isfinite, rows[0] + rows[1])):
+                raise ValueError("actions must be finite")
+            if max(map(abs, rows[0] + rows[1])) > lim:
+                raise ValueError(f"action components must lie within +-{world.a_max}, got {rows!r}")
         a0, a1 = state.agents
         agents = (step_agent(a0, rows[0], world.dt, world.v_max), step_agent(a1, rows[1], world.dt, world.v_max))
         tx, ty = self._targets[state.checkin_index]

@@ -42,6 +42,7 @@ not count); it is 0 exactly when the box clip of the nominal is returned.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from operator import attrgetter
@@ -67,6 +68,12 @@ def _floats(*values):
     if not all(isinstance(v, _REAL) for v in values):
         raise ValueError
     return tuple(map(float, values))
+
+
+@functools.lru_cache(maxsize=8)
+def _box_rows(b):
+    """The +x, -x, +y, -y rows of the box [-b, b] per axis and its limits, built once per box."""
+    return ((1.0, 0.0, b), (-1.0, 0.0, b), (0.0, 1.0, b), (0.0, -1.0, b)), (-b, b, -b, b)
 
 
 class QpProblem:
@@ -120,10 +127,9 @@ class QpProblem:
             except (TypeError, ValueError):
                 raise ValueError(f"constraint row {row!r} is not a finite (ax, ay, b) with (ax, ay) != 0") from None
         self._nominal, self._constraints, self._box, self._slack_weight = u, tuple(cons), box, slack_weight
-        self._bounds = ()
-        hix = hiy = float(box)
-        lox = loy = -hix
         if bounds:
+            hix = hiy = float(box)
+            lox = loy = -hix
             bnds = list(bounds)
             for i, row in enumerate(bnds):
                 try:
@@ -148,16 +154,18 @@ class QpProblem:
                     elif v > loy:
                         loy = v
             self._bounds = tuple(bnds)
-        self._limits = lox, hix, loy, hiy
-        self._rows = self._constraints + ((1.0, 0.0, hix), (-1.0, 0.0, -lox), (0.0, 1.0, hiy), (0.0, -1.0, -loy))
+            self._limits = lox, hix, loy, hiy
+            box_rows = (1.0, 0.0, hix), (-1.0, 0.0, -lox), (0.0, 1.0, hiy), (0.0, -1.0, -loy)
+        else:
+            self._bounds = ()
+            box_rows, self._limits = _box_rows(float(box))
+        self._rows = self._constraints + box_rows
 
     @property
     def relaxed_rows(self) -> tuple:
         if not self._bounds:
             return self._rows
-        b = float(self._box)
-        box_rows = (1.0, 0.0, b), (-1.0, 0.0, b), (0.0, 1.0, b), (0.0, -1.0, b)
-        return self._constraints + self._bounds + box_rows
+        return self._constraints + self._bounds + _box_rows(float(self._box))[0]
 
     __repr__ = _fields_repr
 

@@ -17,10 +17,12 @@ braking through the surviving rows, so an emergency maneuver for one
 entity cannot ram another.
 
 `local_rows` is the one place rows are built: a single pass over peers,
-obstacles and wall faces that applies the range rule and calls
-`_row_core` once per in-range entity. Each row goes from there to
-`qp.QpProblem` as an `(ax, ay, b)` float triple, peer and obstacle rows
-as constraints and face rows as bounds; no per-row object is built.
+obstacles and wall faces that applies the range rule, calls `_row_core`
+once per in-range entity and appends that entity's row inline, except a
+violated peer's or obstacle's recovery row, which `_recovery_row` adds.
+Each row goes from there to `qp.QpProblem` as an `(ax, ay, b)` float
+triple, peer and obstacle rows as constraints and face rows as bounds;
+no per-row object is built.
 `filter_action` adds the projection: the fallback nominal, one
 `qp.solve`, the status and the `ShieldReport`.
 """
@@ -73,7 +75,9 @@ def local_rows(
     r_sense, and outside or non-finite positions then raise ValueError.
 
     `rows` holds one `(ax, ay, b)` float triple per in-range peer and
-    obstacle in that order, or a unit recovery row for a violated one.
+    obstacle in that order, appended as it is built: the barrier row (a
+    peer's with half the pairwise bound), or for a violated entity the
+    unit recovery row of `_recovery_row` (none at zero offset).
     `bounds` holds one axis-aligned row per in-range face, the +x
     face's (e - x) * ux <= b say, for `qp.QpProblem` to fold into its box
     as ux <= b / (e - x); a violated face, even one the agent touches, has
@@ -97,17 +101,28 @@ def local_rows(
     if len(peers) > 1:
         peers.sort(key=_first)
     dacc_pair = a_self + params.a_max_other
+    # comparisons, not min(), on this hot path; a row is appended inline
     for _, other in peers:
         dpx, dpy = sx - other.px, sy - other.py
-        core = _row_core(dpx, dpy, vx - other.vx, vy - other.vy, params.gamma_coo, dacc_pair, d_s, margin)
-        # half the pairwise bound: the peer enforces the mirror half
-        min_h = min(min_h, _append_row(rows, violated, dpx, dpy, core, a_self, 0.5))
+        full, h = _row_core(dpx, dpy, vx - other.vx, vy - other.vy, params.gamma_coo, dacc_pair, d_s, margin)
+        if h < min_h:
+            min_h = h
+        if full is not None:
+            # half the pairwise bound: the peer enforces the mirror half
+            rows.append((-dpx, -dpy, full * 0.5))
+        else:
+            _recovery_row(rows, violated, h, dpx, dpy, a_self)
     n_peer = len(rows)
     for obs in obstacles:
         dpx, dpy = sx - obs.px, sy - obs.py
         if hypot(dpx, dpy) <= r_sense:
-            core = _row_core(dpx, dpy, vx, vy, gamma_non, a_self, d_s + obs.radius, margin)
-            min_h = min(min_h, _append_row(rows, violated, dpx, dpy, core, a_self))
+            full, h = _row_core(dpx, dpy, vx, vy, gamma_non, a_self, d_s + obs.radius, margin)
+            if h < min_h:
+                min_h = h
+            if full is not None:
+                rows.append((-dpx, -dpy, full))
+            else:
+                _recovery_row(rows, violated, h, dpx, dpy, a_self)
     bounds = []
     e = world.wall_half_extent  # no face is nearer than e - max(|x|, |y|)
     if not (e - abs(sx) > r_sense and e - abs(sy) > r_sense):
@@ -122,7 +137,8 @@ def local_rows(
         ):
             if abs(dpx + dpy) <= r_sense:
                 full, h = _row_core(dpx, dpy, wx, wy, gamma_non, a_self, d_s, margin)
-                min_h = min(min_h, h)
+                if h < min_h:
+                    min_h = h
                 if full is None:
                     # violated, even on the face itself: brake inward at the cap
                     violated.append((h, nx, ny))
@@ -180,21 +196,16 @@ def filter_action(
     return u_safe, ShieldReport(agent_id, u_hat, u_safe, built, status, min_h, sol.slack)
 
 
-def _append_row(rows, violated, dpx, dpy, core, a_max, scale=1.0):
-    """Append one entity's row from its `_row_core` result; returns its h.
+def _recovery_row(rows, violated, h, dpx, dpy, a_max):
+    """Record a violated peer or obstacle at offset (dpx, dpy) and append its recovery row.
 
     A violated entity (h <= 0 or inside the safe ball) has no barrier row;
     dropping it would let an emergency for one entity ram another, so it
     goes into `violated` and gets a recovery row demanding outward radial
     acceleration at the full cap. The slack phase arbitrates conflicts.
     """
-    full, h = core
-    if full is not None:
-        rows.append((-dpx, -dpy, full * scale))
-        return h
     violated.append((h, dpx, dpy))
     r = math.hypot(dpx, dpy)
     if r > 1e-9:
         # unit normal so simultaneous emergencies trade off evenly
         rows.append((-dpx / r, -dpy / r, -a_max))
-    return h

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from marlshield.barriers import (
+    GAP_FLOOR,
     InsideUnsafeBall,
     ShieldParams,
     cbf_condition_residual,
     h_cooperative,
     h_noncooperative,
     h_rate,
+    _row_core,
 )
 from marlshield.dynamics import AgentState, ObstacleSpec, WorldConfig
 from marlshield.shield import local_rows
@@ -217,6 +219,56 @@ class TestConstraints:
         o1 = obstacle_row(a, ObstacleSpec([0, 0]), guarded)
         o2 = obstacle_row(a, ObstacleSpec([0, 0]), shifted)
         assert math.isclose(o1.bound, o2.bound, rel_tol=1e-15)
+
+
+class TestRowCoreGuardBand:
+    """`_row_core`'s three gap regimes and its violated branch, against bounds written out by hand.
+
+    One entity on the +x axis at distance r, true safe distance 0.075,
+    margin 0.02, braking authority 1, gamma 0.5; w is the velocity term.
+    """
+
+    D_S, MARGIN, DACC, GAMMA = 0.075, 0.02, 1.0, 0.5
+
+    def core(self, r, wx, wy):
+        return _row_core(r, 0.0, wx, wy, self.GAMMA, self.DACC, self.D_S, self.MARGIN)
+
+    def test_outside_the_band_uses_the_shifted_gap_and_keeps_credits(self):
+        # gap - margin = 0.905 > GAP_FLOOR; receding at 0.3 and sliding at 0.4
+        bound, h = self.core(1.0, 0.3, 0.4)
+        brake = math.sqrt(2 * 1.0 * (1.0 - 0.075 - 0.02))
+        assert math.isclose(h, 0.3 + brake, rel_tol=1e-15)
+        credit = 0.3**2 + 0.4**2 + 1.0 * 0.3 / brake
+        assert math.isclose(bound, 0.5 * h**3 - 0.3**2 + credit, rel_tol=1e-13)
+        assert bound > 0.5 * h**3 - 0.3**2 + 0.1  # the credits are banked
+
+    def test_inside_the_band_uses_the_true_gap_and_caps_positive_credits(self):
+        r = 0.075 + 0.01  # gap_true 0.01, gap_true - margin < 0: in the band
+        brake = math.sqrt(2 * 1.0 * (r - 0.075))
+        # receding: curvature and recession credits are positive, so both drop to 0
+        bound, h = self.core(r, 0.2, 0.5)
+        assert math.isclose(h, 0.2 + brake, rel_tol=1e-13)
+        assert math.isclose(bound, 0.5 * h**3 * r - 0.2**2, rel_tol=1e-13)
+        # approaching: the credit sum is negative, a braking demand, and survives
+        bound, h = self.core(r, -0.1, 0.0)
+        assert math.isclose(h, -0.1 + brake, rel_tol=1e-12) and h > 0
+        credit = 0.1**2 + 1.0 * (-0.1 * r) / brake
+        assert credit < 0
+        assert math.isclose(bound, 0.5 * h**3 * r - 0.1**2 + credit, rel_tol=1e-12)
+
+    def test_gap_below_the_floor_is_floored(self):
+        r = 0.075 + 5e-7  # 0 < gap_true < GAP_FLOOR
+        assert 0.0 < r - 0.075 < GAP_FLOOR
+        bound, h = self.core(r, 0.0, 0.0)
+        assert h == math.sqrt(2.0 * 1.0 * GAP_FLOOR)
+        assert math.isclose(bound, 0.5 * h**3 * r, rel_tol=1e-15)
+
+    @pytest.mark.parametrize("r", [0.075, 0.05, 0.0])
+    def test_no_row_at_or_inside_the_safe_distance(self, r):
+        bound, h = self.core(r, -0.3, 0.2)
+        radial = -0.3 if r > 0.0 else 0.0
+        assert bound is None
+        assert h == radial - math.sqrt(-2.0 * 1.0 * (r - 0.075))
 
 
 class TestConditionResidual:

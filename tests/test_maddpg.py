@@ -490,6 +490,34 @@ class TestStackedPolicy:
         assert np.abs(raw[1]).max() > trainer.env.world.a_max
         assert np.abs(raw[0]).max() <= 0.6
 
+    def assert_raw_matches_oracle(self, trainer):
+        """The stacked forward, unclipped, against the oracle net by net; returns it."""
+        _, obs = trainer.env.reset(4)
+        raw = trainer.policy.forward(obs)
+        ref = np.stack([learner_oracle.forward(actor, o[None])[0][0] for actor, o in zip(trainer.actors, obs)])
+        assert raw.tobytes() == ref.tobytes()
+        return raw
+
+    def test_tanh_heads_with_different_scales(self):
+        # same head, different scales: each leading row takes its own net's head
+        trainer = make_trainer(episodes=1)
+        trainer.train()
+        trainer.actors[0].head_scale = 0.6
+        trainer.policy.flat *= 300.0  # saturate both tanh heads, so the scale sets the output
+        raw = self.assert_raw_matches_oracle(trainer)
+        assert 0.5 < np.abs(raw[0]).max() <= 0.6 < np.abs(raw[1]).max() <= 1.0
+        self.assert_matches_per_net(trainer)
+
+    def test_all_linear_heads(self):
+        trainer = make_trainer(episodes=1)
+        trainer.train()
+        for actor in trainer.actors:
+            actor.head = "linear"
+        trainer.policy.flat *= 300.0  # outputs beyond the box, so the clip acts
+        raw = self.assert_raw_matches_oracle(trainer)
+        assert np.abs(raw).max() > trainer.env.world.a_max
+        self.assert_matches_per_net(trainer)
+
     def test_rows_are_decentralized(self):
         trainer = make_trainer()
         _, obs = trainer.env.reset(3)

@@ -2,6 +2,7 @@ import copy
 import itertools
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -257,7 +258,22 @@ class TestCheckins:
             seen = state.checkins_reached
 
 
+COMPONENTS = {"a0x": (0, 0), "a0y": (0, 1), "a1x": (1, 0), "a1y": (1, 1)}
+
+
 class TestStepValidation:
+    """The action checks of `PatrolEnv.step`, component by component; the box edge has 1e-9 of slack."""
+
+    A_MAX = default_world().a_max
+
+    @staticmethod
+    def step_with(component, value):
+        env = make_env()
+        state, _ = env.reset(1)
+        actions = np.zeros((2, 2))
+        actions[component] = value
+        return env.step(state, actions)
+
     def test_rejects_out_of_box_actions(self):
         env = make_env()
         state, _ = env.reset(1)
@@ -265,6 +281,46 @@ class TestStepValidation:
             env.step(state, np.array([[2.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(ValueError):
             env.step(state, np.array([[np.nan, 0.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("component", COMPONENTS.values(), ids=COMPONENTS)
+    def test_non_finite_component_is_rejected(self, component, value):
+        with pytest.raises(ValueError, match="^actions must be finite$"):
+            self.step_with(component, value)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["+", "-"])
+    @pytest.mark.parametrize("component", COMPONENTS.values(), ids=COMPONENTS)
+    def test_component_beyond_the_box_is_rejected(self, component, sign):
+        with pytest.raises(ValueError, match="^" + re.escape(f"action components must lie within +-{self.A_MAX}, got ")):
+            self.step_with(component, sign * (self.A_MAX + 2e-9))
+
+    @pytest.mark.parametrize("value", [A_MAX, -A_MAX, A_MAX + 1e-9, -(A_MAX + 1e-9)],
+                             ids=["+a_max", "-a_max", "+a_max+1e-9", "-a_max-1e-9"])
+    @pytest.mark.parametrize("component", COMPONENTS.values(), ids=COMPONENTS)
+    def test_component_on_the_box_edge_is_accepted(self, component, value):
+        state, _, _, _ = self.step_with(component, value)
+        agent, axis = state.agents[component[0]], component[1]
+        assert (agent.vx, agent.vy)[axis] == value * default_world().dt
+
+    @pytest.mark.parametrize("convert, values", [
+        (list, [[1.0, -0.5], [0.25, -1.0]]),
+        (lambda v: np.array(v, dtype=np.float32), [[1.0, -0.5], [0.25, -1.0]]),
+        (lambda v: np.array(v, dtype=np.int64), [[1, 0], [0, -1]]),
+    ], ids=["list", "float32", "int"])
+    def test_array_likes_are_accepted(self, convert, values):
+        env = make_env()
+        state, _ = env.reset(1)
+        got = env.step(state, convert(values))
+        reference = env.step(state, np.array(values, dtype=float))
+        assert got[1].tobytes() == reference[1].tobytes()
+        assert [(a.vx, a.vy) for a in got[0].agents] == [(a.vx, a.vy) for a in reference[0].agents]
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3)], ids=str)
+    def test_wrong_shapes_are_rejected(self, shape):
+        env = make_env()
+        state, _ = env.reset(1)
+        with pytest.raises(ValueError):
+            env.step(state, np.zeros(shape))
 
 
 def ledger_step(clearance=(1.0, 1.0), rewards=(0.0, 0.0), statuses=None, checkins=0):
