@@ -139,8 +139,15 @@ def step_agent(state: AgentState, accel, dt: float, v_max: float = DEFAULT_V_MAX
         raise ValueError(f"accel must be a finite 2-vector, got {accel!r}")
     if not (isinstance(dt, (int, float)) and math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be a positive finite number, got {dt!r}")
-    vx = min(max(state.vx + ax * dt, -v_max), v_max)
-    vy = min(max(state.vy + ay * dt, -v_max), v_max)
+    # conditionals, not min(max()): the same operand on every input, NaN
+    # included, without two builtin calls per component
+    lo = -v_max
+    vx = state.vx + ax * dt
+    vx = lo if lo > vx else vx
+    vx = v_max if v_max < vx else vx
+    vy = state.vy + ay * dt
+    vy = lo if lo > vy else vy
+    vy = v_max if v_max < vy else vy
     return _state_unchecked(state.px + vx * dt, state.py + vy * dt, vx, vy)
 
 

@@ -12,7 +12,9 @@ Two phases:
 1. Projection phase. If the unrelaxed feasible set (rows + box) is
    nonempty, return the exact Euclidean projection of the nominal action
    onto it (status "optimal", slack 0). Candidates: the box clip of the
-   nominal, the projection onto each violated row, then each pairwise
+   nominal (checked against the constraint rows only, since the clip lies
+   within the box limits and so meets their four rows by construction),
+   the projection onto each violated row, then each pairwise
    vertex with at least one row violated at the nominal (no other vertex
    can be the projection); the first feasible one with nonnegative
    multipliers wins and is reported with the row or pair the scan
@@ -111,18 +113,23 @@ class QpProblem:
         hx, hy = u.tolist()
         if not (math.isfinite(hx) and math.isfinite(hy)):
             raise ValueError(f"nominal action must be finite, got {nominal!r}")
-        if not (isinstance(box, _REAL) and math.isfinite(box) and box > 0):
+        if not ((type(box) is float or isinstance(box, _REAL)) and math.isfinite(box) and box > 0):
             raise ValueError("box must be a positive finite scalar")
-        if not (isinstance(slack_weight, _REAL) and math.isfinite(slack_weight) and slack_weight >= 0):
+        if not (
+            (type(slack_weight) is float or isinstance(slack_weight, _REAL))
+            and math.isfinite(slack_weight) and slack_weight >= 0
+        ):
             raise ValueError("slack_weight must be >= 0")
-        isfinite = math.isfinite
+        # One finiteness test per row, no calls: 0*ax + 0*ay + 0*b is a signed
+        # zero when all three are finite and NaN when any is not (0*inf is NaN),
+        # and it never overflows.
         cons = list(constraints)
         for i, row in enumerate(cons):
             try:
                 ax, ay, b = row
                 if not (type(row) is tuple and type(ax) is type(ay) is type(b) is float):
                     ax, ay, b = cons[i] = _floats(ax, ay, b)
-                if not (isfinite(ax) and isfinite(ay) and isfinite(b) and (ax != 0.0 or ay != 0.0)):
+                if not (0.0 * ax + 0.0 * ay + 0.0 * b == 0.0 and (ax != 0.0 or ay != 0.0)):
                     raise ValueError
             except (TypeError, ValueError):
                 raise ValueError(f"constraint row {row!r} is not a finite (ax, ay, b) with (ax, ay) != 0") from None
@@ -136,7 +143,7 @@ class QpProblem:
                     ax, ay, b = row
                     if not (type(row) is tuple and type(ax) is type(ay) is type(b) is float):
                         ax, ay, b = bnds[i] = _floats(ax, ay, b)
-                    if not (isfinite(ax) and isfinite(ay) and isfinite(b) and (ax == 0.0) != (ay == 0.0)):
+                    if not (0.0 * ax + 0.0 * ay + 0.0 * b == 0.0 and (ax == 0.0) != (ay == 0.0)):
                         raise ValueError
                 except (TypeError, ValueError):
                     raise ValueError(f"bound row {row!r} is not a finite (ax, ay, b) with one of ax, ay zero") from None
@@ -191,7 +198,11 @@ class QpSolution:
 
 
 def _feasible(rows, x, y) -> bool:
-    return all(ax * x + ay * y <= b + _FEAS_TOL for ax, ay, b in rows)
+    # a plain loop: all() over a generator costs a frame per call
+    for ax, ay, b in rows:
+        if not ax * x + ay * y <= b + _FEAS_TOL:
+            return False
+    return True
 
 
 def _box_clip(hx, hy, limits, m):
@@ -223,8 +234,12 @@ def _solve_projection(problem: QpProblem):
     # Fast path: the box clip of the nominal already satisfies every row.
     # An inactive clip returns the nominal bit-exactly; an active clip is
     # the projection onto the box and a fortiori onto the region inside it.
+    # Only the constraint rows are checked: the clip lies within `limits`,
+    # so it meets the four limit rows that close `rows` exactly (each is
+    # +-1 times one component against a limit, with a 0 coefficient on
+    # the other).
     (cx, cy), active = _box_clip(hx, hy, limits, m)
-    for ax, ay, b in rows:
+    for ax, ay, b in rows[:m]:
         if not ax * cx + ay * cy <= b:
             break
     else:

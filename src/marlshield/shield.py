@@ -44,6 +44,7 @@ STATUS_RELAXED = "relaxed"
 STATUS_FALLBACK = "fallback"
 
 _first = itemgetter(0)
+_FLOAT64 = qp._FLOAT64
 
 
 class ShieldReport:
@@ -96,8 +97,10 @@ def local_rows(
     rows = []
     violated = []
     min_h = math.inf
-    peers = [(aid, st) for aid, st in neighbors
-             if aid != agent_id and hypot(sx - st.px, sy - st.py) <= r_sense]
+    peers = []
+    for aid, st in neighbors:  # a plain loop: a list comprehension costs a frame per call
+        if aid != agent_id and hypot(sx - st.px, sy - st.py) <= r_sense:
+            peers.append((aid, st))
     if len(peers) > 1:
         peers.sort(key=_first)
     dacc_pair = a_self + params.a_max_other
@@ -166,7 +169,9 @@ def filter_action(
     The rows apply its range rule, so the output provably depends only on
     local information.
     """
-    u_hat = np.asarray(u_nominal, dtype=float).reshape(2)
+    u_hat = u_nominal
+    if not (type(u_hat) is np.ndarray and u_hat.shape == (2,) and u_hat.dtype is _FLOAT64):
+        u_hat = np.asarray(u_hat, dtype=float).reshape(2)
     hx, hy = u_hat.tolist()
     if not (math.isfinite(hx) and math.isfinite(hy)):
         raise ValueError(f"nominal action must be finite, got {u_nominal!r}")

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from marlshield.dynamics import (
     AgentState,
     ObstacleSpec,
     WorldConfig,
+    _state_unchecked,
     face_clearances,
     step_agent,
 )
@@ -85,6 +87,48 @@ class TestStepAgent:
         for _ in range(200):
             s = step_agent(s, rng.uniform(-1, 1, 2), 0.5, v_max=1.0)
             assert np.all(np.abs(s.velocity) <= 1.0 + 1e-15)
+
+
+class TestStepAgentClampBytes:
+    """`step_agent`'s clamp gives the bytes (and type) of min(max(v, -v_max), v_max) on every input."""
+
+    ONE_UP, ONE_DOWN = math.nextafter(1.0, math.inf), math.nextafter(-1.0, -math.inf)
+
+    @staticmethod
+    def fields(s):
+        return [(type(v), struct.pack("<d", v)) for v in (s.px, s.py, s.vx, s.vy)]
+
+    @pytest.mark.parametrize(
+        "vx, vy, ax, ay, dt, v_max",
+        [
+            (0.5, -0.5, 1.0, -1.0, 0.5, 1.0),  # lands exactly on +v_max and -v_max
+            (ONE_UP, ONE_DOWN, 0.0, 0.0, 0.1, 1.0),  # one ulp beyond each limit
+            (math.nextafter(1.0, 0.0), math.nextafter(-1.0, 0.0), 0.0, 0.0, 0.1, 1.0),  # one ulp inside
+            (0.0, 0.0, 1e6, -1e300, 0.5, 1.0),  # far beyond
+            (-0.0, 0.0, -0.0, -0.0, 0.1, 1.0),  # -0.0 stays -0.0, 0.0 + -0.0 is 0.0
+            (0.0, -0.0, 0.0, -0.0, 0.1, 0.0),  # a zero limit
+            (0.7, -0.7, 1.0, -1.0, 0.5, 1),  # an int limit is returned as the int
+            (math.nan, math.inf, 0.0, 0.0, 0.1, 1.0),  # NaN passes through, inf clamps
+            (-math.inf, math.nan, 0.0, 0.0, 0.1, 2.5),
+        ],
+    )
+    def test_matches_min_of_max_byte_for_byte(self, vx, vy, ax, ay, dt, v_max):
+        state = _state_unchecked(0.25, -0.75, vx, vy)
+        cx = min(max(vx + ax * dt, -v_max), v_max)
+        cy = min(max(vy + ay * dt, -v_max), v_max)
+        expected = _state_unchecked(0.25 + cx * dt, -0.75 + cy * dt, cx, cy)
+        assert self.fields(step_agent(state, [ax, ay], dt, v_max)) == self.fields(expected)
+
+    def test_bad_inputs_keep_their_messages(self):
+        s = AgentState([0, 0], [0, 0])
+        for accel in ([np.nan, 0.0], [0.0, np.inf], np.array([-np.inf, 0.0]), (0.0, math.nan)):
+            with pytest.raises(ValueError) as err:
+                step_agent(s, accel, 0.1)
+            assert str(err.value) == f"accel must be a finite 2-vector, got {accel!r}"
+        for dt in (0.0, -0.1, math.nan, math.inf, "0.1", None):
+            with pytest.raises(ValueError) as err:
+                step_agent(s, [0.0, 0.0], dt)
+            assert str(err.value) == f"dt must be a positive finite number, got {dt!r}"
 
 
 def wall_clearance(state, world):

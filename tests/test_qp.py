@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -683,3 +684,125 @@ class TestContainers:
         assert repr(p) == (
             "QpProblem(nominal=array([1., 0.]), constraints=(), box=2.0, slack_weight=1000000.0, bounds=())"
         )
+
+
+class TestOneFinitenessTestPerRow:
+    """`QpProblem` tests each row's finiteness with one expression; the outcome and messages are unchanged."""
+
+    CONSTRAINT = "constraint row {!r} is not a finite (ax, ay, b) with (ax, ay) != 0"
+    BOUND = "bound row {!r} is not a finite (ax, ay, b) with one of ax, ay zero"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("slot", [0, 1, 2], ids=["ax", "ay", "b"])
+    def test_non_finite_slots_keep_their_messages(self, slot, bad):
+        u = np.array([0.1, 0.2])
+        for base, kind in (((0.5, -0.25, 0.75), "constraint"), ((2.0, 0.0, 0.5), "bound"),
+                           ((0.0, -4.0, 0.5), "bound")):
+            values = list(base)
+            values[slot] = bad
+            for r in (tuple(values), values, tuple(map(np.float64, values))):
+                if kind == "constraint":
+                    args, message = ((row(1.0, 0.0, 0.5), r),), self.CONSTRAINT.format(r)
+                else:
+                    args, message = ((), 1.0, 1e6, (row(1.0, 0.0, 0.5), r)), self.BOUND.format(r)
+                with pytest.raises(ValueError) as err:
+                    QpProblem(u, *args)
+                assert str(err.value) == message
+
+    BIG, TINY = 1.7976931348623157e308, 5e-324
+
+    def test_extreme_finite_rows_are_accepted(self):
+        # 0*ax + 0*ay + 0*b stays 0 for the largest and the smallest floats, where
+        # a test that summed the components first would overflow to inf
+        big, tiny, u = self.BIG, self.TINY, np.array([0.1, 0.2])
+        for v in (big, tiny):
+            for r in itertools.product((v, -v), repeat=3):
+                assert QpProblem(u, (r,)).constraints == (r,)
+                for b in ((r[0], 0.0, r[2]), (0.0, r[1], r[2])):
+                    assert QpProblem(u, (r,), 1.0, 1e6, (b,)).bounds == (b,)
+
+    def test_extreme_finite_rows_solve_as_before(self):
+        big, tiny = self.BIG, self.TINY
+        # (nominal, constraints, bounds) -> (u_safe, active set, candidates), as solved
+        # before the one-expression finiteness test and the constraint-only fast path
+        for nominal, cons, bounds, u, active, iterations in (
+            ((0.3, -0.2), ((big, big, big),), (), (0.3, -0.2), (), 0),
+            ((0.3, -0.2), ((-big, -big, big),), (), (0.3, -0.2), (), 0),
+            ((2.0, -3.0), ((big, big, -big),), (), (-0.0, -1.0), (0, 4), 5),
+            ((2.0, -3.0), ((-big, -big, -big),), (), (1.0, 0.0), (0, 1), 4),
+            ((-0.9, 0.9), ((big, big, -big),), (), (-1.0, 0.0), (0, 2), 3),
+            ((-0.9, 0.9), ((-big, -big, -big),), (), (-0.0, 1.0), (0, 3), 4),
+            ((0.3, -0.2), ((tiny, tiny, tiny),), (), (0.3, -0.2), (), 0),
+            ((2.0, -3.0), ((tiny, tiny, -tiny),), (), (1.0, -1.0), (1, 4), 7),
+            ((-0.9, 0.9), ((tiny, -tiny, -tiny),), (), (-0.9, 0.9), (), 0),
+            ((2.0, -3.0), ((big, 0.0, 0.5), (1.0, 1.0, 0.5)), ((0.0, -big, -big),), (-0.5, 1.0), (1, 5), 10),
+            ((-0.9, 0.9), ((big, 0.0, 0.5), (1.0, 1.0, 0.5)), ((-big, 0.0, tiny),), (0.0, 0.5), (1, 3), 3),
+            ((0.3, -0.2), ((big, tiny, big),), ((tiny, 0.0, tiny),), (0.3, -0.2), (), 0),
+            ((1.5, 0.4), ((big, tiny, big),), ((tiny, 0.0, tiny),), (1.0, 0.4), (1,), 0),
+        ):
+            sol = solve(QpProblem(np.array(nominal), cons, 1.0, 1e6, bounds))
+            assert sol.status == STATUS_OPTIMAL and sol.slack == 0.0
+            assert sol.u_safe.tobytes() == np.array(u).tobytes()
+            assert (sol.active_set, sol.iterations) == (active, iterations)
+
+    def test_bounds_with_extreme_floats_fold_as_before(self):
+        big, tiny = self.BIG, self.TINY
+        u = np.array([0.1, 0.2])
+        # b / ax overflows to inf (no limit) or underflows to 0 (a limit at 0)
+        assert QpProblem(u, (), 1.0, 1e6, ((tiny, 0.0, big),)).limits == (-1.0, 1.0, -1.0, 1.0)
+        assert QpProblem(u, (), 1.0, 1e6, ((big, 0.0, tiny),)).limits == (-1.0, 0.0, -1.0, 1.0)
+        assert QpProblem(u, (), 1.0, 1e6, ((0.0, -big, -tiny),)).limits == (-1.0, 1.0, 0.0, 1.0)
+        assert QpProblem(u, (), 1.0, 1e6, ((0.0, big, big),)).limits == (-1.0, 1.0, -1.0, 1.0)
+
+
+class TestBoxClipMeetsLimitRows:
+    """The projection fast path checks only the constraint rows of `problem.rows`.
+
+    That is sound because the box clip of any nominal lies within `limits`
+    and so satisfies the four limit rows closing `rows` exactly, with no
+    tolerance, whenever the limits are non-empty.
+    """
+
+    def test_clip_satisfies_the_four_limit_rows(self):
+        rng = np.random.default_rng(41)
+        checked = excluding_zero = far = 0
+        for _ in range(4000):
+            scale = float(rng.choice([1.0, 3.0, 1e6, 1e300]))
+            nominal = rng.uniform(-1.0, 1.0, 2) * scale
+            bounds = []
+            for _ in range(int(rng.integers(0, 5))):
+                axis, c = int(rng.integers(0, 2)), float(rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 10.0))
+                bounds.append((c, 0.0, float(rng.uniform(-5.0, 5.0))) if axis == 0
+                              else (0.0, c, float(rng.uniform(-5.0, 5.0))))
+            cons = tuple(row(*rng.normal(size=2), float(rng.uniform(-1.0, 1.0))) for _ in range(int(rng.integers(0, 3))))
+            p = QpProblem(nominal, cons, float(rng.uniform(0.1, 3.0)), 1e6, tuple(bounds))
+            lox, hix, loy, hiy = p.limits
+            if lox > hix or loy > hiy:
+                continue
+            m = len(p.rows) - 4
+            hx, hy = p.nominal.tolist()
+            (cx, cy), _ = marlshield.qp._box_clip(hx, hy, p.limits, m)
+            for ax, ay, b in p.rows[m:]:
+                assert ax * cx + ay * cy <= b
+            checked += 1
+            excluding_zero += lox > 0.0 or hix < 0.0 or loy > 0.0 or hiy < 0.0
+            far += not (lox <= hx <= hix and loy <= hy <= hiy)
+        assert checked > 2000 and excluding_zero > 200 and far > 1000
+
+    def test_solve_matches_the_scan_that_checks_every_row(self):
+        rng = np.random.default_rng(42)
+        for _ in range(400):
+            bounds = tuple(
+                (float(rng.choice([-1.0, 1.0])) * 2.0, 0.0, float(rng.uniform(-1.5, 1.5))) if rng.integers(0, 2)
+                else (0.0, float(rng.choice([-1.0, 1.0])) * 0.5, float(rng.uniform(-0.5, 0.5)))
+                for _ in range(int(rng.integers(0, 4)))
+            )
+            cons = tuple(row(*rng.normal(size=2), float(rng.uniform(-0.5, 1.5))) for _ in range(int(rng.integers(0, 4))))
+            p = QpProblem(rng.uniform(-4.0, 4.0, 2), cons, 1.0, 1e6, bounds)
+            ref, sol = full_pair_scan(p), solve(p)
+            if ref is None:
+                assert sol.status == STATUS_RELAXED
+                continue
+            assert sol.status == STATUS_OPTIMAL
+            assert sol.u_safe.tobytes() == np.array(ref[0]).tobytes() and sol.active_set == ref[1]
+            assert (sol.iterations == 0) == (ref[2] == 0)
