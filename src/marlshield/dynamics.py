@@ -18,7 +18,10 @@ DEFAULT_V_MAX = 1.0
 DEFAULT_A_MAX = 1.0
 
 def _as_vec2(value, name: str) -> list[float]:
-    v = np.asarray(value, dtype=float).reshape(2).tolist()
+    try:
+        v = np.asarray(value, dtype=float).reshape(2).tolist()
+    except OverflowError:  # a Python int beyond the float range is not finite
+        v = [math.inf, math.inf]
     if not math.isfinite(v[0]) or not math.isfinite(v[1]):
         raise ValueError(f"{name} must be a finite 2-vector, got {value!r}")
     return v
@@ -134,11 +137,19 @@ def step_agent(state: AgentState, accel, dt: float, v_max: float = DEFAULT_V_MAX
     Semi-implicit Euler: v' = clip(v + a*dt, +-v_max) per component,
     then p' = p + v'*dt. Deterministic for equal inputs.
     """
-    ax, ay = float(accel[0]), float(accel[1])
+    # a Python int beyond the float range raises OverflowError where it meets
+    # a float; it is not finite, so it gets the ValueError of its argument
+    try:
+        ax, ay = float(accel[0]), float(accel[1])
+    except OverflowError:
+        ax = ay = math.inf
     if not (math.isfinite(ax) and math.isfinite(ay)):
         raise ValueError(f"accel must be a finite 2-vector, got {accel!r}")
-    if not (isinstance(dt, (int, float)) and math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be a positive finite number, got {dt!r}")
+    try:
+        if not (isinstance(dt, (int, float)) and math.isfinite(dt) and dt > 0):
+            raise ValueError
+    except (ValueError, OverflowError):
+        raise ValueError(f"dt must be a positive finite number, got {dt!r}") from None
     # conditionals, not min(max()): the same operand on every input, NaN
     # included, without two builtin calls per component
     lo = -v_max

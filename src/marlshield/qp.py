@@ -4,40 +4,26 @@ The problem is tiny by construction — two action variables, a per-axis box,
 and a handful of halfplane rows — so the solver enumerates KKT candidates
 exactly rather than calling a general-purpose QP package. A Euclidean
 projection onto a polyhedron lies on the affine hull of at most `dim`
-independent active rows, so a finite candidate scan finds it without
-iterating.
+independent active rows, so one finite scan finds it without iterating:
+over the subsets of 1 to `dim` rows that hold a row violated at the point
+projected, in `itertools.combinations` order, the first feasible candidate
+with nonnegative multipliers wins, returned as computed with its rows.
 
-Two phases:
+1. Projection phase (`dim` 2) over `QpProblem.rows`: the constraints, then
+   the four rows of the box limits with the axis-aligned `bounds` folded
+   in. The box clip of the nominal comes first; then the scan gives the
+   exact projection (status "optimal", slack 0), or nothing when the rows
+   conflict.
+2. Slack phase (`dim` 3) over `QpProblem.relaxed_rows`, only when the rows
+   conflict. One shared slack s >= 0 relaxes the constraints and bounds
+   (a.u <= b + s) under a quadratic penalty, which is always solvable, and
+   the box stays hard; status "relaxed" reports the safety-margin erosion
+   instead of crashing. The scan projects (nominal, 0) in (u, s*sqrt(2w)).
 
-1. Projection phase. If the unrelaxed feasible set (rows + box) is
-   nonempty, return the exact Euclidean projection of the nominal action
-   onto it (status "optimal", slack 0). Candidates: the box clip of the
-   nominal (checked against the constraint rows only, since the clip lies
-   within the box limits and so meets their four rows by construction),
-   the projection onto each violated row, then each pairwise
-   vertex with at least one row violated at the nominal (no other vertex
-   can be the projection); the first feasible one with nonnegative
-   multipliers wins and is reported with the row or pair the scan
-   accepted, even where 3+ rows meet at it. When none qualifies the set
-   is empty.
-2. Slack phase. Only when the rows conflict outright, one shared
-   nonnegative slack s relaxes every row (a.u <= b + s) under a quadratic
-   penalty, which is always solvable; status "relaxed" reports the
-   safety-margin erosion instead of crashing. The same pruned scan runs in
-   the three variables (u, s*sqrt(2w)): the projection onto each violated
-   row, onto the line of each pair, then each vertex of three rows, every
-   subset holding a row violated at the nominal. The winning candidate is
-   returned as computed; the solve path uses no numpy linear algebra.
-
-`QpProblem` takes its rows as `(ax, ay, b)` float triples, a symmetric
-box and axis-aligned rows as `bounds`, and validates them once. The
-projection phase folds the bounds into per-axis limits of the box (an
-interval may then exclude 0), so it scans only the constraints and the
-four rows of those limits; the slack phase relaxes the bounds
-as rows with the constraints, under the box, which is hard in both
-phases. Each phase and `kkt_check` read one row list. `kkt_check` is the
-one certificate, for both phases under one multiplier-normalized rule:
-`solve` never runs it, reading `QpSolution.kkt_residual` does.
+A row whose normal has |a|^2 <= 1e-12 gives no one-row candidate in either
+phase. `kkt_check` is the one certificate, for both phases under one
+multiplier-normalized rule; `solve` never runs it, reading
+`QpSolution.kkt_residual` does, and neither uses numpy linear algebra.
 `QpSolution.iterations` counts the candidates evaluated (pruned subsets do
 not count); it is 0 exactly when the box clip of the nominal is returned.
 """
@@ -107,19 +93,28 @@ class QpProblem:
     nominal, constraints, box, slack_weight, bounds, rows, limits = (property(attrgetter(n)) for n in __slots__[:7])
 
     def __init__(self, nominal, constraints=(), box=1.0, slack_weight=1e6, bounds=()):
+        # A Python int beyond the float range raises OverflowError wherever it
+        # meets a float; it is not finite, so it gets the ValueError of its slot.
         u = nominal
         if not (type(u) is np.ndarray and u.shape == (2,) and u.dtype is _FLOAT64):
-            u = np.asarray(u, dtype=float).reshape(2)
+            try:
+                u = np.asarray(u, dtype=float).reshape(2)
+            except OverflowError:
+                u = np.full(2, math.inf)
         hx, hy = u.tolist()
         if not (math.isfinite(hx) and math.isfinite(hy)):
             raise ValueError(f"nominal action must be finite, got {nominal!r}")
-        if not ((type(box) is float or isinstance(box, _REAL)) and math.isfinite(box) and box > 0):
-            raise ValueError("box must be a positive finite scalar")
-        if not (
-            (type(slack_weight) is float or isinstance(slack_weight, _REAL))
-            and math.isfinite(slack_weight) and slack_weight >= 0
-        ):
-            raise ValueError("slack_weight must be >= 0")
+        try:
+            if not ((type(box) is float or isinstance(box, _REAL)) and math.isfinite(box) and box > 0):
+                raise ValueError
+        except (ValueError, OverflowError):
+            raise ValueError("box must be a positive finite scalar") from None
+        try:
+            if not ((type(slack_weight) is float or isinstance(slack_weight, _REAL))
+                    and math.isfinite(slack_weight) and slack_weight >= 0):
+                raise ValueError
+        except (ValueError, OverflowError):
+            raise ValueError("slack_weight must be >= 0") from None
         # One finiteness test per row, no calls: 0*ax + 0*ay + 0*b is a signed
         # zero when all three are finite and NaN when any is not (0*inf is NaN),
         # and it never overflows.
@@ -131,7 +126,7 @@ class QpProblem:
                     ax, ay, b = cons[i] = _floats(ax, ay, b)
                 if not (0.0 * ax + 0.0 * ay + 0.0 * b == 0.0 and (ax != 0.0 or ay != 0.0)):
                     raise ValueError
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ValueError(f"constraint row {row!r} is not a finite (ax, ay, b) with (ax, ay) != 0") from None
         self._nominal, self._constraints, self._box, self._slack_weight = u, tuple(cons), box, slack_weight
         if bounds:
@@ -145,7 +140,7 @@ class QpProblem:
                         ax, ay, b = bnds[i] = _floats(ax, ay, b)
                     if not (0.0 * ax + 0.0 * ay + 0.0 * b == 0.0 and (ax == 0.0) != (ay == 0.0)):
                         raise ValueError
-                except (TypeError, ValueError):
+                except (TypeError, ValueError, OverflowError):
                     raise ValueError(f"bound row {row!r} is not a finite (ax, ay, b) with one of ax, ay zero") from None
                 # fold it into the box; conditionals, not min/max, on this hot path
                 if ay == 0.0:
@@ -197,14 +192,6 @@ class QpSolution:
     __repr__ = _fields_repr
 
 
-def _feasible(rows, x, y) -> bool:
-    # a plain loop: all() over a generator costs a frame per call
-    for ax, ay, b in rows:
-        if not ax * x + ay * y <= b + _FEAS_TOL:
-            return False
-    return True
-
-
 def _box_clip(hx, hy, limits, m):
     """The nominal clipped to the box limits, and the box rows the clip binds (+x, -x, +y, -y are m..m+3)."""
     lox, hix, loy, hiy = limits
@@ -217,116 +204,151 @@ def _box_clip(hx, hy, limits, m):
     return (cx, cy), active
 
 
-def _solve_projection(problem: QpProblem):
-    """Phase 1: exact projection onto rows + box; None when rows conflict.
+@functools.lru_cache(maxsize=32)
+def _pairs_then_triples(n):
+    """The 2- then 3-row subsets of n rows in `itertools.combinations` order, as (i, j, k); a pair has k = -1."""
+    pairs = tuple((i, j, -1) for i, j in itertools.combinations(range(n), 2))
+    return pairs + tuple(itertools.combinations(range(n), 3))
 
-    Returns ((x, y), active rows, candidates evaluated); the active rows
-    are the clip's box rows, the violated row or the pair the scan accepted.
+
+def _scan(rows, hx, hy, flat):
+    """The projection of c onto `rows` among subsets of 1 to dim rows holding a row violated at c.
+
+    `flat`: two variables, c = (hx, hy), rows (ax, ay, b); else three,
+    c = (hx, hy, 0), rows (ax, ay, az, b). At the projection z,
+    c - z = sum(l_i * a_i) with l >= 0, so sum(l_i * (a_i.c - b_i)) =
+    |c - z|^2 > 0 when c is infeasible. Returns (z in dim coordinates,
+    active rows, candidates tried), or None when no candidate qualifies.
     """
+    # Each candidate is tested against every row in a plain loop, inline: a
+    # helper, or all() over a generator, would cost a frame per candidate.
+    # One row: the projection onto its plane, optimal when feasible; a normal
+    # with |a|^2 <= _ZERO_TOL gives NaNs, which fail every comparison.
+    hots, tried = [], 0  # the violated rows, each of whose candidates failed
+    if flat:
+        for i, (ax, ay, b) in enumerate(rows):
+            v = ax * hx + ay * hy - b
+            if v <= 0.0:
+                continue
+            # a NaN v (terms beyond the float range) is tried here and fails,
+            # but holds no violated row for the pairs
+            tried += 1
+            rr = ax * ax + ay * ay
+            lam = v / (rr if rr > _ZERO_TOL else math.nan)
+            x, y = hx - lam * ax, hy - lam * ay
+            for ax, ay, b in rows:
+                if not ax * x + ay * y <= b + _FEAS_TOL:
+                    break
+            else:
+                return (x, y), (i,), tried
+            if v > 0.0:
+                hots.append(i)
+    else:
+        for i, (ax, ay, az, b) in enumerate(rows):
+            v = ax * hx + ay * hy - b
+            if v > 0.0:
+                tried += 1
+                rr = ax * ax + ay * ay + az * az
+                lam = v / (rr if rr > _ZERO_TOL else math.nan)
+                x, y, t = hx - lam * ax, hy - lam * ay, -lam * az
+                for ax, ay, az, b in rows:
+                    if not ax * x + ay * y + az * t <= b + _FEAS_TOL:
+                        break
+                else:
+                    return (x, y, t), (i,), tried
+                hots.append(i)
+    n = len(rows)
+
+    if flat:
+        # two rows in two variables: their vertex, in closed form
+        for i, (a1x, a1y, b1) in enumerate(rows):
+            hot = i in hots
+            for j in range(i + 1, n):
+                if not (hot or j in hots):
+                    continue
+                tried += 1
+                a2x, a2y, b2 = rows[j]
+                det = a1x * a2y - a1y * a2x
+                if abs(det) <= _ZERO_TOL:
+                    continue
+                x, y = (b1 * a2y - a1y * b2) / det, (a1x * b2 - b1 * a2x) / det
+                gx, gy = hx - x, hy - y
+                if not ((gx * a2y - gy * a2x) / det >= -1e-10 and (a1x * gy - a1y * gx) / det >= -1e-10):
+                    continue
+                for ax, ay, b in rows:
+                    if not ax * x + ay * y <= b + _FEAS_TOL:
+                        break
+                else:
+                    return (x, y), (i, j), tried
+        return None
+
+    # Two or three rows p, q, r in three variables: their vertex by Cramer's
+    # rule (adjugate columns q x r, r x p, p x q), which keeps the rows'
+    # conditioning where normal equations would square it; dependent rows
+    # give NaNs. A pair's r is its unit line direction pinned at c, so the
+    # vertex is the projection of c onto the line; r has no multiplier.
+    for i, j, k in _pairs_then_triples(n):
+        if not (i in hots or j in hots or k in hots):
+            continue
+        tried += 1
+        px, py, pz, pb = rows[i]
+        qx, qy, qz, qb = rows[j]
+        wx, wy, wz = py * qz - pz * qy, pz * qx - px * qz, px * qy - py * qx
+        if k < 0:
+            norm = math.sqrt(wx * wx + wy * wy + wz * wz) or math.nan
+            rx, ry, rz = wx / norm, wy / norm, wz / norm
+            rb = rx * hx + ry * hy
+        else:
+            rx, ry, rz, rb = rows[k]
+        ux, uy, uz = qy * rz - qz * ry, qz * rx - qx * rz, qx * ry - qy * rx
+        vx, vy, vz = ry * pz - rz * py, rz * px - rx * pz, rx * py - ry * px
+        det = px * ux + py * uy + pz * uz
+        det = det if abs(det) > _ZERO_TOL else math.nan
+        x = (pb * ux + qb * vx + rb * wx) / det
+        y = (pb * uy + qb * vy + rb * wy) / det
+        t = (pb * uz + qb * vz + rb * wz) / det
+        gx, gy, gz = hx - x, hy - y, 0.0 - t
+        l1, l2 = (ux * gx + uy * gy + uz * gz) / det, (vx * gx + vy * gy + vz * gz) / det
+        l3 = (wx * gx + wy * gy + wz * gz) / det if k >= 0 else 0.0
+        if not (l1 >= -1e-10 and l2 >= -1e-10 and l3 >= -1e-10):
+            continue
+        for ax, ay, az, b in rows:
+            if not ax * x + ay * y + az * t <= b + _FEAS_TOL:
+                break
+        else:
+            return (x, y, t), (i, j) if k < 0 else (i, j, k), tried
+    return None
+
+
+def _solve_projection(problem: QpProblem):
+    """Phase 1: ((x, y), active rows, candidates) of the projection onto rows + box; None when rows conflict."""
     hx, hy = problem.nominal.tolist()
     lox, hix, loy, hiy = limits = problem.limits
     if lox > hix or loy > hiy:
         return None  # the bounds leave no action in the box
     rows = problem.rows
-    n = len(rows)
-    m = n - 4
+    m = len(rows) - 4
 
     # Fast path: the box clip of the nominal already satisfies every row.
     # An inactive clip returns the nominal bit-exactly; an active clip is
     # the projection onto the box and a fortiori onto the region inside it.
-    # Only the constraint rows are checked: the clip lies within `limits`,
-    # so it meets the four limit rows that close `rows` exactly (each is
-    # +-1 times one component against a limit, with a 0 coefficient on
-    # the other).
+    # It meets the four limit rows that close `rows` exactly (each is +-1
+    # times one component against a limit), so only the constraints are checked.
     (cx, cy), active = _box_clip(hx, hy, limits, m)
     for ax, ay, b in rows[:m]:
         if not ax * cx + ay * cy <= b:
             break
     else:
         return (cx, cy), active, 0
-
-    # A feasible projection onto one violated row is optimal: the polygon
-    # lies inside that row's halfplane.
-    tried = 0
-    violated = []
-    for i, (ax, ay, b) in enumerate(rows):
-        v = ax * hx + ay * hy - b
-        violated.append(v > 0.0)
-        if v <= 0.0:
-            continue
-        tried += 1
-        t = v / (ax * ax + ay * ay)
-        zx, zy = hx - t * ax, hy - t * ay
-        if _feasible(rows, zx, zy):
-            return (zx, zy), (i,), tried
-
-    # Otherwise two independent rows are active at the projection. A feasible
-    # vertex whose multipliers are nonnegative satisfies KKT; checking the
-    # sign matters because three or more rows often meet at one vertex.
-    # At such a vertex z, h - z = l1*a1 + l2*a2 with l >= 0, so
-    # l1*(a1.h - b1) + l2*(a2.h - b2) = |h - z|^2 > 0: one of the two rows
-    # is violated at the nominal h, and pairs of satisfied rows are skipped.
-    for i, (a1x, a1y, b1) in enumerate(rows):
-        hot = violated[i]
-        for j in range(i + 1, n):
-            if not (hot or violated[j]):
-                continue
-            a2x, a2y, b2 = rows[j]
-            tried += 1
-            det = a1x * a2y - a1y * a2x
-            if abs(det) <= _ZERO_TOL:
-                continue
-            zx, zy = (b1 * a2y - a1y * b2) / det, (a1x * b2 - b1 * a2x) / det
-            gx, gy = hx - zx, hy - zy
-            if (
-                (gx * a2y - gy * a2x) / det >= -1e-10
-                and (a1x * gy - a1y * gx) / det >= -1e-10
-                and _feasible(rows, zx, zy)
-            ):
-                return (zx, zy), (i, j), tried
-    return None
-
-
-def _cramer(p, q, r, c):
-    """The point z where rows p, q, r, each (ax, ay, az, b), hold with equality; (z, multipliers of c - z).
-
-    Cramer's rule, whose adjugate columns are cross products of the rows,
-    keeps their conditioning; normal equations would square it, which the
-    tiny slack column cannot afford. Dependent rows (|det| <= _ZERO_TOL)
-    give NaNs, which fail every comparison.
-    """
-    (px, py, pz, pb), (qx, qy, qz, qb), (rx, ry, rz, rb) = p, q, r
-    adj = (
-        (qy * rz - qz * ry, qz * rx - qx * rz, qx * ry - qy * rx),
-        (ry * pz - rz * py, rz * px - rx * pz, rx * py - ry * px),
-        (py * qz - pz * qy, pz * qx - px * qz, px * qy - py * qx),
-    )
-    det = px * adj[0][0] + py * adj[0][1] + pz * adj[0][2]
-    det = det if abs(det) > _ZERO_TOL else math.nan
-    z = [(pb * a0 + qb * a1 + rb * a2) / det for a0, a1, a2 in zip(*adj)]
-    gx, gy, gz = c[0] - z[0], c[1] - z[1], c[2] - z[2]
-    return z, [(ax * gx + ay * gy + az * gz) / det for ax, ay, az in adj]
+    return _scan(rows, hx, hy, True)
 
 
 def _solve_relaxed(problem: QpProblem):
-    """Phase 2: shared-slack relaxation, always feasible; phase 1's scan in three variables.
+    """Phase 2: shared-slack relaxation over `problem.relaxed_rows`; ((x, y, s), active rows, candidates).
 
-    The slack variable is rescaled by sqrt(2w) so the objective becomes a
-    pure Euclidean projection of c = (nominal, 0) in three variables
-    (identity Hessian), which stays well conditioned for arbitrarily large
-    penalties. The optimum lies on at most three independent active rows,
-    so the projections onto one row, onto the line of two rows, then the
-    vertices of three rows are scanned, and the first candidate that is
-    feasible with nonnegative multipliers is the optimum, returned as the
-    scan computed it. The s >= 0 row is left out: this phase runs only when
-    the rows conflict, so s > 0.
-
-    The rows are `problem.relaxed_rows`: the bounds come back as rows, and
-    only the box stays hard. Only subsets holding a row violated at c (as
-    c's slack is 0) are tried. At the optimum z, c - z = sum(l_i * r_i) with
-    l >= 0, so sum(l_i * (r_i.c - b_i)) = |c - z|^2 > 0, because c is
-    infeasible when the rows conflict: some active row is violated at c.
-    Returns ((x, y, s), active rows, candidates evaluated).
+    The slack is rescaled by sqrt(2w), so the objective is a Euclidean
+    projection of c = (nominal, 0) in three variables, well conditioned at
+    any penalty. The s >= 0 row is left out: the rows conflict, so s > 0.
     """
     hx, hy = problem.nominal.tolist()
     w = float(problem.slack_weight)
@@ -342,38 +364,11 @@ def _solve_relaxed(problem: QpProblem):
 
     scale = math.sqrt(2.0 * w)  # the third variable holds s * scale
     sz = -1.0 / scale
-    rows = [(ax, ay, sz if i < m else 0.0, b) for i, (ax, ay, b) in enumerate(base)]
-    hot = [ax * hx + ay * hy > b for ax, ay, b in base]
-    c = (hx, hy, 0.0)
-
-    def candidates():
-        """(row indices, point, multipliers) in scan order; dependent rows give NaNs."""
-        for i, (ax, ay, az, b) in enumerate(rows):
-            if hot[i]:
-                rr = ax * ax + ay * ay + az * az
-                lam = (ax * hx + ay * hy - b) / (rr if rr > _ZERO_TOL else math.nan)
-                yield (i,), (hx - lam * ax, hy - lam * ay, -lam * az), (lam,)
-        # A pair's third row is its unit line direction pinned at c, so its
-        # vertex is the projection of c onto the line; that row is not a
-        # constraint, so its multiplier is dropped.
-        for i, j in itertools.combinations(range(len(rows)), 2):
-            if hot[i] or hot[j]:
-                (px, py, pz, _), (qx, qy, qz, _) = rows[i], rows[j]
-                dx, dy, dz = py * qz - pz * qy, pz * qx - px * qz, px * qy - py * qx
-                norm = math.sqrt(dx * dx + dy * dy + dz * dz) or math.nan
-                dx, dy, dz = dx / norm, dy / norm, dz / norm
-                z, lam = _cramer(rows[i], rows[j], (dx, dy, dz, dx * hx + dy * hy), c)
-                yield (i, j), z, lam[:2]
-        for i, j, k in itertools.combinations(range(len(rows)), 3):
-            if hot[i] or hot[j] or hot[k]:
-                yield (i, j, k), *_cramer(rows[i], rows[j], rows[k], c)
-
-    for tried, (active, (x, y, t), lam) in enumerate(candidates(), 1):
-        if all(l >= -1e-10 for l in lam) and all(
-            ax * x + ay * y + az * t <= b + _FEAS_TOL for ax, ay, az, b in rows
-        ):
-            return (x, y, t / scale), active, tried
-    raise RuntimeError("no KKT point among the relaxed candidates")
+    result = _scan([(ax, ay, sz if i < m else 0.0, b) for i, (ax, ay, b) in enumerate(base)], hx, hy, False)
+    if result is None:
+        raise RuntimeError("no KKT point among the relaxed candidates")
+    (x, y, t), active, tried = result
+    return (x, y, t / scale), active, tried
 
 
 def solve(problem: QpProblem) -> QpSolution:
@@ -394,60 +389,64 @@ def solve(problem: QpProblem) -> QpSolution:
     return QpSolution(np.array([ux, uy]), s, active, problem, status, iters)
 
 
+def _cross(p, q):
+    return p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0]
+
+
+def _dot(p, q):
+    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+
+
 def kkt_check(problem: QpProblem, solution: QpSolution) -> float:
     """Max of the stationarity, feasibility, dual, and complementarity residuals.
 
-    Multipliers are reconstructed from the solution's active set, so the
-    residual certifies the returned point without trusting solver internals
-    beyond that index set. One rule serves both phases: stationarity and
-    complementarity are divided by 1 + max|multiplier|, so a vertex of
-    nearly parallel rows or a large slack weight, whose multipliers are
-    large, is judged by its constraint residuals rather than their products
-    with the multipliers. Primal and dual feasibility stay absolute. A
-    nominal returned untouched (the fast path) reads exactly 0. An optimal
-    solution is checked against `problem.rows`, a relaxed one against
-    `problem.relaxed_rows`.
+    Multipliers are reconstructed from the solution's active set alone;
+    dependent active rows read inf. Stationarity and complementarity are
+    divided by 1 + max|multiplier|, so a vertex of nearly parallel rows or a
+    large slack weight, whose multipliers are large, is judged by its
+    constraint residuals; primal and dual feasibility stay absolute. A
+    nominal returned untouched reads exactly 0.
     """
     ux, uy = float(solution.u_safe[0]), float(solution.u_safe[1])
     s, active = float(solution.slack), solution.active_set
     hx, hy = problem.nominal.tolist()
-
+    # Variables (u, s), gradient g = (u - nominal, 2*w*s). An optimal
+    # solution's rows read a.u <= b with s = 0; a relaxed one's read
+    # a.u - s <= b for the constraints and bounds, a.u <= b for the box, and
+    # the row past them -s <= 0.
     if solution.status == STATUS_OPTIMAL:
-        base = problem.rows
-        gx, gy = ux - hx, uy - hy
-        primal = max(0.0, max(ax * ux + ay * uy - b for ax, ay, b in base))
-        if not active:
-            lam, r = [], (gx, gy)
-        elif len(active) == 1:
-            ax, ay, _ = base[active[0]]
-            lam = [-(ax * gx + ay * gy) / (ax * ax + ay * ay)]
-            r = (gx + lam[0] * ax, gy + lam[0] * ay)
-        else:
-            (a1x, a1y, _), (a2x, a2y, _) = base[active[0]], base[active[1]]
-            det = a1x * a2y - a1y * a2x
-            if abs(det) <= _ZERO_TOL:
-                return math.inf
-            lam = [(-gx * a2y + gy * a2x) / det, (-a1x * gy + a1y * gx) / det]
-            r = (gx + lam[0] * a1x + lam[1] * a2x, gy + lam[0] * a1y + lam[1] * a2y)
-        gaps = [base[i][2] - base[i][0] * ux - base[i][1] * uy for i in active]
+        rows = [(ax, ay, 0.0, b) for ax, ay, b in problem.rows]
     else:
-        # Relaxed phase: variables (u, s), gradient (u - nominal, 2*w*s).
-        base, m = problem.relaxed_rows, len(problem.constraints) + len(problem.bounds)
-        w = float(problem.slack_weight)
-        z = np.array([ux, uy, s])
-        grad = np.array([ux - hx, uy - hy, 2.0 * w * s])
-        rows3 = [np.array([ax, ay, -1.0]) for ax, ay, _ in base[:m]]
-        rows3 += [np.array([ax, ay, 0.0]) for ax, ay, _ in base[m:]]
-        rows3.append(np.array([0.0, 0.0, -1.0]))
-        bounds3 = [b for _, _, b in base] + [0.0]
-        primal = max([0.0] + [float(r @ z) - b for r, b in zip(rows3, bounds3)])
-        if active:
-            A = np.stack([rows3[i] for i in active], axis=1)
-            lam, *_ = np.linalg.lstsq(A, -grad, rcond=None)
-            lam, r = lam.tolist(), (grad + A @ lam).tolist()
-        else:
-            lam, r = [], grad.tolist()
-        gaps = [bounds3[i] - float(rows3[i] @ z) for i in active]
+        m = len(problem.constraints) + len(problem.bounds)
+        rows = [(ax, ay, -1.0 if i < m else 0.0, b) for i, (ax, ay, b) in enumerate(problem.relaxed_rows)]
+        rows.append((0.0, 0.0, -1.0, 0.0))
+    g = (ux - hx, uy - hy, 2.0 * float(problem.slack_weight) * s)
+    primal = max(0.0, max(ax * ux + ay * uy + az * s - b for ax, ay, az, b in rows))
+
+    # Least-squares multipliers of g + sum(lam_i * a_i) = 0 in closed form:
+    # Cramer's rule on three rows, or on a pair and its unit normal, whose
+    # multiplier is dropped (g's part along it is the residual).
+    a = [rows[i] for i in active]
+    gaps = [b - ax * ux - ay * uy - az * s for ax, ay, az, b in a]
+    if len(a) == 2:
+        n = _cross(a[0], a[1])
+        norm = math.hypot(*n)
+        if norm <= _ZERO_TOL:
+            return math.inf
+        a.append((n[0] / norm, n[1] / norm, n[2] / norm))
+    if len(a) == 3:
+        adj = _cross(a[1], a[2]), _cross(a[2], a[0]), _cross(a[0], a[1])
+        det = _dot(a[0], adj[0])
+        if abs(det) <= _ZERO_TOL:
+            return math.inf
+        lam = [-_dot(g, col) / det for col in adj[: len(active)]]
+    elif len(a) > 3:
+        return math.inf  # more than three rows in three variables
+    else:
+        lam = [-_dot(ai, g) / _dot(ai, ai) for ai in a]
+    r = g
+    for l, (ax, ay, az, _) in zip(lam, a):
+        r = (r[0] + l * ax, r[1] + l * ay, r[2] + l * az)
 
     denom = 1.0 + max(map(abs, lam), default=0.0)
     stationarity = max(map(abs, r)) / denom

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import marlshield.qp
+from marlshield.dynamics import AgentState, step_agent
 from marlshield.qp import (
     STATUS_OPTIMAL,
     STATUS_RELAXED,
@@ -806,3 +807,74 @@ class TestBoxClipMeetsLimitRows:
             assert sol.status == STATUS_OPTIMAL
             assert sol.u_safe.tobytes() == np.array(ref[0]).tobytes() and sol.active_set == ref[1]
             assert (sol.iterations == 0) == (ref[2] == 0)
+
+
+HUGE = 10**400  # a Python int beyond the float range: float(HUGE) raises OverflowError
+STILL = AgentState([0.0, 0.0], [0.0, 0.0])
+
+
+class TestHugeIntegersGiveValueError:
+    """A Python int beyond the float range is not finite: each check raises the ValueError of its slot."""
+
+    CONSTRAINT = TestOneFinitenessTestPerRow.CONSTRAINT
+    BOUND = TestOneFinitenessTestPerRow.BOUND
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: QpProblem(np.zeros(2), box=HUGE), "box must be a positive finite scalar"),
+            (lambda: QpProblem(np.zeros(2), slack_weight=HUGE), "slack_weight must be >= 0"),
+            (lambda: QpProblem(np.zeros(2), box=HUGE, slack_weight=-1.0), "box must be a positive finite scalar"),
+            (lambda: QpProblem(np.zeros(2), box=-1.0, slack_weight=HUGE), "box must be a positive finite scalar"),
+            (lambda: QpProblem(np.zeros(2), ((1, 0, HUGE),)), CONSTRAINT.format((1, 0, HUGE))),
+            (lambda: QpProblem(np.zeros(2), ((HUGE, 0, 1),)), CONSTRAINT.format((HUGE, 0, 1))),
+            (lambda: QpProblem(np.zeros(2), ((0.5, -HUGE, 1.0),)), CONSTRAINT.format((0.5, -HUGE, 1.0))),
+            (lambda: QpProblem(np.zeros(2), (), 1.0, 1e6, ((1, 0, HUGE),)), BOUND.format((1, 0, HUGE))),
+            (lambda: QpProblem(np.zeros(2), (), 1.0, 1e6, ((0, -HUGE, 1),)), BOUND.format((0, -HUGE, 1))),
+            (lambda: QpProblem([HUGE, 0]), f"nominal action must be finite, got {[HUGE, 0]!r}"),
+            (lambda: step_agent(STILL, [HUGE, 0], 0.1), f"accel must be a finite 2-vector, got {[HUGE, 0]!r}"),
+            (lambda: step_agent(STILL, [0, -HUGE], 0.1), f"accel must be a finite 2-vector, got {[0, -HUGE]!r}"),
+            (lambda: step_agent(STILL, [0, 0], HUGE), f"dt must be a positive finite number, got {HUGE!r}"),
+            (lambda: AgentState([HUGE, 0], [0, 0]), f"position must be a finite 2-vector, got {[HUGE, 0]!r}"),
+        ],
+        ids=["box", "slack_weight", "huge box first", "bad box first", "constraint b", "constraint ax",
+             "constraint ay", "bound b", "bound ay", "nominal", "accel x", "accel y", "dt", "position"],
+    )
+    def test_value_error_with_the_message_of_its_slot(self, call, message):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+
+
+class TestDegenerateNormals:
+    def test_subnormal_row_fails_its_one_row_candidate_in_both_phases(self):
+        # |a|^2 underflows to 0; the projection phase's one-row candidate is a
+        # NaN that fails, as the slack phase's is for |a|^2 <= 1e-12, instead
+        # of a ZeroDivisionError. The vertices with the box rows are
+        # degenerate too, so the rows conflict, and the slack absorbs the row.
+        tiny = 5e-324
+        p = QpProblem(np.array([0.3, -0.2]), ((tiny, tiny, -tiny),))
+        sol = solve(p)
+        assert sol.status == STATUS_RELAXED and sol.active_set == (0,) and sol.iterations == 1
+        assert sol.u_safe.tolist() == [0.3, -0.2] and sol.slack == tiny
+        assert sol.kkt_residual <= 1e-9
+
+
+class TestCertificateWithoutNumpy:
+    def test_certifies_stress_and_common_vertex_families_without_numpy(self, stress, common_vertex, monkeypatch):
+        optimal, degenerate, training = stress
+        relaxed = [QpProblem(p.nominal, p.constraints, p.box, w, p.bounds) for w in (1e3, 1e12) for p in degenerate]
+        problems = optimal + degenerate + training + relaxed + common_vertex[0] + common_vertex[1]
+        solutions = [solve(p) for p in problems]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy called by the certificate")
+
+        for name in ("lstsq", "solve", "inv", "pinv"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        for name in ("array", "asarray", "stack", "dot", "matmul"):
+            monkeypatch.setattr(np, name, refuse)
+        worst = max(sol.kkt_residual for sol in solutions)
+        monkeypatch.undo()
+        assert worst <= 1e-9
+        assert sum(sol.status == STATUS_RELAXED for sol in solutions) > 6000
