@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass
 
+from .dynamics import _finite
+
 # Separation-above-safe-distance floor applied inside bound computations;
 # the sqrt term's slope diverges at the boundary and this keeps bounds finite.
 GAP_FLOOR = 1e-6
@@ -65,7 +67,7 @@ class ShieldParams:
     margin: float = 0.02
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in astuple(self)):
+        if not all(_finite(v) for v in astuple(self)):
             raise ValueError(f"shield parameters must be finite, got {self!r}")
         if not self.d_s > 0:
             raise ValueError("d_s must be > 0")
@@ -84,7 +86,10 @@ class ShieldParams:
 
 
 def _pair(v, name: str) -> tuple[float, float]:
-    x, y = float(v[0]), float(v[1])
+    try:
+        x, y = float(v[0]), float(v[1])
+    except OverflowError:  # a Python int beyond the float range is not finite
+        x = y = math.inf
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"{name} must be finite, got {v!r}")
     return x, y

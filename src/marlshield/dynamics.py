@@ -17,6 +17,15 @@ DEFAULT_DT = 0.1
 DEFAULT_V_MAX = 1.0
 DEFAULT_A_MAX = 1.0
 
+
+def _finite(v) -> bool:
+    """math.isfinite, but False for a Python int beyond the float range, where isfinite raises OverflowError."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _as_vec2(value, name: str) -> list[float]:
     try:
         v = np.asarray(value, dtype=float).reshape(2).tolist()
@@ -77,7 +86,7 @@ class ObstacleSpec:
     def __init__(self, position, radius: float = 0.0):
         for name, value in zip(self.__slots__, (*_as_vec2(position, "position"), radius)):
             object.__setattr__(self, name, value)
-        if not (math.isfinite(radius) and radius >= 0.0):
+        if not (_finite(radius) and radius >= 0.0):
             raise ValueError(f"obstacle radius must be >= 0, got {radius!r}")
 
     def __reduce__(self):
@@ -99,7 +108,7 @@ class WorldConfig:
     a_max: float = DEFAULT_A_MAX
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.wall_half_extent, self.dt, self.v_max, self.a_max)):
+        if not all(_finite(v) for v in (self.wall_half_extent, self.dt, self.v_max, self.a_max)):
             raise ValueError(f"wall_half_extent, dt, v_max and a_max must be finite, got {self!r}")
         if not self.wall_half_extent > 0:
             raise ValueError("wall_half_extent must be > 0")
@@ -169,7 +178,10 @@ def face_clearances(position, half_extent: float) -> list[tuple[str, tuple, floa
     least distance. The agent must be inside the square; outside positions
     indicate an integration or shielding failure upstream, so they raise.
     """
-    x, y = float(position[0]), float(position[1])
+    try:
+        x, y = float(position[0]), float(position[1])
+    except OverflowError:  # a Python int beyond the float range is not finite
+        x = y = math.inf
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"position must be finite, got {position!r}")
     e = float(half_extent)

@@ -22,11 +22,12 @@ one `patrol.EpisodeLedger` fed once per step.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import shield as shield_mod
+from .dynamics import _finite
 from .nets import Adam, Mlp, MlpStack, soft_update
 from .patrol import EpisodeLedger, PatrolEnv, TrajectoryRow
 
@@ -67,7 +68,9 @@ class TrainerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in astuple(self) if isinstance(v, float)):
+        # every float field, an int given for one too, and any float given for an int field
+        values = [(f.type, getattr(self, f.name)) for f in fields(self)]
+        if not all(_finite(v) for kind, v in values if kind == "float" or isinstance(v, float)):
             raise ValueError(f"trainer parameters must be finite, got {self!r}")
         if not 0.0 < self.discount < 1.0:
             raise ValueError("discount must lie in (0, 1)")

@@ -33,6 +33,8 @@ import math
 
 import numpy as np
 
+_FLOAT64 = np.dtype(np.float64)
+
 
 def flat_size(dims) -> int:
     """The number of parameters of an Mlp with these layer sizes: the length of its `flat`."""
@@ -63,7 +65,8 @@ def _forward(x, weights, biases, nets):
     for row, net in zip((a,) if len(nets) == 1 else a, nets):
         if net.head == "tanh":
             np.tanh(row, out=row)
-            row *= net.head_scale
+            if net.head_scale != 1.0:  # x * 1.0 is x bit for bit, so the stock a_max skips the pass
+                row *= net.head_scale
     return activations
 
 
@@ -172,12 +175,15 @@ class MlpStack:
             net._bind(row)
         self.weights, biases = _views(self.flat, dims)
         self.biases = [b[:, None] for b in biases]
+        self._shape, self._shape3 = (len(self.nets), dims[0]), (len(self.nets), 1, dims[0])
 
     def forward(self, x) -> np.ndarray:
         """Row i of the (n, dims[-1]) output is net i, with its head as set now, on row i of the (n, dims[0]) x."""
-        arr = np.asarray(x, dtype=float)
-        if arr.shape != self.weights[0].shape[:2]:
-            raise ValueError(f"expected input of shape {self.weights[0].shape[:2]}, got {arr.shape}")
+        arr = x
+        if not (type(arr) is np.ndarray and arr.dtype is _FLOAT64):
+            arr = np.asarray(x, dtype=float)
+        if arr.shape != self._shape:
+            raise ValueError(f"expected input of shape {self._shape}, got {arr.shape}")
         nets = self.nets
         first = nets[0]
         head, scale = first.head, first.head_scale
@@ -186,7 +192,7 @@ class MlpStack:
                 break
         else:
             nets = (first,)
-        return _forward(arr.reshape(len(arr), 1, -1), self.weights, self.biases, nets)[-1][:, 0, :]
+        return _forward(arr.reshape(self._shape3), self.weights, self.biases, nets)[-1][:, 0, :]
 
 
 class Adam:

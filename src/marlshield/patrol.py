@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barriers import ShieldParams
-from .dynamics import AgentState, WorldConfig, _read_only, step_agent
+from .dynamics import AgentState, WorldConfig, _finite, _read_only, step_agent
+from .qp import _FLOAT64
 from .shield import STATUS_PASSTHROUGH, STATUS_RELAXED
 
 PATROLMAN_I = 0  # random patrol, no target term
@@ -89,7 +90,7 @@ class PatrolEnv:
             raise ValueError("episode_len must be >= 0")
         if len(world.checkin_points) == 0:
             raise ValueError("world must define at least one check-in point")
-        if not all(math.isfinite(v) and v >= 0 for v in (d_c, reset_margin)):
+        if not all(_finite(v) and v >= 0 for v in (d_c, reset_margin)):
             raise ValueError(f"d_c and reset_margin must be finite and >= 0, got {d_c!r} and {reset_margin!r}")
         self.world = world
         # float copies for the step; WorldConfig's arrays are read-only, so these cannot go stale
@@ -146,29 +147,31 @@ class PatrolEnv:
         """Observations as one (n_agents, obs_dim) float array: own position and velocity,
         then the offsets of the peer, each obstacle and the target (zeros for patrolman I).
         """
+        a0, a1 = state.agents
+        x0, y0, x1, y1 = a0.px, a0.py, a1.px, a1.py
+        row0 = [x0, y0, a0.vx, a0.vy, x1 - x0, y1 - y0]
+        row1 = [x1, y1, a1.vx, a1.vy, x0 - x1, y0 - y1]
+        for ox, oy, _ in self._obstacles:
+            row0 += (ox - x0, oy - y0)
+            row1 += (ox - x1, oy - y1)
         tx, ty = self._targets[state.checkin_index]
-        values = []  # both rows in one flat list, shaped once
-        for i, agent in enumerate(state.agents):
-            x, y = agent.px, agent.py
-            other = state.agents[1 - i]
-            values += (x, y, agent.vx, agent.vy, other.px - x, other.py - y)
-            for ox, oy, _ in self._obstacles:
-                values += (ox - x, oy - y)
-            values += (tx - x, ty - y) if i == PATROLMAN_II else (0.0, 0.0)
-        return np.array(values).reshape(N_AGENTS, -1)
+        row0 += (0.0, 0.0)
+        row1 += (tx - x1, ty - y1)
+        return np.array((row0, row1))
 
     def entity_distances(self, state: EnvState, agent_idx: int) -> list[float]:
         """Clearances to every entity within sensing range (same range the shield uses)."""
         agent = state.agents[agent_idx]
         px, py = agent.px, agent.py
+        r_sense = self.params.r_sense
         out = []
         other = state.agents[1 - agent_idx]
         d = math.hypot(px - other.px, py - other.py)
-        if d <= self.params.r_sense:
+        if d <= r_sense:
             out.append(d)
         for ox, oy, radius in self._obstacles:
             d = math.hypot(px - ox, py - oy)
-            if d <= self.params.r_sense:
+            if d <= r_sense:
                 out.append(d - radius)
         return out
 
@@ -181,10 +184,15 @@ class PatrolEnv:
         Actions: shape (n_agents, 2), finite, within +-a_max. Returns (state, `observe` rows, rewards, done).
         """
         world = self.world
-        acts = np.asarray(actions, dtype=float)
-        rows = acts.reshape(N_AGENTS, 2).tolist()
+        acts = actions
+        if not (type(acts) is np.ndarray and acts.dtype is _FLOAT64):
+            try:
+                acts = np.asarray(acts, dtype=float)
+            except OverflowError:  # a Python int beyond the float range is not finite
+                raise ValueError("actions must be finite") from None
         if acts.shape != (N_AGENTS, 2):
             raise ValueError(f"actions must have shape ({N_AGENTS}, 2), got {acts.shape}")
+        rows = acts.tolist()
         (x0, y0), (x1, y1) = rows
         lim = world.a_max + 1e-9
         # one chained test accepts finite in-box actions (NaN fails it); only a failing
@@ -206,20 +214,18 @@ class PatrolEnv:
             checkins_reached += 1
         new_state = EnvState(agents, checkin_index, checkins_reached, state.step_count + 1)
 
+        # one pass over each agent's clearances scores it and keeps its minimum;
+        # conditionals, not min(), so the first least clearance is kept as min() keeps it
+        d_s = self.params.d_s
         rewards = []
         min_clearance = []
-        for i in range(N_AGENTS):
-            dists = self.entity_distances(new_state, i)
-            r = 0.0
-            for d in dists:
-                if d <= self.params.d_s:
-                    r += REWARD_COLLISION
-                elif i == PATROLMAN_II and at_target:
-                    r += REWARD_CHECKIN
-                else:
-                    r += REWARD_CLEAR
+        for i, clear in ((PATROLMAN_I, REWARD_CLEAR), (PATROLMAN_II, REWARD_CHECKIN if at_target else REWARD_CLEAR)):
+            r, m = 0.0, math.inf
+            for d in self.entity_distances(new_state, i):
+                r += REWARD_COLLISION if d <= d_s else clear
+                m = d if d < m else m
             rewards.append(r)
-            min_clearance.append(min(dists, default=math.inf))
+            min_clearance.append(m)
         # filled in before the state leaves step, so it reads as immutable
         _SET_MIN_CLEARANCE(new_state, tuple(min_clearance))
 
@@ -248,11 +254,15 @@ class EpisodeLedger:
         """Add one step: the state PatrolEnv.step returned, its rewards, the filter reports."""
         r_i, r_ii = rewards.tolist()
         self.reward_I, self.reward_II = self.reward_I + r_i, self.reward_II + r_ii
-        step_min = min(state.min_clearance)
-        self.min_dist = min(self.min_dist, step_min)
+        # comparisons, not min()/max(): the same result on the same operands, without three builtin calls
+        c0, c1 = state.min_clearance
+        step_min = c1 if c1 < c0 else c0
+        if step_min < self.min_dist:
+            self.min_dist = step_min
         if step_min <= self.d_s:
             self.collision_steps += 1
-        self.checkins = max(self.checkins, state.checkins_reached)
+        if state.checkins_reached > self.checkins:
+            self.checkins = state.checkins_reached
         for rep in reports or ():
             if rep.status != STATUS_PASSTHROUGH:
                 self.corrections += 1

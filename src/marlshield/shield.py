@@ -171,7 +171,10 @@ def filter_action(
     """
     u_hat = u_nominal
     if not (type(u_hat) is np.ndarray and u_hat.shape == (2,) and u_hat.dtype is _FLOAT64):
-        u_hat = np.asarray(u_hat, dtype=float).reshape(2)
+        try:
+            u_hat = np.asarray(u_hat, dtype=float).reshape(2)
+        except OverflowError:  # a Python int beyond the float range is not finite
+            u_hat = np.full(2, math.inf)
     hx, hy = u_hat.tolist()
     if not (math.isfinite(hx) and math.isfinite(hy)):
         raise ValueError(f"nominal action must be finite, got {u_nominal!r}")

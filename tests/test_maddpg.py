@@ -473,6 +473,17 @@ class TestStackedPolicy:
         assert not np.array_equal(trainer.policy.flat, start)
         self.assert_matches_per_net(trainer)
 
+    @pytest.mark.parametrize("trained", [False, True], ids=["fresh", "trained"])
+    def test_benchmark_shapes(self, trained):
+        # the training workloads' actors, so the BLAS kernels the policy tick runs are the ones pinned
+        trainer = make_trainer(episodes=3, actor_hidden=(64, 64), critic_hidden=(64, 64))
+        assert trainer.actors[0].dims == (14, 64, 64, 2)
+        if trained:
+            start = trainer.policy.flat.copy()
+            trainer.train()
+            assert not np.array_equal(trainer.policy.flat, start)
+        self.assert_matches_per_net(trainer)
+
     def test_after_attaching_per_agent_heads(self, tmp_path):
         source = make_trainer(episodes=1)
         source.train()

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 import marlshield.qp
-from marlshield.dynamics import AgentState, step_agent
+from marlshield.barriers import ShieldParams, h_cooperative, h_noncooperative
+from marlshield.dynamics import AgentState, ObstacleSpec, WorldConfig, face_clearances, step_agent
+from marlshield.maddpg import TrainerConfig
+from marlshield.patrol import PatrolEnv, default_world
 from marlshield.qp import (
     STATUS_OPTIMAL,
     STATUS_RELAXED,
@@ -844,6 +847,38 @@ class TestHugeIntegersGiveValueError:
         with pytest.raises(ValueError) as err:
             call()
         assert str(err.value) == message
+
+    @staticmethod
+    def env_step(actions):
+        env = PatrolEnv(default_world(), ShieldParams())
+        return env.step(env.reset(1)[0], actions)
+
+    @pytest.mark.parametrize(
+        "call, prefix",
+        [
+            (lambda: WorldConfig(wall_half_extent=HUGE), "wall_half_extent, dt, v_max and a_max must be finite, got "),
+            (lambda: WorldConfig(dt=HUGE), "wall_half_extent, dt, v_max and a_max must be finite, got "),
+            (lambda: ShieldParams(d_s=HUGE), "shield parameters must be finite, got ShieldParams("),
+            (lambda: ObstacleSpec([0, 0], radius=HUGE), f"obstacle radius must be >= 0, got {HUGE!r}"),
+            (lambda: PatrolEnv(default_world(), ShieldParams(), d_c=HUGE),
+             f"d_c and reset_margin must be finite and >= 0, got {HUGE!r} and 0.05"),
+            (lambda: h_cooperative((HUGE, 0), (0, 0), ShieldParams()), f"dp must be finite, got {(HUGE, 0)!r}"),
+            (lambda: h_noncooperative((1, 0), (HUGE, 0), ShieldParams()), f"v_self must be finite, got {(HUGE, 0)!r}"),
+            (lambda: face_clearances([HUGE, 0], 1.0), f"position must be finite, got {[HUGE, 0]!r}"),
+            (lambda: filter_action(0, [HUGE, 0], STILL, [(0, STILL)], (), WorldConfig(), ShieldParams()),
+             f"nominal action must be finite, got {[HUGE, 0]!r}"),
+            (lambda: TestHugeIntegersGiveValueError.env_step([[HUGE, 0], [0, 0]]), "actions must be finite"),
+            (lambda: TrainerConfig(lr_actor=HUGE), "trainer parameters must be finite, got TrainerConfig("),
+            (lambda: TrainerConfig(noise_sigma=HUGE), "trainer parameters must be finite, got TrainerConfig("),
+        ],
+        ids=["wall_half_extent", "dt", "d_s", "obstacle radius", "d_c", "h_cooperative dp", "h_noncooperative v_self",
+             "face_clearances", "filter_action nominal", "env step actions", "lr_actor", "noise_sigma"],
+    )
+    def test_value_error_across_the_package(self, call, prefix):
+        # a message that ends in a config's repr is pinned by its fixed part
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value).startswith(prefix)
 
 
 class TestDegenerateNormals:

@@ -536,6 +536,33 @@ class TestShieldOracle:
         assert counts[STATUS_CORRECTED] > 1400 and counts[STATUS_RELAXED] > 200
         assert counts[STATUS_PASSTHROUGH] > 100 and counts[STATUS_FALLBACK] >= 1
 
+    # (focal, peer) states as (position, velocity), and the kinds the focal agent finds violated
+    VIOLATED = {
+        "peer inside d_s": (((0.5, 0.5), (0.2, 0.0)), ((0.55, 0.5), (0.0, 0.0)), {"cooperative"}),
+        "peer closing fast": (((0.3, -0.6), (0.5, 0.0)), ((0.42, -0.6), (-1.0, 0.0)), {"cooperative"}),
+        "obstacle inside d_s": (((-0.3, 0.0), (0.0, 0.3)), ((-0.6, -0.6), (0.0, 0.0)), {"non-cooperative"}),
+        "obstacle closing fast": (((-0.2, 0.0), (-1.0, 0.0)), ((-0.6, -0.6), (0.0, 0.0)), {"non-cooperative"}),
+        "past a face's braking distance": (((0.9, -0.3), (1.0, 0.0)), ((-0.6, 0.6), (0.0, 0.0)), {"wall"}),
+        "on a face moving out": (((1.0, 0.3), (0.05, 0.0)), ((-0.6, 0.6), (0.0, 0.0)), {"wall"}),
+        "corner": (((0.92, 0.92), (0.9, 0.9)), ((-0.6, 0.6), (0.0, 0.0)), {"wall"}),
+        "peer and face": (((0.88, 0.6), (1.0, 0.0)), ((0.88, 0.67), (0.0, 0.0)), {"cooperative", "wall"}),
+    }
+
+    @pytest.mark.parametrize("focal, peer, kinds", VIOLATED.values(), ids=VIOLATED)
+    def test_constructed_violated_entities(self, focal, peer, kinds):
+        # the fallback path on purpose, in the stock 2x2 world of the training
+        # runs: 1 peer, 3 obstacles and 4 faces in range
+        world = default_world()
+        agents = [(0, AgentState(*focal)), (1, AgentState(*peer))]
+        violated = shield_oracle.local_rows(0, agents[0][1], agents, world.obstacles, world, PARAMS)[2]
+        assert {v[3] for v in violated} == kinds
+        counts = {}
+        for u in ((0.7, -0.3), (-1.0, 1.0), (0.0, 0.0)):
+            check_against_oracle((0, np.array(u), agents[0][1], agents, world.obstacles, world, PARAMS), counts)
+        assert {k: counts.get(k) for k in (STATUS_FALLBACK, "cooperative", "non-cooperative", "wall")} == {
+            STATUS_FALLBACK: 3, "cooperative": 3, "non-cooperative": 9, "wall": 12
+        }
+
     def test_report_fields_and_defaults(self):
         u = np.array([0.1, -0.2])
         first, second = ShieldReport(0, u, u), ShieldReport(1, u, u)
